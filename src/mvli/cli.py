@@ -23,6 +23,7 @@ from . import index as idx
 from . import synth as sy
 from .core import ConfigError, DataError, EngineError, NumericError
 from .encoder import (
+    ABLATION_ROWS,
     EncoderConfig,
     EncoderFlags,
     QueryInput,
@@ -291,30 +292,18 @@ def cmd_eval(args, cfg: RunConfig) -> int:
     kb, kb_aug = _load_world(args.kb)
     samples = dg.load_samples(args.samples)
     provider = SeededEmbeddingProvider(encoder_config)
-    flags = _flags(args, cfg)
+    built = search_params = None
     if args.index:
         built = idx.load_index(args.index)
-        rankings = ev.rank_samples(
-            samples, None, params, encoder_config, provider,
-            index=built,
-            search_params=idx.SearchParams(
-                k=10,
-                nprobe=int(cfg.get("index", "nprobe", 4)),
-                candidate_doc_cap=int(cfg.get("index", "candidate_doc_cap", 256)),
-            ),
+        search_params = idx.SearchParams(
+            k=max(ev.DEFAULT_KS),
+            nprobe=int(cfg.get("index", "nprobe", 4)),
+            candidate_doc_cap=int(cfg.get("index", "candidate_doc_cap", 256)),
         )
-        report = ev.EvalReport()
-        label = flags.label()
-        for k in ev.DEFAULT_KS:
-            value = sum(
-                ev.recall_at_k(rankings[s.sample_id], s.gt_doc_id, k) for s in samples
-            ) / len(samples)
-            report.add(args.benchmark, "all", label, "recall", k, value)
-    else:
-        report = ev.evaluate_model(
-            kb, kb_aug, params, encoder_config, provider, samples, flags,
-            benchmark=args.benchmark,
-        )
+    report = ev.evaluate_model(
+        kb, kb_aug, params, encoder_config, provider, samples, _flags(args, cfg),
+        benchmark=args.benchmark, index=built, search_params=search_params,
+    )
     with open(args.report_out, "w", encoding="utf-8") as fh:
         fh.write(report.to_csv_text())
     print(report.to_table_text(), end="")
@@ -330,8 +319,6 @@ def cmd_ablate(args, cfg: RunConfig) -> int:
     kb, kb_aug = _load_world(args.kb)
     train_samples = dg.load_samples(args.train_samples)
     test_samples = dg.load_samples(args.test_samples)
-    from .encoder import ABLATION_ROWS
-
     report = ev.run_ablation(
         kb, kb_aug, train_samples, test_samples, ABLATION_ROWS,
         encoder_config, tcfg, benchmark=args.benchmark,

@@ -81,6 +81,14 @@ class CorruptionError(DataError):
     """File is truncated or internally inconsistent."""
 
 
+def read_exact(fh, n: int, kind: str) -> bytes:
+    """Exactly n bytes from a binary file of the named kind, or CorruptionError."""
+    data = fh.read(n)
+    if len(data) != n:
+        raise CorruptionError(f"{kind} file is truncated")
+    return data
+
+
 # ---------------------------------------------------------------------------
 # Deterministic randomness.
 #

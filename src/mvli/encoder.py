@@ -30,6 +30,7 @@ from .core import (
     NumericError,
     Rng,
     SpanError,
+    read_exact,
     seeded_unit_vector,
     tokenize,
 )
@@ -276,36 +277,30 @@ def save_params(params: EncoderParams, config: EncoderConfig, path: str | Path) 
             fh.write(arr.tobytes())
 
 
-def _read_exact(fh, n: int) -> bytes:
-    data = fh.read(n)
-    if len(data) != n:
-        raise CorruptionError("checkpoint file is truncated")
-    return data
-
-
 def load_params(path: str | Path) -> tuple[EncoderParams, EncoderConfig]:
     from .core import FormatError, UnsupportedVersionError
 
     with open(path, "rb") as fh:
-        if _read_exact(fh, 4) != _PARAMS_MAGIC:
+        if read_exact(fh, 4, "checkpoint") != _PARAMS_MAGIC:
             raise FormatError(f"{path}: not a parameter checkpoint (bad magic)")
-        (version,) = struct.unpack("<I", _read_exact(fh, 4))
+        (version,) = struct.unpack("<I", read_exact(fh, 4, "checkpoint"))
         if version != _PARAMS_VERSION:
             raise UnsupportedVersionError(f"{path}: unsupported checkpoint version {version}")
-        dims = struct.unpack("<8I", _read_exact(fh, 32))
+        dims = struct.unpack("<8I", read_exact(fh, 32, "checkpoint"))
         config = EncoderConfig(
             dim=dims[0], text_dim=dims[1], image_dim=dims[2], n_patches=dims[3],
             n_heads=dims[4], attn_dim=dims[5], ff_dim=dims[6], n_mm_tokens=dims[7],
         )
-        (count,) = struct.unpack("<I", _read_exact(fh, 4))
+        (count,) = struct.unpack("<I", read_exact(fh, 4, "checkpoint"))
         tensors: dict[str, np.ndarray] = {}
         for _ in range(count):
-            (name_len,) = struct.unpack("<H", _read_exact(fh, 2))
-            name = _read_exact(fh, name_len).decode("utf-8")
-            (ndim,) = struct.unpack("<B", _read_exact(fh, 1))
-            shape = struct.unpack(f"<{ndim}I", _read_exact(fh, 4 * ndim))
+            (name_len,) = struct.unpack("<H", read_exact(fh, 2, "checkpoint"))
+            name = read_exact(fh, name_len, "checkpoint").decode("utf-8")
+            (ndim,) = struct.unpack("<B", read_exact(fh, 1, "checkpoint"))
+            shape = struct.unpack(f"<{ndim}I", read_exact(fh, 4 * ndim, "checkpoint"))
             size = int(np.prod(shape)) if ndim else 1
-            data = np.frombuffer(_read_exact(fh, 8 * size), dtype="<f8").reshape(shape)
+            data = np.frombuffer(read_exact(fh, 8 * size, "checkpoint"), dtype="<f8")
+            data = data.reshape(shape)
             tensors[name] = data.copy()
         if fh.read(1):
             raise CorruptionError(f"{path}: trailing bytes after tensor table")
@@ -422,9 +417,9 @@ def read_embedding_file(path: str | Path) -> dict[str, np.ndarray]:
             if len(head) != 4:
                 raise CorruptionError(f"{path}: truncated record header")
             (key_len,) = struct.unpack("<I", head)
-            key = _read_exact(fh, key_len).decode("utf-8")
-            (dim,) = struct.unpack("<I", _read_exact(fh, 4))
-            data = np.frombuffer(_read_exact(fh, 4 * dim), dtype="<f4")
+            key = read_exact(fh, key_len, "embedding").decode("utf-8")
+            (dim,) = struct.unpack("<I", read_exact(fh, 4, "embedding"))
+            data = np.frombuffer(read_exact(fh, 4 * dim, "embedding"), dtype="<f4")
             records[key] = data.astype(np.float64)
     return records
 

@@ -150,27 +150,13 @@ def rank_samples(
     return rankings
 
 
-def _recall_rows(
-    report: EvalReport,
-    rankings: Mapping[str, list[str]],
-    samples: Sequence[QaSample],
-    benchmark: str,
-    flags_label: str,
-    ks: Sequence[int],
-):
+def _split_groups(samples: Sequence[QaSample]) -> list[tuple[str, list[QaSample]]]:
+    """Samples grouped by split, plus every sample under "all", by split name."""
     by_split: dict[str, list[QaSample]] = {}
     for s in samples:
         by_split.setdefault(s.split or "all", []).append(s)
     by_split["all"] = list(samples)
-    for split in sorted(by_split):
-        group = by_split[split]
-        if not group:
-            continue
-        for k in ks:
-            value = sum(
-                recall_at_k(rankings[s.sample_id], s.gt_doc_id, k) for s in group
-            ) / len(group)
-            report.add(benchmark, split, flags_label, "recall", k, value)
+    return [(split, by_split[split]) for split in sorted(by_split) if by_split[split]]
 
 
 def evaluate_model(
@@ -185,26 +171,32 @@ def evaluate_model(
     image_only: bool = False,
     ks: Sequence[int] = DEFAULT_KS,
     with_distractors: bool = True,
+    *,
+    index: RetrievalIndex | None = None,
+    search_params: SearchParams | None = None,
 ) -> EvalReport:
-    """Encode the corpus under `flags`, rank every sample, report recalls."""
-    corpus = encode_corpus(kb_aug, params, config, provider, flags)
+    """Rank every sample and report recalls per split.
+
+    Without an index the corpus is encoded under `flags` and scored exactly;
+    with one, samples are ranked by `search` and `flags` only labels the rows.
+    """
+    corpus = None if index is not None else encode_corpus(kb_aug, params, config, provider, flags)
     rankings = rank_samples(
-        test_samples, corpus, params, config, provider,
-        image_only=image_only, depth=max(ks),
+        test_samples, corpus, params, config, provider, image_only=image_only,
+        index=index, search_params=search_params, depth=max(ks),
     )
     report = EvalReport()
     label = flags.label() + ("|image-only" if image_only else "")
-    _recall_rows(report, rankings, test_samples, benchmark, label, ks)
+    groups = _split_groups(test_samples)
+    for split, group in groups:
+        for k in ks:
+            value = sum(
+                recall_at_k(rankings[s.sample_id], s.gt_doc_id, k) for s in group
+            ) / len(group)
+            report.add(benchmark, split, label, "recall", k, value)
     if with_distractors:
         dmap = build_distractor_map(kb_raw, test_samples)
-        by_split: dict[str, list[QaSample]] = {}
-        for s in test_samples:
-            by_split.setdefault(s.split or "all", []).append(s)
-        by_split["all"] = list(test_samples)
-        for split in sorted(by_split):
-            group = by_split[split]
-            if not group:
-                continue
+        for split, group in groups:
             sub = {s.sample_id: rankings[s.sample_id] for s in group}
             for k in ks:
                 report.add(

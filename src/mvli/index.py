@@ -10,6 +10,7 @@ late-interaction re-ranking on reconstructed vectors.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -25,13 +26,13 @@ from .core import (
     InputError,
     Rng,
     ShapeError,
-    StateError,
     UnsupportedVersionError,
+    read_exact,
 )
 from .scoring import ScoredDoc
 
 INDEX_MAGIC = b"MVLI"
-INDEX_VERSION = 1
+INDEX_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -51,34 +52,59 @@ class SearchParams:
 
 @dataclass
 class RetrievalIndex:
+    """Compressed vectors of a corpus, each document a contiguous run of rows.
+
+    Only assignments and doc_sizes describe the layout; the per-doc vector
+    ranges, per-doc centroid sets and per-centroid doc lists are derived from
+    them on construction.
+    """
+
     dim: int
     nbits: int
     centroids: np.ndarray  # (K, dim) unit rows
-    assignments: np.ndarray  # (N,) centroid id per vector
-    codes: np.ndarray  # (N, dim) uint8, or float64 residuals when nbits == 0
+    assignments: np.ndarray  # (N,) centroid id per vector, docs in doc_ids order
+    codes: np.ndarray  # (N, dim) uint8, or float64 vectors when nbits == 0
     code_min: np.ndarray  # (dim,) per-dimension codebook scalars
     code_max: np.ndarray
-    vec_owner: np.ndarray  # (N,) index into doc_ids
     doc_ids: list[str]
-    doc_sizes: np.ndarray  # (n_docs,) token counts
+    doc_sizes: np.ndarray  # (n_docs,) vector count per doc
     objective_trace: list[float] = field(default_factory=list)
-    postings: list[np.ndarray] = field(default_factory=list)
-    doc_centroids: list[np.ndarray] = field(default_factory=list)
+    doc_offsets: np.ndarray = field(init=False)  # (n_docs + 1,) doc d: rows off[d]..off[d+1]
+    doc_centroids: list[np.ndarray] = field(init=False)  # sorted centroid ids per doc
+    centroid_docs: list[np.ndarray] = field(init=False)  # sorted doc indices per centroid
 
     def __post_init__(self):
-        if not self.postings:
-            self.postings = [
-                np.flatnonzero(self.assignments == c) for c in range(self.centroids.shape[0])
-            ]
-        if not self.doc_centroids:
-            self.doc_centroids = [
-                np.unique(self.assignments[np.flatnonzero(self.vec_owner == d)])
-                for d in range(len(self.doc_ids))
-            ]
+        self.doc_offsets, self.doc_centroids, self.centroid_docs = _derive_layout(
+            self.assignments, self.doc_sizes, self.centroids.shape[0]
+        )
 
     @property
     def n_vectors(self) -> int:
         return self.assignments.shape[0]
+
+
+def _derive_layout(
+    assignments: np.ndarray, doc_sizes: np.ndarray, k: int
+) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]:
+    """Doc offsets, each doc's sorted centroid set and each centroid's sorted
+    doc list, for docs stored as contiguous runs of `doc_sizes` vectors."""
+    n = assignments.shape[0]
+    n_docs = doc_sizes.shape[0]
+    if k < 1 or n_docs < 1:
+        raise CorruptionError("index needs at least one centroid and one document")
+    if np.any(doc_sizes < 1) or np.any(doc_sizes > n):
+        raise CorruptionError("index has a document size outside [1, vector count]")
+    offsets = np.concatenate(([0], np.cumsum(doc_sizes, dtype=np.int64)))
+    if offsets[-1] != n:
+        raise CorruptionError(f"document sizes sum to {offsets[-1]}, not the {n} vectors")
+    if assignments.min() < 0 or assignments.max() >= k:
+        raise CorruptionError("index assignment references a missing centroid")
+    owners = np.repeat(np.arange(n_docs, dtype=np.int64), doc_sizes)
+    docs, cents = np.divmod(np.unique(owners * k + assignments), k)  # doc-major pairs
+    doc_centroids = np.split(cents, np.cumsum(np.bincount(docs, minlength=n_docs))[:-1])
+    by_centroid = np.argsort(cents, kind="stable")  # docs stay ascending per centroid
+    centroid_docs = np.split(docs[by_centroid], np.cumsum(np.bincount(cents, minlength=k))[:-1])
+    return offsets, doc_centroids, centroid_docs
 
 
 def _spherical_kmeans(
@@ -135,9 +161,6 @@ def build_index(
         raise ShapeError(f"corpus mixes vector dimensions: {sorted(dims)}")
     dim = dims.pop()
     vectors = np.vstack([corpus[d].vectors for d in doc_ids])
-    owners = np.concatenate([
-        np.full(len(corpus[d]), i, dtype=np.int64) for i, d in enumerate(doc_ids)
-    ])
     doc_sizes = np.array([len(corpus[d]) for d in doc_ids], dtype=np.int64)
     n = vectors.shape[0]
     k = default_k_centroids(n) if k_centroids is None else k_centroids
@@ -166,7 +189,6 @@ def build_index(
         codes=codes,
         code_min=code_min,
         code_max=code_max,
-        vec_owner=owners,
         doc_ids=doc_ids,
         doc_sizes=doc_sizes,
         objective_trace=trace,
@@ -183,42 +205,24 @@ def reconstruct(index: RetrievalIndex, vec_ids: np.ndarray) -> np.ndarray:
     return index.centroids[index.assignments[vec_ids]] + residuals
 
 
-def _validate_index(index: RetrievalIndex) -> None:
-    if index.centroids.size == 0 or index.assignments.size == 0:
-        raise StateError("index is empty or was not built")
-    if int(index.assignments.max()) >= index.centroids.shape[0]:
-        raise StateError("index is corrupt: assignment references a missing centroid")
-
-
 def search(index: RetrievalIndex, query: FeatureSet, params: SearchParams) -> list[ScoredDoc]:
     """Two-stage search: centroid-probed candidates, then exact re-ranking.
 
     Stage 1 probes the nprobe nearest centroids per query token, pools the
-    owning documents, and keeps at most candidate_doc_cap of them by a
-    centroid-level approximation of the late-interaction score.  Stage 2
-    re-scores candidates exactly on dequantized vectors; ties break by doc_id.
+    documents holding a vector in any of them, and keeps at most
+    candidate_doc_cap of them by a centroid-level approximation of the
+    late-interaction score.  Stage 2 re-scores candidates exactly on
+    dequantized vectors; ties break by doc_id.
     """
-    _validate_index(index)
     if query.dim != index.dim:
         raise ShapeError(f"query dim {query.dim} does not match index dim {index.dim}")
-    k_cent = index.centroids.shape[0]
-    nprobe = min(params.nprobe, k_cent)
+    nprobe = min(params.nprobe, index.centroids.shape[0])
     cent_sims = query.vectors @ index.centroids.T  # (m, K)
-
-    candidate_docs: set[int] = set()
-    for i in range(cent_sims.shape[0]):
-        if nprobe < k_cent:
-            probed = np.argpartition(-cent_sims[i], nprobe - 1)[:nprobe]
-        else:
-            probed = np.arange(k_cent)
-        for c in probed:
-            vec_ids = index.postings[int(c)]
-            if vec_ids.size:
-                candidate_docs.update(np.unique(index.vec_owner[vec_ids]).tolist())
-    if not candidate_docs:
+    probed = np.unique(np.argpartition(-cent_sims, nprobe - 1, axis=1)[:, :nprobe])
+    ordered = np.unique(np.concatenate([index.centroid_docs[c] for c in probed])).tolist()
+    if not ordered:
         return []
 
-    ordered = sorted(candidate_docs)
     if len(ordered) > params.candidate_doc_cap:
         approx = []
         for d in ordered:
@@ -229,92 +233,88 @@ def search(index: RetrievalIndex, query: FeatureSet, params: SearchParams) -> li
 
     results: list[ScoredDoc] = []
     for d in ordered:
-        vec_ids = np.flatnonzero(index.vec_owner == d)
-        doc_vectors = reconstruct(index, vec_ids)
-        sims = query.vectors @ doc_vectors.T
-        score = float(sims.max(axis=1).sum())
+        rows = reconstruct(index, np.arange(index.doc_offsets[d], index.doc_offsets[d + 1]))
+        score = float((query.vectors @ rows.T).max(axis=1).sum())
         results.append(ScoredDoc(index.doc_ids[d], score))
     results.sort(key=lambda s: (-s.score, s.doc_id))
     return results[: params.k]
 
 
 # ---------------------------------------------------------------------------
-# Binary file format: magic "MVLI", version u32, header, then the centroid,
-# codebook, codes, postings, and document blocks; everything little-endian.
+# Binary file format v2, little-endian: magic "MVLI", version u32, header
+# (dim u32, K u32, N u64, n_docs u32, nbits u8), centroids (K x dim f64),
+# codebook (code_min, code_max: dim f64 each), codes (N x dim u8, or f64 when
+# nbits == 0), assignments (N u32), doc sizes (n_docs u64), then per doc its
+# id (u16 length + utf-8).  Everything else is derived on load.
 # ---------------------------------------------------------------------------
 
-
-def _read_exact(fh, n: int) -> bytes:
-    data = fh.read(n)
-    if len(data) != n:
-        raise CorruptionError("index file is truncated")
-    return data
+_HEADER = struct.Struct("<IIQIB")
 
 
 def save_index(index: RetrievalIndex, path: str | Path) -> None:
     with open(path, "wb") as fh:
         fh.write(INDEX_MAGIC)
         fh.write(struct.pack("<I", INDEX_VERSION))
-        fh.write(struct.pack(
-            "<IIQIB", index.dim, index.centroids.shape[0], index.n_vectors,
+        fh.write(_HEADER.pack(
+            index.dim, index.centroids.shape[0], index.n_vectors,
             len(index.doc_ids), index.nbits,
         ))
         fh.write(np.ascontiguousarray(index.centroids, dtype="<f8").tobytes())
         fh.write(np.ascontiguousarray(index.code_min, dtype="<f8").tobytes())
         fh.write(np.ascontiguousarray(index.code_max, dtype="<f8").tobytes())
-        if index.nbits == 0:
-            fh.write(np.ascontiguousarray(index.codes, dtype="<f8").tobytes())
-        else:
-            fh.write(np.ascontiguousarray(index.codes, dtype=np.uint8).tobytes())
-        for c in range(index.centroids.shape[0]):
-            vec_ids = index.postings[c]
-            fh.write(struct.pack("<Q", vec_ids.size))
-            fh.write(np.ascontiguousarray(vec_ids, dtype="<u8").tobytes())
-        fh.write(np.ascontiguousarray(index.vec_owner, dtype="<u8").tobytes())
-        for i, doc_id in enumerate(index.doc_ids):
+        code_dtype = "<f8" if index.nbits == 0 else np.uint8
+        fh.write(np.ascontiguousarray(index.codes, dtype=code_dtype).tobytes())
+        fh.write(np.ascontiguousarray(index.assignments, dtype="<u4").tobytes())
+        fh.write(np.ascontiguousarray(index.doc_sizes, dtype="<u8").tobytes())
+        for doc_id in index.doc_ids:
             encoded = doc_id.encode("utf-8")
             fh.write(struct.pack("<H", len(encoded)))
             fh.write(encoded)
-            fh.write(struct.pack("<Q", int(index.doc_sizes[i])))
 
 
 def load_index(path: str | Path) -> RetrievalIndex:
     with open(path, "rb") as fh:
-        magic = _read_exact(fh, 4)
+
+        def block(count: int, dtype) -> np.ndarray:
+            dt = np.dtype(dtype)
+            return np.frombuffer(read_exact(fh, count * dt.itemsize, "index"), dtype=dt).copy()
+
+        magic = read_exact(fh, 4, "index")
         if magic != INDEX_MAGIC:
             raise FormatError(f"{path}: not an index file (bad magic {magic!r})")
-        (version,) = struct.unpack("<I", _read_exact(fh, 4))
+        (version,) = struct.unpack("<I", read_exact(fh, 4, "index"))
         if version != INDEX_VERSION:
             raise UnsupportedVersionError(f"{path}: unsupported index version {version}")
-        dim, k_cent, n_vec, n_docs, nbits = struct.unpack("<IIQIB", _read_exact(fh, 21))
-        centroids = np.frombuffer(_read_exact(fh, 8 * k_cent * dim), dtype="<f8")
-        centroids = centroids.reshape(k_cent, dim).copy()
-        code_min = np.frombuffer(_read_exact(fh, 8 * dim), dtype="<f8").copy()
-        code_max = np.frombuffer(_read_exact(fh, 8 * dim), dtype="<f8").copy()
-        if nbits == 0:
-            codes = np.frombuffer(_read_exact(fh, 8 * n_vec * dim), dtype="<f8")
-            codes = codes.reshape(n_vec, dim).copy()
-        else:
-            codes = np.frombuffer(_read_exact(fh, n_vec * dim), dtype=np.uint8)
-            codes = codes.reshape(n_vec, dim).copy()
-        assignments = np.full(n_vec, -1, dtype=np.int64)
-        postings = []
-        for c in range(k_cent):
-            (count,) = struct.unpack("<Q", _read_exact(fh, 8))
-            vec_ids = np.frombuffer(_read_exact(fh, 8 * count), dtype="<u8").astype(np.int64)
-            postings.append(vec_ids)
-            assignments[vec_ids] = c
-        if np.any(assignments < 0):
-            raise CorruptionError(f"{path}: postings do not cover every vector")
-        vec_owner = np.frombuffer(_read_exact(fh, 8 * n_vec), dtype="<u8").astype(np.int64)
+        dim, k_cent, n_vec, n_docs, nbits = _HEADER.unpack(read_exact(fh, _HEADER.size, "index"))
+        if nbits not in (0, 8):
+            raise FormatError(f"{path}: nbits must be 0 or 8, got {nbits}")
+        if min(dim, k_cent, n_docs) < 1:
+            raise FormatError(f"{path}: dim, centroid and document counts must be >= 1")
+        code_bytes = 8 if nbits == 0 else 1
+        # the smallest file this header allows: every doc id empty
+        need = (fh.tell() + 8 * (k_cent + 2) * dim + n_vec * (code_bytes * dim + 4)
+                + n_docs * (8 + 2))
+        have = os.fstat(fh.fileno()).st_size
+        if need > have:
+            raise CorruptionError(f"{path}: header needs at least {need} bytes, file has {have}")
+        centroids = block(k_cent * dim, "<f8").reshape(k_cent, dim)
+        code_min = block(dim, "<f8")
+        code_max = block(dim, "<f8")
+        codes = block(n_vec * dim, "<f8" if nbits == 0 else np.uint8).reshape(n_vec, dim)
+        assignments = block(n_vec, "<u4").astype(np.int64)
+        doc_sizes = block(n_docs, "<u8")
         doc_ids = []
-        doc_sizes = np.zeros(n_docs, dtype=np.int64)
-        for i in range(n_docs):
-            (name_len,) = struct.unpack("<H", _read_exact(fh, 2))
-            doc_ids.append(_read_exact(fh, name_len).decode("utf-8"))
-            (doc_sizes[i],) = struct.unpack("<Q", _read_exact(fh, 8))
+        for _ in range(n_docs):
+            (name_len,) = struct.unpack("<H", read_exact(fh, 2, "index"))
+            try:
+                doc_ids.append(read_exact(fh, name_len, "index").decode("utf-8"))
+            except UnicodeDecodeError as exc:
+                raise CorruptionError(f"{path}: document id is not utf-8") from exc
         if fh.read(1):
             raise CorruptionError(f"{path}: trailing bytes after document table")
+    finite = [centroids, code_min, code_max] + ([codes] if nbits == 0 else [])
+    if not all(np.isfinite(a).all() for a in finite):
+        raise CorruptionError(f"{path}: non-finite centroid, codebook or vector values")
     return RetrievalIndex(
         dim=dim,
         nbits=nbits,
@@ -323,8 +323,6 @@ def load_index(path: str | Path) -> RetrievalIndex:
         codes=codes,
         code_min=code_min,
         code_max=code_max,
-        vec_owner=vec_owner,
         doc_ids=doc_ids,
-        doc_sizes=doc_sizes,
-        postings=postings,
+        doc_sizes=doc_sizes.astype(np.int64),
     )

@@ -114,14 +114,11 @@ class TestExhaustiveIndexMatchesExactEval:
                        "--samples", str(out / "test_seen.jsonl"),
                        "--index", str(index), "--report-out", str(index_report)) == 0
 
-        def recalls(path):
-            rows = csv.DictReader(io.StringIO(path.read_text()))
-            return {
-                (r["metric"], r["k"]): r["value"]
-                for r in rows if r["split"] == "all" and r["metric"] == "recall"
-            }
-
-        assert recalls(index_report) == recalls(exact_report)
+        # every split, recall and distractor_recall rows alike
+        exact_rows = list(csv.DictReader(io.StringIO(exact_report.read_text())))
+        assert {r["split"] for r in exact_rows} >= {"all", "seen"}
+        assert {r["metric"] for r in exact_rows} == {"recall", "distractor_recall"}
+        assert index_report.read_text() == exact_report.read_text()
 
 
 class TestNumericExitCode:

@@ -1,9 +1,13 @@
+import struct
+
 import numpy as np
 import pytest
 
 from conftest import random_feature_set
-from mvli.core import ConfigError, CorruptionError, FormatError, InputError, Rng
+from mvli.cli import main
+from mvli.core import ConfigError, CorruptionError, FeatureSet, FormatError, InputError, Rng
 from mvli.core import UnsupportedVersionError
+from mvli.encoder import EncoderConfig, init_encoder_params, save_params
 from mvli.index import (
     SearchParams,
     build_index,
@@ -74,6 +78,35 @@ class TestBuild:
         assert default_k_centroids(1) == 2
 
 
+class TestDerivedLayout:
+    """Doc ranges, doc centroid sets and centroid doc lists against brute force."""
+
+    @staticmethod
+    def assert_matches_brute_force(index):
+        n_docs = len(index.doc_ids)
+        owners = np.repeat(np.arange(n_docs), index.doc_sizes)
+        for d in range(n_docs):
+            rows = np.arange(index.doc_offsets[d], index.doc_offsets[d + 1])
+            np.testing.assert_array_equal(rows, np.flatnonzero(owners == d))
+            np.testing.assert_array_equal(
+                index.doc_centroids[d], np.unique(index.assignments[owners == d]))
+        assert len(index.centroid_docs) == index.centroids.shape[0]
+        for c, docs in enumerate(index.centroid_docs):
+            np.testing.assert_array_equal(docs, np.unique(owners[index.assignments == c]))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_corpora(self, seed):
+        corpus = make_corpus(seed=seed, n_docs=9, max_tokens=12)
+        # a doc of one repeated vector: all its vectors share one centroid
+        repeated = np.tile(corpus["doc004"].vectors[0], (5, 1))
+        corpus["doc004"] = FeatureSet(repeated, ("textual",) * 5)
+        n_vec = sum(len(v) for v in corpus.values())
+        for k in (1, 3, None, n_vec):
+            index = build_index(corpus, k_centroids=k, kmeans_iters=3, seed=seed)
+            self.assert_matches_brute_force(index)
+            assert index.doc_centroids[4].size == 1
+
+
 class TestSearch:
     def test_exhaustive_lossless_matches_rank_exact(self):
         corpus = make_corpus(seed=11, n_docs=15)
@@ -97,8 +130,8 @@ class TestSearch:
         # scores equal an exact pass over the reconstructed vectors
         for scored in got:
             d = doc_ids.index(scored.doc_id)
-            vec_ids = np.flatnonzero(index.vec_owner == d)
-            rows = reconstruct(index, vec_ids)
+            start = int(np.sum(index.doc_sizes[:d]))
+            rows = reconstruct(index, np.arange(start, start + index.doc_sizes[d]))
             expected = float((q.vectors @ rows.T).max(axis=1).sum())
             assert scored.score == pytest.approx(expected, abs=1e-12)
 
@@ -174,11 +207,13 @@ class TestPersistence:
         index = build_index(corpus, seed=1)
         path = tmp_path / "x.mvli"
         save_index(index, path)
-        data = bytearray(path.read_bytes())
-        data[4:8] = (42).to_bytes(4, "little")
-        path.write_bytes(bytes(data))
-        with pytest.raises(UnsupportedVersionError):
-            load_index(path)
+        original = path.read_bytes()
+        for version in (1, 42):  # 1: the older layout with postings and owner blocks
+            data = bytearray(original)
+            data[4:8] = version.to_bytes(4, "little")
+            path.write_bytes(bytes(data))
+            with pytest.raises(UnsupportedVersionError):
+                load_index(path)
 
     def test_truncation_detected(self, tmp_path):
         corpus = make_corpus(n_docs=3)
@@ -198,3 +233,91 @@ class TestPersistence:
         path.write_bytes(path.read_bytes() + b"\x00")
         with pytest.raises(CorruptionError):
             load_index(path)
+
+
+def _block_offsets(index) -> dict[str, int]:
+    """Byte offset of each block of a saved v2 index."""
+    k, dim, n = index.centroids.shape[0], index.dim, index.n_vectors
+    at = {"centroids": 29}
+    at["code_min"] = at["centroids"] + 8 * k * dim
+    at["code_max"] = at["code_min"] + 8 * dim
+    at["codes"] = at["code_max"] + 8 * dim
+    at["assignments"] = at["codes"] + n * dim * (8 if index.nbits == 0 else 1)
+    at["doc_sizes"] = at["assignments"] + 4 * n
+    at["doc_ids"] = at["doc_sizes"] + 8 * len(index.doc_ids)
+    return at
+
+
+# case -> (nbits of the saved file, expected error, message fragment)
+MUTATIONS = {
+    "n_vec_huge": (8, CorruptionError, "header needs at least"),
+    "truncated_in_codes": (8, CorruptionError, "header needs at least"),
+    "nbits_3": (8, FormatError, "nbits"),
+    "k_cent_0": (8, FormatError, ">= 1"),
+    "n_docs_0": (8, FormatError, ">= 1"),
+    "assignment_out_of_range": (8, CorruptionError, "missing centroid"),
+    "empty_doc": (8, CorruptionError, "document size"),
+    "doc_size_huge": (8, CorruptionError, "document size"),
+    "sizes_sum_mismatch": (8, CorruptionError, "sum to"),
+    "nan_centroid": (8, CorruptionError, "non-finite"),
+    "inf_codebook": (8, CorruptionError, "non-finite"),
+    "nan_lossless_vector": (0, CorruptionError, "non-finite"),
+    "doc_id_not_utf8": (8, CorruptionError, "utf-8"),
+}
+
+
+def _mutate(case: str, data: bytearray, index) -> None:
+    at = _block_offsets(index)
+    sizes = [int(s) for s in index.doc_sizes]
+    if case == "n_vec_huge":
+        struct.pack_into("<Q", data, 16, 2**40)
+    elif case == "truncated_in_codes":
+        del data[at["codes"] + 5:]
+    elif case == "nbits_3":
+        data[28] = 3
+    elif case == "k_cent_0":
+        struct.pack_into("<I", data, 12, 0)
+    elif case == "n_docs_0":
+        struct.pack_into("<I", data, 24, 0)
+    elif case == "assignment_out_of_range":
+        struct.pack_into("<I", data, at["assignments"], index.centroids.shape[0])
+    elif case == "empty_doc":  # sizes still sum to the vector count
+        struct.pack_into("<QQ", data, at["doc_sizes"], 0, sizes[0] + sizes[1])
+    elif case == "doc_size_huge":
+        struct.pack_into("<Q", data, at["doc_sizes"], 2**64 - 1)
+    elif case == "sizes_sum_mismatch":
+        struct.pack_into("<Q", data, at["doc_sizes"], sizes[0] + 1)
+    elif case == "nan_centroid":
+        struct.pack_into("<d", data, at["centroids"], np.nan)
+    elif case == "inf_codebook":
+        struct.pack_into("<d", data, at["code_max"], np.inf)
+    elif case == "nan_lossless_vector":
+        struct.pack_into("<d", data, at["codes"], np.nan)
+    elif case == "doc_id_not_utf8":
+        data[at["doc_ids"] + 2] = 0xFF
+    else:
+        raise AssertionError(case)
+
+
+@pytest.fixture(scope="module")
+def params_file(tmp_path_factory):
+    config = EncoderConfig(dim=8, text_dim=12, image_dim=12, n_patches=2,
+                           n_heads=2, attn_dim=8, n_mm_tokens=2)
+    path = tmp_path_factory.mktemp("params") / "p.mprm"
+    save_params(init_encoder_params(config, seed=1), config, path)
+    return path
+
+
+@pytest.mark.parametrize("case", sorted(MUTATIONS))
+def test_mutated_file_rejected(tmp_path, params_file, case):
+    nbits, error, message = MUTATIONS[case]
+    index = build_index(make_corpus(n_docs=3), nbits=nbits, seed=1)
+    path = tmp_path / "x.mvli"
+    save_index(index, path)
+    data = bytearray(path.read_bytes())
+    _mutate(case, data, index)
+    path.write_bytes(bytes(data))
+    with pytest.raises(error, match=message):
+        load_index(path)
+    assert main(["search", "--index", str(path), "--params", str(params_file),
+                 "--image-key", "img::x"]) == 3
