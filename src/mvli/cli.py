@@ -72,8 +72,11 @@ class RunConfig:
         if path:
             if not Path(path).is_file():
                 raise ConfigError(f"config file not found: {path}")
-            parser = configparser.ConfigParser()
-            parser.read(path)
+            parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
+            try:
+                parser.read(path)
+            except configparser.Error as exc:
+                raise ConfigError(f"unreadable config file {path}: {exc}") from exc
             for section in parser.sections():
                 if section not in _SCHEMA:
                     raise ConfigError(f"unknown config section [{section}]")

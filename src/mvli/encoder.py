@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -25,11 +26,13 @@ from .core import (
     CorruptionError,
     DocumentError,
     FeatureSet,
+    FormatError,
     InputError,
     MissingEmbeddingError,
     NumericError,
     Rng,
     SpanError,
+    UnsupportedVersionError,
     read_exact,
     seeded_unit_vector,
     tokenize,
@@ -278,8 +281,6 @@ def save_params(params: EncoderParams, config: EncoderConfig, path: str | Path) 
 
 
 def load_params(path: str | Path) -> tuple[EncoderParams, EncoderConfig]:
-    from .core import FormatError, UnsupportedVersionError
-
     with open(path, "rb") as fh:
         if read_exact(fh, 4, "checkpoint") != _PARAMS_MAGIC:
             raise FormatError(f"{path}: not a parameter checkpoint (bad magic)")
@@ -287,21 +288,33 @@ def load_params(path: str | Path) -> tuple[EncoderParams, EncoderConfig]:
         if version != _PARAMS_VERSION:
             raise UnsupportedVersionError(f"{path}: unsupported checkpoint version {version}")
         dims = struct.unpack("<8I", read_exact(fh, 32, "checkpoint"))
-        config = EncoderConfig(
-            dim=dims[0], text_dim=dims[1], image_dim=dims[2], n_patches=dims[3],
-            n_heads=dims[4], attn_dim=dims[5], ff_dim=dims[6], n_mm_tokens=dims[7],
-        )
+        try:
+            config = EncoderConfig(
+                dim=dims[0], text_dim=dims[1], image_dim=dims[2], n_patches=dims[3],
+                n_heads=dims[4], attn_dim=dims[5], ff_dim=dims[6], n_mm_tokens=dims[7],
+            )
+        except ConfigError as exc:
+            raise CorruptionError(f"{path}: bad encoder shape header: {exc}") from exc
+        file_size = os.fstat(fh.fileno()).st_size
         (count,) = struct.unpack("<I", read_exact(fh, 4, "checkpoint"))
         tensors: dict[str, np.ndarray] = {}
         for _ in range(count):
             (name_len,) = struct.unpack("<H", read_exact(fh, 2, "checkpoint"))
-            name = read_exact(fh, name_len, "checkpoint").decode("utf-8")
+            try:
+                name = read_exact(fh, name_len, "checkpoint").decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise CorruptionError(f"{path}: tensor name is not utf-8") from exc
             (ndim,) = struct.unpack("<B", read_exact(fh, 1, "checkpoint"))
+            if ndim > 2:  # every parameter is a vector or a matrix
+                raise CorruptionError(f"{path}: tensor {name!r} has {ndim} dimensions")
             shape = struct.unpack(f"<{ndim}I", read_exact(fh, 4 * ndim, "checkpoint"))
-            size = int(np.prod(shape)) if ndim else 1
-            data = np.frombuffer(read_exact(fh, 8 * size, "checkpoint"), dtype="<f8")
-            data = data.reshape(shape)
-            tensors[name] = data.copy()
+            need = 8 * math.prod(shape)
+            if need > file_size - fh.tell():
+                raise CorruptionError(
+                    f"{path}: tensor {name!r} of shape {shape} needs {need} bytes, "
+                    f"{file_size - fh.tell()} remain")
+            data = np.frombuffer(read_exact(fh, need, "checkpoint"), dtype="<f8")
+            tensors[name] = data.reshape(shape).copy()
         if fh.read(1):
             raise CorruptionError(f"{path}: trailing bytes after tensor table")
 
@@ -313,6 +326,7 @@ def load_params(path: str | Path) -> tuple[EncoderParams, EncoderConfig]:
         if views[name].shape != arr.shape:
             raise CorruptionError(f"{path}: tensor {name!r} has shape {arr.shape}")
         views[name][...] = arr
+    check_params_finite(params)
     return params, config
 
 

@@ -107,6 +107,43 @@ def _derive_layout(
     return offsets, doc_centroids, centroid_docs
 
 
+# Bytes of one block of the assign step's similarity matrix; the build's
+# memory is O(N * dim) plus one such block, whatever the centroid count.
+_ASSIGN_BLOCK_BYTES = 16_000_000
+
+
+def _assign(vectors: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Nearest centroid of every vector and its cosine similarity, computed
+    over row blocks of at most _ASSIGN_BLOCK_BYTES of similarities."""
+    n = vectors.shape[0]
+    rows = max(1, _ASSIGN_BLOCK_BYTES // (8 * centroids.shape[0]))
+    assignments = np.empty(n, dtype=np.int64)
+    best = np.empty(n)
+    for start in range(0, n, rows):
+        stop = min(start + rows, n)
+        sims = vectors[start:stop] @ centroids.T
+        assignments[start:stop] = sims.argmax(axis=1)
+        best[start:stop] = sims[np.arange(stop - start), assignments[start:stop]]
+    return assignments, best
+
+
+def _update_centroids(
+    vectors: np.ndarray, assignments: np.ndarray, centroids: np.ndarray
+) -> np.ndarray:
+    """Renormalized member means by segment sums; a centroid whose cluster is
+    empty or whose member sum is near zero keeps its previous value."""
+    counts = np.bincount(assignments, minlength=centroids.shape[0])
+    order = np.argsort(assignments, kind="stable")
+    used = np.flatnonzero(counts)
+    starts = np.concatenate(([0], np.cumsum(counts[used])[:-1]))
+    means = np.add.reduceat(vectors[order], starts, axis=0) / counts[used, None]
+    norms = np.linalg.norm(means, axis=1)
+    moved = norms > 1e-12
+    updated = centroids.copy()
+    updated[used[moved]] = means[moved] / norms[moved, None]
+    return updated
+
+
 def _spherical_kmeans(
     vectors: np.ndarray, k: int, iters: int, rng: Rng
 ) -> tuple[np.ndarray, np.ndarray, list[float]]:
@@ -115,23 +152,13 @@ def _spherical_kmeans(
     n = vectors.shape[0]
     init_idx = rng.split("kmeans-init").generator().choice(n, size=k, replace=False)
     centroids = vectors[np.sort(init_idx)].copy()
-    assignments = np.zeros(n, dtype=np.int64)
     trace: list[float] = []
     for _ in range(iters):
-        sims = vectors @ centroids.T
-        assignments = sims.argmax(axis=1)
-        trace.append(float(np.mean(1.0 - sims[np.arange(n), assignments])))
-        for c in range(k):
-            members = np.flatnonzero(assignments == c)
-            if members.size == 0:
-                continue
-            mean = vectors[members].mean(axis=0)
-            norm = np.linalg.norm(mean)
-            if norm > 1e-12:
-                centroids[c] = mean / norm
-    sims = vectors @ centroids.T
-    assignments = sims.argmax(axis=1)
-    trace.append(float(np.mean(1.0 - sims[np.arange(n), assignments])))
+        assignments, best = _assign(vectors, centroids)
+        trace.append(float(np.mean(1.0 - best)))
+        centroids = _update_centroids(vectors, assignments, centroids)
+    assignments, best = _assign(vectors, centroids)
+    trace.append(float(np.mean(1.0 - best)))
     return centroids, assignments, trace
 
 

@@ -68,8 +68,10 @@ class SynthConfig:
     """Desk-scale benchmark knobs.
 
     entities_per_doc is the mean number of related-entity mentions per body
-    (the full-scale corpora this emulates average about 4.3).  Benchmark
-    target counts default to a scale derived from n_docs.
+    (the full-scale corpora this emulates average about 4.3).  Split sizes
+    that are not set default to 2 * n_docs training and n_docs // 4 per test
+    split, each capped at the samples that can reach its split; a size that is
+    set and cannot be met is a GenerationError naming its knob.
     """
 
     n_docs: int = 200
@@ -96,18 +98,6 @@ class SynthConfig:
             raise ConfigError("samples_per_doc must be >= 1")
         if not 0.0 < self.unseen_doc_fraction < 1.0:
             raise ConfigError("unseen_doc_fraction must lie in (0, 1)")
-
-    @property
-    def train_target(self) -> int:
-        return self.n_train if self.n_train is not None else 2 * self.n_docs
-
-    @property
-    def test_seen_target(self) -> int:
-        return self.n_test_seen if self.n_test_seen is not None else self.n_docs // 4
-
-    @property
-    def test_unseen_target(self) -> int:
-        return self.n_test_unseen if self.n_test_unseen is not None else self.n_docs // 4
 
 
 def _entity_names(rng: Rng, count: int) -> list[str]:
@@ -308,12 +298,16 @@ def generate_benchmark(
             seen_candidates.append(doc_samples[-1])
 
     pick_rng = rng.split("split-selection")
-    test_seen = _take(seen_candidates, cfg.test_seen_target, pick_rng.split("seen"))
-    test_unseen = _take(unseen_pool, cfg.test_unseen_target, pick_rng.split("unseen"))
+    seen_target = _target(cfg.n_test_seen, cfg.n_docs // 4, seen_candidates)
+    unseen_target = _target(cfg.n_test_unseen, cfg.n_docs // 4, unseen_pool)
+    test_seen = _take(seen_candidates, seen_target, pick_rng.split("seen"), "n_test_seen")
+    test_unseen = _take(unseen_pool, unseen_target, pick_rng.split("unseen"), "n_test_unseen")
+    train_target = _target(cfg.n_train, 2 * cfg.n_docs, train_pool)
 
     required_docs = sorted({s.gt_doc_id for s in test_seen})
-    if cfg.train_target < len(required_docs):
-        raise GenerationError("train target too small to cover every seen-test document")
+    if train_target < len(required_docs):
+        raise GenerationError(f"synth.n_train ({train_target}) cannot cover the "
+                              f"{len(required_docs)} seen-test documents")
     chosen: list[QaSample] = []
     remaining: list[QaSample] = []
     covered: set[str] = set()
@@ -323,13 +317,8 @@ def generate_benchmark(
             chosen.append(sample)
         else:
             remaining.append(sample)
-    fill = _take(remaining, cfg.train_target - len(chosen), pick_rng.split("train"))
+    fill = _take(remaining, train_target - len(chosen), pick_rng.split("train"), "n_train")
     train = sorted(chosen + fill, key=lambda s: s.sample_id)
-    if len(train) < cfg.train_target:
-        raise GenerationError(
-            f"insufficient eligible samples: wanted {cfg.train_target} training "
-            f"samples, produced {len(train)}"
-        )
 
     train_gt_ids = {s.gt_doc_id for s in train}
     train = split_seen_unseen(train, train_gt_ids)
@@ -347,10 +336,16 @@ def generate_benchmark(
     )
 
 
-def _take(samples: list[QaSample], count: int, rng: Rng) -> list[QaSample]:
+def _target(explicit: int | None, default: int, pool: list[QaSample]) -> int:
+    """A split size that was set, or the default capped at the split's pool."""
+    return explicit if explicit is not None else min(default, len(pool))
+
+
+def _take(samples: list[QaSample], count: int, rng: Rng, knob: str) -> list[QaSample]:
     if count > len(samples):
         raise GenerationError(
-            f"insufficient eligible samples: wanted {count}, pool has {len(samples)}"
+            f"insufficient eligible samples for synth.{knob}: wanted {count}, "
+            f"pool has {len(samples)}"
         )
     order = rng.generator().permutation(len(samples))
     picked = [samples[int(i)] for i in order[:count]]

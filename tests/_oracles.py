@@ -113,3 +113,20 @@ def naive_bm25(query_terms, doc_terms, all_doc_terms, k1=1.2, b=0.75) -> float:
         idf = math.log((n_docs - df + 0.5) / (df + 0.5))
         score += idf * tf * (k1 + 1.0) / (tf + k1 * (1.0 - b + b * dl / avgdl))
     return score
+
+
+def naive_centroid_update(
+    vectors: np.ndarray, assignments: np.ndarray, centroids: np.ndarray
+) -> np.ndarray:
+    """Per-centroid loop over member scans: renormalized member means, and an
+    unchanged centroid where the cluster is empty or its mean is near zero."""
+    updated = centroids.copy()
+    for c in range(centroids.shape[0]):
+        members = np.flatnonzero(assignments == c)
+        if members.size == 0:
+            continue
+        mean = vectors[members].mean(axis=0)
+        norm = np.linalg.norm(mean)
+        if norm > 1e-12:
+            updated[c] = mean / norm
+    return updated

@@ -1,11 +1,16 @@
 import json
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from mvli.cli import build_parser, main
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run_cli(*argv) -> int:
@@ -151,6 +156,11 @@ class TestExitCodes:
         )
         assert code == 0
 
+    def test_config_without_section_is_config_error(self, tmp_path):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("n_docs = 30\n")
+        assert run_cli("--config", str(cfg), "synth", "--out-dir", str(tmp_path / "w")) == 2
+
     def test_corrupt_index_is_data_error(self, workdir, tmp_path):
         root, cfg, out = workdir
         kb = str(out / "kb.jsonl")
@@ -161,6 +171,18 @@ class TestExitCodes:
         bad.write_bytes(b"JUNKJUNK")
         assert run_cli("search", "--index", str(bad), "--params", str(params),
                        "--image-key", "img::x") == 3
+
+
+class TestReadmeConfig:
+    def test_readme_run_ini_runs_synth(self, tmp_path):
+        """The README's example config, inline comments included, runs as written."""
+        match = re.search(r"Example `run\.ini`:\s*```ini\n(.*?)```", README.read_text(), re.S)
+        assert match, "README.md has no fenced run.ini example"
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(match.group(1))
+        out = tmp_path / "world"
+        assert run_cli("--config", str(cfg), "synth", "--out-dir", str(out)) == 0
+        assert (out / "test_seen.jsonl").read_text().strip()
 
 
 class TestHelp:

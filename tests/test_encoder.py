@@ -1,7 +1,10 @@
+import struct
+
 import numpy as np
 import pytest
 
 from _oracles import naive_cross_attention
+from conftest import random_feature_set
 from mvli.augment import AugmentedDocument, RawDocument, RelatedEntity
 from mvli.core import (
     ConfigError,
@@ -37,6 +40,8 @@ from mvli.encoder import (
     save_params,
     write_embedding_file,
 )
+from mvli.cli import main
+from mvli.index import build_index, save_index
 
 
 def make_augmented(doc_id, title, body, related, image_key=None):
@@ -405,3 +410,43 @@ class TestCheckpoint:
         path.write_bytes(data[: len(data) // 2])
         with pytest.raises(CorruptionError):
             load_params(path)
+
+
+# A checkpoint holds magic, version, 8 shape fields and a tensor count (44
+# bytes), then its tensors in name order; the first is "ete" of shape
+# (text_dim,): name length at 44, name at 46, ndim at 49, shape at 50, values
+# from 54.  case -> (error, message fragment, CLI exit code, mutation)
+CHECKPOINT_MUTATIONS = {
+    "tensor_shape_huge": (CorruptionError, "needs", 3,
+                          lambda d: struct.pack_into("<I", d, 50, 2**31)),
+    "tensor_ndim_huge": (CorruptionError, "dimensions", 3, lambda d: d.__setitem__(49, 255)),
+    "truncated_in_values": (CorruptionError, "needs", 3,
+                            lambda d: d.__delitem__(slice(60, None))),
+    "tensor_name_not_utf8": (CorruptionError, "utf-8", 3, lambda d: d.__setitem__(46, 0xFF)),
+    "heads_not_dividing_attn_dim": (CorruptionError, "shape header", 3,
+                                    lambda d: struct.pack_into("<I", d, 24, 3)),
+    # non-finite parameters are a numeric error wherever they are found
+    "nan_first_tensor": (NumericError, "non-finite", 4,
+                         lambda d: struct.pack_into("<d", d, 54, np.nan)),
+    "inf_last_tensor": (NumericError, "non-finite", 4,
+                        lambda d: struct.pack_into("<d", d, len(d) - 8, np.inf)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CHECKPOINT_MUTATIONS))
+def test_mutated_checkpoint_rejected(tmp_path, tiny_config, capsys, case):
+    error, message, exit_code, mutate = CHECKPOINT_MUTATIONS[case]
+    path = tmp_path / "p.mprm"
+    save_params(init_encoder_params(tiny_config, seed=1), tiny_config, path)
+    data = bytearray(path.read_bytes())
+    mutate(data)
+    path.write_bytes(bytes(data))
+    with pytest.raises(error, match=message):
+        load_params(path)
+    corpus = {f"d{i}": random_feature_set(Rng(i), 5, tiny_config.dim) for i in range(3)}
+    index_path = tmp_path / "x.mvli"
+    save_index(build_index(corpus, seed=1), index_path)
+    capsys.readouterr()
+    assert main(["search", "--index", str(index_path), "--params", str(path),
+                 "--image-key", "img::x"]) == exit_code
+    assert message in capsys.readouterr().err

@@ -1,8 +1,11 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import mvli.index as index_mod
+from _oracles import naive_centroid_update
 from conftest import random_feature_set
 from mvli.cli import main
 from mvli.core import ConfigError, CorruptionError, FeatureSet, FormatError, InputError, Rng
@@ -76,6 +79,75 @@ class TestBuild:
     def test_default_centroid_count(self):
         assert default_k_centroids(2500) == 100
         assert default_k_centroids(1) == 2
+
+
+class TestKmeansSteps:
+    """The blockwise assign and the segment-sum update against dense oracles."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_blockwise_assign_matches_dense_argmax(self, monkeypatch, seed):
+        gen = Rng(seed).generator()
+        vectors = gen.standard_normal((1003, 8))
+        centroids = gen.standard_normal((37, 8))
+        # 37 centroids x 8 B x 16 rows per block: 63 blocks, the last of 11 rows
+        monkeypatch.setattr(index_mod, "_ASSIGN_BLOCK_BYTES", 16 * 8 * 37 + 5)
+        assignments, best = index_mod._assign(vectors, centroids)
+        sims = vectors @ centroids.T
+        np.testing.assert_array_equal(assignments, sims.argmax(axis=1))
+        np.testing.assert_allclose(best, sims.max(axis=1), rtol=0, atol=1e-12)
+
+    def test_assign_block_never_below_one_row(self, monkeypatch):
+        gen = Rng(7).generator()
+        vectors = gen.standard_normal((5, 4))
+        centroids = gen.standard_normal((3, 4))
+        monkeypatch.setattr(index_mod, "_ASSIGN_BLOCK_BYTES", 1)
+        assignments, _ = index_mod._assign(vectors, centroids)
+        np.testing.assert_array_equal(assignments, (vectors @ centroids.T).argmax(axis=1))
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("k", ["one", "default", "all"])
+    def test_segment_update_matches_loop(self, seed, k):
+        gen = Rng(seed).generator()
+        n = 150
+        vectors = gen.standard_normal((n, 6))
+        vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
+        n_cent = {"one": 1, "default": default_k_centroids(n), "all": n}[k]
+        centroids = gen.standard_normal((n_cent, 6))
+        centroids /= np.linalg.norm(centroids, axis=1, keepdims=True)
+        # use a third of the centroids at most, so most clusters are empty
+        used = gen.choice(n_cent, size=max(1, n_cent // 3), replace=False)
+        assignments = used[gen.integers(0, used.size, size=n)]
+        if n_cent > 1:
+            # a cluster of two opposite vectors has a zero sum and stays put
+            assignments[assignments == used[0]] = used[1]
+            assignments[[0, 1]] = used[0]
+            vectors[1] = -vectors[0]
+        got = index_mod._update_centroids(vectors, assignments, centroids)
+        want = naive_centroid_update(vectors, assignments, centroids)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        empty = np.setdiff1d(np.arange(n_cent), assignments)
+        np.testing.assert_array_equal(got[empty], centroids[empty])
+        if n_cent > 1:
+            np.testing.assert_array_equal(got[used[0]], centroids[used[0]])
+
+    def test_build_memory_bounded_by_block(self):
+        n, dim, k = 40_000, 16, 400
+        dense_bytes = n * k * 8
+        assert dense_bytes >= 8 * index_mod._ASSIGN_BLOCK_BYTES
+        vectors = Rng(3).generator().standard_normal((n, dim))
+        vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
+        corpus = {
+            f"doc{i:04d}": FeatureSet(rows, ("textual",) * len(rows))
+            for i, rows in enumerate(np.split(vectors, 400))
+        }
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            build_index(corpus, k_centroids=k, kmeans_iters=2, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < dense_bytes / 2
 
 
 class TestDerivedLayout:

@@ -160,3 +160,19 @@ class TestGenerateBenchmark:
         kb = generate_kb(cfg)
         with pytest.raises(GenerationError):
             generate_benchmark(kb, cfg)
+
+    def test_default_targets_capped_at_reachable_pool(self):
+        # the default config (the README's run.ini) reaches fewer samples than
+        # 2 * n_docs training and n_docs // 4 seen-test samples
+        cfg = SynthConfig(seed=0)
+        splits = generate_benchmark(generate_kb(cfg), cfg)
+        assert 0 < len(splits.train) < 2 * cfg.n_docs
+        assert 0 < len(splits.test_seen) < cfg.n_docs // 4
+        assert 0 < len(splits.test_unseen) <= cfg.n_docs // 4
+        assert {s.gt_doc_id for s in splits.test_seen} <= {s.gt_doc_id for s in splits.train}
+
+    @pytest.mark.parametrize("knob", ["n_train", "n_test_seen", "n_test_unseen"])
+    def test_explicit_target_over_pool_names_knob(self, knob):
+        cfg = _bench_cfg(**{knob: 100_000})
+        with pytest.raises(GenerationError, match=f"synth.{knob}"):
+            generate_benchmark(generate_kb(cfg), cfg)
