@@ -13,7 +13,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Mapping
 
-from .core import DataError, DocumentError, FormatError, InputError, normalize_token, tokenize
+from .core import (DataError, DocumentError, FormatError, InputError, iter_jsonl,
+                   normalize_token, str_fields, tokenize)
 
 logger = logging.getLogger(__name__)
 
@@ -231,19 +232,14 @@ def save_kb(kb: Mapping[str, RawDocument], path: str | Path) -> None:
             ) + "\n")
 
 
+_RAW_FIELDS = ("doc_id", "title", "body", "main_image_key")
+
+
 def load_kb(path: str | Path) -> dict[str, RawDocument]:
     kb: dict[str, RawDocument] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-                doc = RawDocument(rec["doc_id"], rec["title"], rec["body"], rec["main_image_key"])
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
-                raise FormatError(f"{path}:{lineno}: bad KB record ({exc})") from exc
-            kb[doc.doc_id] = doc
+    for where, rec in iter_jsonl(path, "KB"):
+        doc = RawDocument(*str_fields(rec, _RAW_FIELDS, where, "KB"))
+        kb[doc.doc_id] = doc
     if not kb:
         raise InputError(f"{path}: KB file contains no documents")
     return kb
@@ -274,31 +270,31 @@ def save_augmented(docs: Mapping[str, AugmentedDocument], path: str | Path) -> N
             ) + "\n")
 
 
+def _list_of(value, kind: type) -> bool:
+    return isinstance(value, list) and all(type(v) is kind for v in value)
+
+
+def _load_related(r, where: str) -> RelatedEntity:
+    entity, image_key, source = str_fields(
+        r, ("entity", "image_key", "source_doc_id"), where, "augmented")
+    if not _list_of(r.get("span"), int):
+        raise FormatError(f"{where}: bad augmented record (span is not a list of integers)")
+    return RelatedEntity(entity, tuple(r["span"]), image_key, source)
+
+
 def load_augmented(path: str | Path) -> dict[str, AugmentedDocument]:
     docs: dict[str, AugmentedDocument] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-                raw = RawDocument(rec["doc_id"], rec["title"], rec["body"], rec["main_image_key"])
-                related = tuple(
-                    RelatedEntity(
-                        r["entity"], tuple(int(i) for i in r["span"]),
-                        r["image_key"], r["source_doc_id"],
-                    )
-                    for r in rec["related"]
-                )
-                docs[raw.doc_id] = AugmentedDocument(
-                    raw=raw,
-                    text_tokens=tuple(tokenize(raw.body)),
-                    related=related,
-                    warnings=tuple(rec.get("warnings", [])),
-                )
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
-                raise FormatError(f"{path}:{lineno}: bad augmented record ({exc})") from exc
+    for where, rec in iter_jsonl(path, "augmented"):
+        raw = RawDocument(*str_fields(rec, _RAW_FIELDS, where, "augmented"))
+        related, warnings = rec.get("related"), rec.get("warnings", [])
+        if not isinstance(related, list) or not _list_of(warnings, str):
+            raise FormatError(f"{where}: bad augmented record (bad related or warnings list)")
+        docs[raw.doc_id] = AugmentedDocument(
+            raw=raw,
+            text_tokens=tuple(tokenize(raw.body)),
+            related=tuple(_load_related(r, where) for r in related),
+            warnings=tuple(warnings),
+        )
     if not docs:
         raise InputError(f"{path}: augmented KB file contains no documents")
     return docs

@@ -6,9 +6,13 @@ Everything here is pure and reentrant; no module-level mutable state.
 from __future__ import annotations
 
 import hashlib
+import json
 import math
+import os
 import string
 from dataclasses import dataclass
+from pathlib import Path
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -82,11 +86,48 @@ class CorruptionError(DataError):
 
 
 def read_exact(fh, n: int, kind: str) -> bytes:
-    """Exactly n bytes from a binary file of the named kind, or CorruptionError."""
+    """Exactly n bytes from a binary file of the named kind, or CorruptionError.
+
+    n is checked against the bytes left in the file first, so a corrupt length
+    field cannot make the read allocate a buffer larger than the file.
+    """
+    left = os.fstat(fh.fileno()).st_size - fh.tell()
+    if n > left:
+        raise CorruptionError(f"{kind} file is truncated: needs {n} bytes, {left} remain")
     data = fh.read(n)
     if len(data) != n:
         raise CorruptionError(f"{kind} file is truncated")
     return data
+
+
+def iter_jsonl(path: str | Path, kind: str) -> Iterator[tuple[str, dict]]:
+    """("path:line", record) for every non-blank line of a JSON-lines file.
+
+    A line that is not UTF-8, not JSON, or not a JSON object is a FormatError.
+    """
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            where = f"{path}:{lineno}"
+            try:
+                line = raw.decode("utf-8").strip()
+                if not line:
+                    continue
+                rec = json.loads(line)
+            except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON; deep nesting
+                raise FormatError(f"{where}: bad {kind} record ({exc})") from exc
+            if not isinstance(rec, dict):
+                raise FormatError(f"{where}: bad {kind} record (not a JSON object)")
+            yield where, rec
+
+
+def str_fields(rec, names: Sequence[str], where: str, kind: str) -> list[str]:
+    """The values of `names` in a JSON object; a missing or non-string one, or
+    a record that is no object, is a FormatError."""
+    values = [rec.get(name) if isinstance(rec, dict) else None for name in names]
+    for name, value in zip(names, values):
+        if not isinstance(value, str):
+            raise FormatError(f"{where}: bad {kind} record ({name!r} is not a string)")
+    return values
 
 
 # ---------------------------------------------------------------------------

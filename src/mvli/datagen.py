@@ -22,7 +22,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 from .augment import AugmentedDocument, image_key_for_entity
 from .bm25 import Bm25Index
-from .core import FormatError, GenerationError, InputError, Rng
+from .core import GenerationError, InputError, Rng, iter_jsonl, str_fields
 
 REJECT_LEAK = "leak"
 REJECT_NO_QUALIFIER = "no_qualifier"
@@ -488,22 +488,12 @@ def save_samples(samples: Sequence[QaSample], path: str | Path) -> None:
             ) + "\n")
 
 
+_SAMPLE_FIELDS = ("sample_id", "question", "query_image_key", "answer", "gt_doc_id", "split")
+
+
 def load_samples(path: str | Path) -> list[QaSample]:
-    samples = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-                samples.append(QaSample(
-                    rec["sample_id"], rec["question"], rec["query_image_key"],
-                    rec["answer"], rec["gt_doc_id"], rec.get("split", ""),
-                ))
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
-                raise FormatError(f"{path}:{lineno}: bad sample record ({exc})") from exc
-    return samples
+    return [QaSample(*str_fields({"split": "", **rec}, _SAMPLE_FIELDS, where, "sample"))
+            for where, rec in iter_jsonl(path, "sample")]
 
 
 def save_rejected(rejected: Sequence[RejectedSample], path: str | Path) -> None:

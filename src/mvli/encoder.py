@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -157,64 +156,67 @@ class EncoderParams:
     null_text: np.ndarray
 
 
-def _init_matrix(rng: Rng, name: str, rows: int, cols: int) -> np.ndarray:
-    gen = rng.split(name).generator()
-    return gen.standard_normal((rows, cols)) / math.sqrt(rows)
-
-
-def _init_mlp(rng: Rng, name: str, d_in: int, d_out: int, hidden: int | None = None) -> MlpParams:
-    width = hidden if hidden is not None else 2 * d_out
-    return MlpParams(
-        w1=_init_matrix(rng, name + ".w1", d_in, width),
-        b1=np.zeros(width),
-        w2=_init_matrix(rng, name + ".w2", width, d_out),
-        b2=np.zeros(d_out),
-    )
-
-
-def init_encoder_params(config: EncoderConfig, seed: int) -> EncoderParams:
-    rng = Rng(seed).split("encoder-init")
-    c = config
-    xattn = AttnParams(
-        wq=_init_matrix(rng, "xattn.wq", c.image_dim, c.attn_dim),
-        bq=np.zeros(c.attn_dim),
-        wk=_init_matrix(rng, "xattn.wk", c.text_dim, c.attn_dim),
-        bk=np.zeros(c.attn_dim),
-        wv=_init_matrix(rng, "xattn.wv", c.text_dim, c.attn_dim),
-        bv=np.zeros(c.attn_dim),
-        wo=_init_matrix(rng, "xattn.wo", c.attn_dim, c.attn_dim),
-        bo=np.zeros(c.attn_dim),
-        f1=_init_matrix(rng, "xattn.f1", c.attn_dim, c.ffn_dim),
-        f1b=np.zeros(c.ffn_dim),
-        f2=_init_matrix(rng, "xattn.f2", c.ffn_dim, c.attn_dim),
-        f2b=np.zeros(c.attn_dim),
-    )
-    return EncoderParams(
-        text_proj=_init_mlp(rng, "text_proj", c.text_dim, c.dim),
-        global_proj=_init_mlp(rng, "global_proj", c.image_dim, c.dim),
-        xattn=xattn,
-        mm_proj=_init_mlp(rng, "mm_proj", c.n_patches * c.attn_dim, c.n_mm_tokens * c.dim),
-        ete=rng.split("ete").generator().standard_normal(c.text_dim) * 0.02,
-        null_text=rng.split("null_text").generator().standard_normal(c.text_dim) * 0.02,
-    )
-
-
 _MLP_FIELDS = ("w1", "b1", "w2", "b2")
 _ATTN_FIELDS = ("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo", "f1", "f1b", "f2", "f2b")
 
 
+def param_shapes(config: EncoderConfig) -> dict[str, tuple[int, ...]]:
+    """Name -> shape of every trainable tensor, derived without allocating."""
+    c = config
+    shapes: dict[str, tuple[int, ...]] = {}
+    for block, d_in, d_out in (
+        ("text_proj", c.text_dim, c.dim),
+        ("global_proj", c.image_dim, c.dim),
+        ("mm_proj", c.n_patches * c.attn_dim, c.n_mm_tokens * c.dim),
+    ):
+        width = 2 * d_out
+        shapes.update({f"{block}.w1": (d_in, width), f"{block}.b1": (width,),
+                       f"{block}.w2": (width, d_out), f"{block}.b2": (d_out,)})
+    a, f = c.attn_dim, c.ffn_dim
+    xattn = {"wq": (c.image_dim, a), "bq": (a,), "wk": (c.text_dim, a), "bk": (a,),
+             "wv": (c.text_dim, a), "bv": (a,), "wo": (a, a), "bo": (a,),
+             "f1": (a, f), "f1b": (f,), "f2": (f, a), "f2b": (a,)}
+    shapes.update({f"xattn.{name}": shape for name, shape in xattn.items()})
+    shapes["ete"] = shapes["null_text"] = (c.text_dim,)
+    return shapes
+
+
+def _params_from_tensors(tensors: Mapping[str, np.ndarray]) -> EncoderParams:
+    def _mlp(block: str) -> MlpParams:
+        return MlpParams(*(tensors[f"{block}.{f}"] for f in _MLP_FIELDS))
+
+    return EncoderParams(
+        text_proj=_mlp("text_proj"),
+        global_proj=_mlp("global_proj"),
+        xattn=AttnParams(*(tensors[f"xattn.{f}"] for f in _ATTN_FIELDS)),
+        mm_proj=_mlp("mm_proj"),
+        ete=tensors["ete"],
+        null_text=tensors["null_text"],
+    )
+
+
+def init_encoder_params(config: EncoderConfig, seed: int) -> EncoderParams:
+    """Matrices ~ N(0, 1/rows), zero biases, N(0, 0.02^2) ete and null-text
+    tokens; each tensor draws from its own stream, named after it."""
+    rng = Rng(seed).split("encoder-init")
+    tensors: dict[str, np.ndarray] = {}
+    for name, shape in param_shapes(config).items():
+        gen = rng.split(name).generator()
+        if name in ("ete", "null_text"):
+            tensors[name] = gen.standard_normal(shape) * 0.02
+        elif len(shape) == 2:
+            tensors[name] = gen.standard_normal(shape) / math.sqrt(shape[0])
+        else:
+            tensors[name] = np.zeros(shape)
+    return _params_from_tensors(tensors)
+
+
 def named_tensors(params: EncoderParams) -> dict[str, np.ndarray]:
     """Stable name -> array views over every trainable tensor."""
-    out: dict[str, np.ndarray] = {}
-    for block in ("text_proj", "global_proj", "mm_proj"):
-        mlp = getattr(params, block)
-        for f in _MLP_FIELDS:
-            out[f"{block}.{f}"] = getattr(mlp, f)
-    for f in _ATTN_FIELDS:
-        out[f"xattn.{f}"] = getattr(params.xattn, f)
-    out["ete"] = params.ete
-    out["null_text"] = params.null_text
-    return out
+    out = {f"{block}.{f}": getattr(getattr(params, block), f)
+           for block in ("text_proj", "global_proj", "mm_proj") for f in _MLP_FIELDS}
+    out.update({f"xattn.{f}": getattr(params.xattn, f) for f in _ATTN_FIELDS})
+    return {**out, "ete": params.ete, "null_text": params.null_text}
 
 
 def zero_grads(params: EncoderParams) -> dict[str, np.ndarray]:
@@ -222,18 +224,7 @@ def zero_grads(params: EncoderParams) -> dict[str, np.ndarray]:
 
 
 def copy_params(params: EncoderParams) -> EncoderParams:
-    def _mlp(m: MlpParams) -> MlpParams:
-        return MlpParams(m.w1.copy(), m.b1.copy(), m.w2.copy(), m.b2.copy())
-
-    xa = params.xattn
-    return EncoderParams(
-        text_proj=_mlp(params.text_proj),
-        global_proj=_mlp(params.global_proj),
-        xattn=AttnParams(*[getattr(xa, f).copy() for f in _ATTN_FIELDS]),
-        mm_proj=_mlp(params.mm_proj),
-        ete=params.ete.copy(),
-        null_text=params.null_text.copy(),
-    )
+    return _params_from_tensors({name: arr.copy() for name, arr in named_tensors(params).items()})
 
 
 def params_checksum(params: EncoderParams) -> str:
@@ -295,7 +286,6 @@ def load_params(path: str | Path) -> tuple[EncoderParams, EncoderConfig]:
             )
         except ConfigError as exc:
             raise CorruptionError(f"{path}: bad encoder shape header: {exc}") from exc
-        file_size = os.fstat(fh.fileno()).st_size
         (count,) = struct.unpack("<I", read_exact(fh, 4, "checkpoint"))
         tensors: dict[str, np.ndarray] = {}
         for _ in range(count):
@@ -308,24 +298,14 @@ def load_params(path: str | Path) -> tuple[EncoderParams, EncoderConfig]:
             if ndim > 2:  # every parameter is a vector or a matrix
                 raise CorruptionError(f"{path}: tensor {name!r} has {ndim} dimensions")
             shape = struct.unpack(f"<{ndim}I", read_exact(fh, 4 * ndim, "checkpoint"))
-            need = 8 * math.prod(shape)
-            if need > file_size - fh.tell():
-                raise CorruptionError(
-                    f"{path}: tensor {name!r} of shape {shape} needs {need} bytes, "
-                    f"{file_size - fh.tell()} remain")
-            data = np.frombuffer(read_exact(fh, need, "checkpoint"), dtype="<f8")
+            data = np.frombuffer(read_exact(fh, 8 * math.prod(shape), "checkpoint"), dtype="<f8")
             tensors[name] = data.reshape(shape).copy()
         if fh.read(1):
             raise CorruptionError(f"{path}: trailing bytes after tensor table")
 
-    params = init_encoder_params(config, seed=0)
-    views = named_tensors(params)
-    if set(views) != set(tensors):
-        raise CorruptionError(f"{path}: tensor table does not match the expected layout")
-    for name, arr in tensors.items():
-        if views[name].shape != arr.shape:
-            raise CorruptionError(f"{path}: tensor {name!r} has shape {arr.shape}")
-        views[name][...] = arr
+    if {name: arr.shape for name, arr in tensors.items()} != param_shapes(config):
+        raise CorruptionError(f"{path}: tensor table does not match the shape header")
+    params = _params_from_tensors(tensors)
     check_params_finite(params)
     return params, config
 
@@ -431,7 +411,10 @@ def read_embedding_file(path: str | Path) -> dict[str, np.ndarray]:
             if len(head) != 4:
                 raise CorruptionError(f"{path}: truncated record header")
             (key_len,) = struct.unpack("<I", head)
-            key = read_exact(fh, key_len, "embedding").decode("utf-8")
+            try:
+                key = read_exact(fh, key_len, "embedding").decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise CorruptionError(f"{path}: embedding key is not utf-8") from exc
             (dim,) = struct.unpack("<I", read_exact(fh, 4, "embedding"))
             data = np.frombuffer(read_exact(fh, 4 * dim, "embedding"), dtype="<f4")
             records[key] = data.astype(np.float64)
@@ -501,21 +484,23 @@ def mlp_forward(x: np.ndarray, p: MlpParams) -> tuple[np.ndarray, dict]:
 
 
 def rownorm_forward(x: np.ndarray) -> tuple[np.ndarray, dict]:
-    norms = np.linalg.norm(x, axis=1, keepdims=True)
+    norms = np.linalg.norm(x, axis=-1, keepdims=True)
     if np.any(norms <= 1e-300):
         raise NumericError("projection produced a zero vector; cannot normalize")
     y = x / norms
     return y, {"y": y, "norms": norms}
 
 
-def _split_heads(x: np.ndarray, n_heads: int) -> np.ndarray:
-    n, d = x.shape
-    return x.reshape(n, n_heads, d // n_heads).transpose(1, 0, 2)  # (H, n, hd)
+def split_heads(x: np.ndarray, n_heads: int) -> np.ndarray:
+    """(..., n, d) -> (..., n_heads, n, d // n_heads)."""
+    *lead, n, d = x.shape
+    return x.reshape(*lead, n, n_heads, d // n_heads).swapaxes(-2, -3)
 
 
-def _merge_heads(x: np.ndarray) -> np.ndarray:
-    h, n, hd = x.shape
-    return x.transpose(1, 0, 2).reshape(n, h * hd)
+def merge_heads(x: np.ndarray) -> np.ndarray:
+    """(..., n_heads, n, hd) -> (..., n, n_heads * hd)."""
+    *lead, h, n, hd = x.shape
+    return x.swapaxes(-2, -3).reshape(*lead, n, h * hd)
 
 
 def cross_attend_forward(
@@ -525,22 +510,24 @@ def cross_attend_forward(
 
     Patches provide the queries, text tokens the keys and values; both the
     multi-head attention sublayer and the position-wise feed-forward carry a
-    residual connection.  Output: (n_patches, attn_dim).
+    residual connection.  Leading axes stack independent images: patches
+    (..., n_patches, image_dim) attend to text_emb (..., N_t, text_dim).
+    Output: (..., n_patches, attn_dim).
     """
     head_dim = config.attn_dim // config.n_heads
     scale = 1.0 / math.sqrt(head_dim)
-    x = patches @ p.wq + p.bq  # (N_p, attn_dim): query projection, residual base
+    x = patches @ p.wq + p.bq  # (..., N_p, attn_dim): query projection, residual base
     k = text_emb @ p.wk + p.bk
     v = text_emb @ p.wv + p.bv
-    qh = _split_heads(x, config.n_heads)
-    kh = _split_heads(k, config.n_heads)
-    vh = _split_heads(v, config.n_heads)
-    logits = np.einsum("hqd,hkd->hqk", qh, kh) * scale
-    logits -= logits.max(axis=2, keepdims=True)  # stability shift, gradient-neutral
+    qh = split_heads(x, config.n_heads)
+    kh = split_heads(k, config.n_heads)
+    vh = split_heads(v, config.n_heads)
+    logits = np.einsum("...hqd,...hkd->...hqk", qh, kh) * scale
+    logits -= logits.max(axis=-1, keepdims=True)  # stability shift, gradient-neutral
     weights = np.exp(logits)
-    weights /= weights.sum(axis=2, keepdims=True)
-    heads = np.einsum("hqk,hkd->hqd", weights, vh)
-    concat = _merge_heads(heads)
+    weights /= weights.sum(axis=-1, keepdims=True)
+    heads = np.einsum("...hqk,...hkd->...hqd", weights, vh)
+    concat = merge_heads(heads)
     attn_out = concat @ p.wo + p.bo
     h1 = x + attn_out
     ff_pre = h1 @ p.f1 + p.f1b
@@ -548,7 +535,7 @@ def cross_attend_forward(
     ff_out = ff_act @ p.f2 + p.f2b
     h2 = h1 + ff_out
     cache = {
-        "patches": patches, "text_emb": text_emb, "x": x, "k": k, "v": v,
+        "patches": patches, "text_emb": text_emb, "x": x,
         "qh": qh, "kh": kh, "vh": vh, "weights": weights, "concat": concat,
         "h1": h1, "ff_pre": ff_pre, "ff_act": ff_act, "scale": scale,
     }
@@ -577,25 +564,28 @@ def _project_unit(rows: np.ndarray, p: MlpParams) -> tuple[np.ndarray, dict]:
     return unit, {"mlp": mlp_cache, "norm": norm_cache}
 
 
-def _image_block_forward(
-    image: ImageFeatures,
-    text_emb: np.ndarray,
-    params: EncoderParams,
-    config: EncoderConfig,
-    with_mm: bool,
-) -> tuple[np.ndarray, np.ndarray | None, dict]:
-    """Per-image features: projected global vector plus optional fused tokens."""
-    ghat, g_cache = _project_unit(image.global_vec[None, :], params.global_proj)
-    cache: dict = {"g": g_cache, "image": image, "with_mm": with_mm}
-    mhat = None
-    if with_mm:
-        fused, x_cache = cross_attend_forward(image.patches, text_emb, params.xattn, config)
-        flat = fused.reshape(1, -1)
-        mm_raw, mm_cache = mlp_forward(flat, params.mm_proj)
-        tokens = mm_raw.reshape(config.n_mm_tokens, config.dim)
-        mhat, mm_norm = rownorm_forward(tokens)
-        cache.update({"xattn": x_cache, "mm_mlp": mm_cache, "mm_norm": mm_norm})
-    return ghat[0], mhat, cache
+def _images_forward(
+    image_keys: Sequence[str], text_emb: np.ndarray, params: EncoderParams,
+    config: EncoderConfig, provider,
+) -> tuple[np.ndarray, np.ndarray, dict]:
+    """Stacked features of the R images of one query or one document.
+
+    Every image gets a projected global vector; the first M = len(text_emb)
+    images also attend to their own text rows text_emb[r] and get fused
+    tokens.  Each product runs over the leading image axis, one image at a
+    time, so an image's features do not depend on how many are stacked.
+    Returns ghat (R, dim) and mhat (M, n_mm_tokens, dim).
+    """
+    images = [embed_image(key, provider, config) for key in image_keys]
+    n_fused = text_emb.shape[0]
+    globals_ = np.stack([image.global_vec for image in images])[:, None, :]
+    ghat, g_cache = _project_unit(globals_, params.global_proj)
+    patches = np.stack([image.patches for image in images[:n_fused]])
+    fused, x_cache = cross_attend_forward(patches, text_emb, params.xattn, config)
+    mm_raw, mm_cache = mlp_forward(fused.reshape(n_fused, 1, -1), params.mm_proj)
+    mhat, mm_norm = rownorm_forward(mm_raw.reshape(n_fused, config.n_mm_tokens, config.dim))
+    cache = {"g": g_cache, "xattn": x_cache, "mm_mlp": mm_cache, "mm_norm": mm_norm}
+    return ghat[:, 0], mhat, cache
 
 
 def encode_query_forward(
@@ -608,34 +598,25 @@ def encode_query_forward(
     tokens = tokenize(query.text)
     if not tokens and not image_only:
         raise InputError("query text is empty; only image-only mode allows that")
-    used_null = False
     if tokens:
-        text = embed_tokens(tokens, provider, config)
-        text_emb = text.embeddings
+        text_emb = embed_tokens(tokens, provider, config).embeddings
     else:
-        # learned null-text token stands in for absent text
-        used_null = True
-        text_emb = params.null_text[None, :]
-    image = embed_image(query.image_key, provider, config)
-    ghat, mhat, img_cache = _image_block_forward(image, text_emb, params, config, with_mm=True)
+        text_emb = params.null_text[None, :]  # learned null-text token stands in for absent text
+    ghat, mhat, img_cache = _images_forward(
+        [query.image_key], text_emb[None], params, config, provider
+    )
 
-    rows = [ghat[None, :]]
+    rows = [ghat]
     provenance: list[str] = ["global-image:0"]
     text_cache = None
     if not image_only:
         that, text_cache = _project_unit(text_emb, params.text_proj)
         rows.append(that)
         provenance.extend(["textual"] * text_emb.shape[0])
-    rows.append(mhat)
+    rows.append(mhat[0])
     provenance.extend(f"multimodal:0,{j}" for j in range(config.n_mm_tokens))
     features = FeatureSet(np.vstack(rows), tuple(provenance))
-    cache = {
-        "image_block": img_cache,
-        "text_cache": text_cache,
-        "used_null": used_null,
-        "image_only": image_only,
-        "n_text": text_emb.shape[0],
-    }
+    cache = {"images": img_cache, "text_cache": text_cache, "used_null": not tokens}
     return features, cache
 
 
@@ -673,30 +654,25 @@ def encode_document_forward(
     images: list[tuple[str, tuple[int, ...]]] = [(doc.raw.main_image_key, ())]
     if flags.mi:
         images.extend((rel.image_key, rel.span) for rel in doc.related)
+    spans = [span if flags.ete else () for _, span in images]
+    # apply_ete range-checks every span, also those of images without fused tokens
+    texts = [apply_ete(text, span, params.ete).embeddings if span else text.embeddings
+             for span in spans]
+    n_fused = len(images) if flags.mmf else 1  # the main image always gets fused tokens
+    ghat, mhat, img_cache = _images_forward(
+        [key for key, _ in images], np.stack(texts[:n_fused]), params, config, provider
+    )
 
-    rows = [that]
+    # rows: text, then per image its global vector followed by its fused tokens
+    fused_rows = np.concatenate([ghat[:n_fused, None], mhat], axis=1).reshape(-1, config.dim)
     provenance = ["textual"] * len(doc.text_tokens)
-    blocks = []
-    for r, (image_key, span) in enumerate(images):
-        image = embed_image(image_key, provider, config)
-        with_mm = (r == 0) or flags.mmf
-        if flags.ete and span:
-            perturbed = apply_ete(text, span, params.ete)
-            text_emb_r = perturbed.embeddings
-        else:
-            text_emb_r = text.embeddings
-        ghat, mhat, block_cache = _image_block_forward(
-            image, text_emb_r, params, config, with_mm
-        )
-        block_cache["span"] = span if (flags.ete and span) else ()
-        blocks.append(block_cache)
-        rows.append(ghat[None, :])
+    for r in range(len(images)):
         provenance.append(f"global-image:{r}")
-        if mhat is not None:
-            rows.append(mhat)
+        if r < n_fused:
             provenance.extend(f"multimodal:{r},{j}" for j in range(config.n_mm_tokens))
-    features = FeatureSet(np.vstack(rows), tuple(provenance))
-    cache = {"text_cache": text_cache, "blocks": blocks, "n_text": len(doc.text_tokens)}
+    features = FeatureSet(np.vstack([that, fused_rows, ghat[n_fused:]]), tuple(provenance))
+    cache = {"text_cache": text_cache, "images": img_cache, "spans": spans[:n_fused],
+             "n_text": len(doc.text_tokens)}
     return features, cache
 
 

@@ -28,8 +28,10 @@ from .encoder import (
     encode_document_forward,
     encode_query_forward,
     gelu_grad,
+    merge_heads,
     named_tensors,
     params_checksum,
+    split_heads,
     zero_grads,
 )
 
@@ -108,20 +110,25 @@ def contrastive_loss(queries: Sequence[FeatureSet], docs: Sequence[FeatureSet]) 
 # ---------------------------------------------------------------------------
 
 
+def _flat(a: np.ndarray) -> np.ndarray:
+    """Fold every leading axis of a stack into rows: (..., d) -> (n, d)."""
+    return a.reshape(-1, a.shape[-1])
+
+
 def _mlp_backward(dy: np.ndarray, cache: dict, p: MlpParams, grads: dict, prefix: str):
-    x, pre, act = cache["x"], cache["pre"], cache["act"]
+    x, pre, act = _flat(cache["x"]), _flat(cache["pre"]), _flat(cache["act"])
+    dy = _flat(dy)
     grads[prefix + ".w2"] += act.T @ dy
     grads[prefix + ".b2"] += dy.sum(axis=0)
-    dact = dy @ p.w2.T
-    dpre = dact * gelu_grad(pre)
+    dpre = (dy @ p.w2.T) * gelu_grad(pre)
     grads[prefix + ".w1"] += x.T @ dpre
     grads[prefix + ".b1"] += dpre.sum(axis=0)
-    return dpre @ p.w1.T
+    return (dpre @ p.w1.T).reshape(cache["x"].shape)
 
 
 def _rownorm_backward(dy: np.ndarray, cache: dict) -> np.ndarray:
     y, norms = cache["y"], cache["norms"]
-    return (dy - (dy * y).sum(axis=1, keepdims=True) * y) / norms
+    return (dy - (dy * y).sum(axis=-1, keepdims=True) * y) / norms
 
 
 def _project_unit_backward(dy, cache, p: MlpParams, grads, prefix) -> np.ndarray:
@@ -129,51 +136,42 @@ def _project_unit_backward(dy, cache, p: MlpParams, grads, prefix) -> np.ndarray
     return _mlp_backward(draw, cache["mlp"], p, grads, prefix)
 
 
-def _split_heads(x: np.ndarray, n_heads: int) -> np.ndarray:
-    n, d = x.shape
-    return x.reshape(n, n_heads, d // n_heads).transpose(1, 0, 2)
-
-
-def _merge_heads(x: np.ndarray) -> np.ndarray:
-    h, n, hd = x.shape
-    return x.transpose(1, 0, 2).reshape(n, h * hd)
-
-
 def _cross_attend_backward(
     dh2: np.ndarray, cache: dict, p: AttnParams, config: EncoderConfig, grads: dict
 ) -> np.ndarray:
-    """Returns the gradient w.r.t. the text embeddings fed as keys/values."""
-    h1, ff_pre, ff_act = cache["h1"], cache["ff_pre"], cache["ff_act"]
-    weights, concat = cache["weights"], cache["concat"]
-    qh, kh, vh = cache["qh"], cache["kh"], cache["vh"]
-    patches, text_emb = cache["patches"], cache["text_emb"]
+    """Returns the gradient w.r.t. the text embeddings fed as keys/values.
+
+    Position-wise products run on the stack folded into rows; attention
+    keeps the stack's leading axes.
+    """
+    h1, ff_pre, ff_act = _flat(cache["h1"]), _flat(cache["ff_pre"]), _flat(cache["ff_act"])
+    weights, qh, kh, vh = cache["weights"], cache["qh"], cache["kh"], cache["vh"]
+    patches, text_emb = _flat(cache["patches"]), _flat(cache["text_emb"])
     scale = cache["scale"]
 
     # feed-forward sublayer with residual
-    dff = dh2
-    grads["xattn.f2"] += ff_act.T @ dff
-    grads["xattn.f2b"] += dff.sum(axis=0)
-    dff_act = dff @ p.f2.T
-    dff_pre = dff_act * gelu_grad(ff_pre)
+    dh2 = _flat(dh2)
+    grads["xattn.f2"] += ff_act.T @ dh2
+    grads["xattn.f2b"] += dh2.sum(axis=0)
+    dff_pre = (dh2 @ p.f2.T) * gelu_grad(ff_pre)
     grads["xattn.f1"] += h1.T @ dff_pre
     grads["xattn.f1b"] += dff_pre.sum(axis=0)
     dh1 = dh2 + dff_pre @ p.f1.T
 
     # output projection of the attention sublayer, with residual into x
-    grads["xattn.wo"] += concat.T @ dh1
+    grads["xattn.wo"] += _flat(cache["concat"]).T @ dh1
     grads["xattn.bo"] += dh1.sum(axis=0)
-    dconcat = dh1 @ p.wo.T
-    dheads = _split_heads(dconcat, config.n_heads)
+    dheads = split_heads((dh1 @ p.wo.T).reshape(cache["x"].shape), config.n_heads)
 
-    dweights = np.einsum("hqd,hkd->hqk", dheads, vh)
-    dvh = np.einsum("hqk,hqd->hkd", weights, dheads)
-    dlogits = weights * (dweights - (dweights * weights).sum(axis=2, keepdims=True))
-    dqh = np.einsum("hqk,hkd->hqd", dlogits, kh) * scale
-    dkh = np.einsum("hqk,hqd->hkd", dlogits, qh) * scale
+    dweights = np.einsum("...hqd,...hkd->...hqk", dheads, vh)
+    dvh = np.einsum("...hqk,...hqd->...hkd", weights, dheads)
+    dlogits = weights * (dweights - (dweights * weights).sum(axis=-1, keepdims=True))
+    dqh = np.einsum("...hqk,...hkd->...hqd", dlogits, kh) * scale
+    dkh = np.einsum("...hqk,...hqd->...hkd", dlogits, qh) * scale
 
-    dx = dh1 + _merge_heads(dqh)  # residual path plus query-projection path
-    dk = _merge_heads(dkh)
-    dv = _merge_heads(dvh)
+    dx = dh1 + _flat(merge_heads(dqh))  # residual path plus query-projection path
+    dk = _flat(merge_heads(dkh))
+    dv = _flat(merge_heads(dvh))
 
     grads["xattn.wq"] += patches.T @ dx
     grads["xattn.bq"] += dx.sum(axis=0)
@@ -181,61 +179,48 @@ def _cross_attend_backward(
     grads["xattn.bk"] += dk.sum(axis=0)
     grads["xattn.wv"] += text_emb.T @ dv
     grads["xattn.bv"] += dv.sum(axis=0)
-    return dk @ p.wk.T + dv @ p.wv.T
+    return (dk @ p.wk.T + dv @ p.wv.T).reshape(cache["text_emb"].shape)
 
 
-def _image_block_backward(
-    dghat: np.ndarray,
-    dmhat: np.ndarray | None,
-    cache: dict,
-    params: EncoderParams,
-    config: EncoderConfig,
-    grads: dict,
-) -> np.ndarray | None:
-    """Returns d loss / d text-embeddings used by this image's fusion, or None."""
-    _project_unit_backward(dghat[None, :], cache["g"], params.global_proj, grads, "global_proj")
-    if not cache["with_mm"]:
-        return None
-    assert dmhat is not None
+def _images_backward(
+    dghat: np.ndarray, dmhat: np.ndarray, cache: dict, params: EncoderParams,
+    config: EncoderConfig, grads: dict,
+) -> np.ndarray:
+    """Mirror of `encoder._images_forward`: dghat (R, dim), dmhat (M, n_mm_tokens,
+    dim) -> d loss / d text rows of the M fused images, (M, N_t, text_dim)."""
+    _project_unit_backward(dghat[:, None], cache["g"], params.global_proj, grads, "global_proj")
+    n_fused = dmhat.shape[0]
     draw = _rownorm_backward(dmhat, cache["mm_norm"])
-    dflat = _mlp_backward(draw.reshape(1, -1), cache["mm_mlp"], params.mm_proj, grads, "mm_proj")
-    dfused = dflat.reshape(config.n_patches, config.attn_dim)
+    dflat = _mlp_backward(draw.reshape(n_fused, 1, -1), cache["mm_mlp"], params.mm_proj,
+                          grads, "mm_proj")
+    dfused = dflat.reshape(n_fused, config.n_patches, config.attn_dim)
     return _cross_attend_backward(dfused, cache["xattn"], params.xattn, config, grads)
 
 
 def _query_backward(
     dq: np.ndarray, cache: dict, params: EncoderParams, config: EncoderConfig, grads: dict
 ):
-    n_text = cache["n_text"]
-    pos = 1
-    dghat = dq[0]
-    if not cache["image_only"]:
-        dthat = dq[pos:pos + n_text]
-        pos += n_text
-        _project_unit_backward(dthat, cache["text_cache"], params.text_proj, grads, "text_proj")
-    dmhat = dq[pos:pos + config.n_mm_tokens]
-    dtext = _image_block_backward(dghat, dmhat, cache["image_block"], params, config, grads)
-    if cache["used_null"] and dtext is not None:
-        grads["null_text"] += dtext.sum(axis=0)
+    n_mm = config.n_mm_tokens  # rows: global, text (unless image-only), fused tokens
+    if cache["text_cache"] is not None:
+        _project_unit_backward(dq[1:-n_mm], cache["text_cache"], params.text_proj, grads,
+                               "text_proj")
+    dtext = _images_backward(dq[:1], dq[None, -n_mm:], cache["images"], params, config, grads)
+    if cache["used_null"]:
+        grads["null_text"] += dtext.sum(axis=(0, 1))
 
 
 def _document_backward(
     dd: np.ndarray, cache: dict, params: EncoderParams, config: EncoderConfig, grads: dict
 ):
-    n_text = cache["n_text"]
+    n_text, spans = cache["n_text"], cache["spans"]
     _project_unit_backward(dd[:n_text], cache["text_cache"], params.text_proj, grads, "text_proj")
-    pos = n_text
-    for block in cache["blocks"]:
-        dghat = dd[pos]
-        pos += 1
-        dmhat = None
-        if block["with_mm"]:
-            dmhat = dd[pos:pos + config.n_mm_tokens]
-            pos += config.n_mm_tokens
-        dtext = _image_block_backward(dghat, dmhat, block, params, config, grads)
-        span = block.get("span", ())
-        if dtext is not None and span:
-            grads["ete"] += dtext[list(span)].sum(axis=0)
+    end = n_text + len(spans) * (1 + config.n_mm_tokens)
+    fused = dd[n_text:end].reshape(len(spans), 1 + config.n_mm_tokens, -1)
+    dghat = np.concatenate([fused[:, 0], dd[end:]])
+    dtext = _images_backward(dghat, fused[:, 1:], cache["images"], params, config, grads)
+    for r, span in enumerate(spans):
+        if span:
+            grads["ete"] += dtext[r, np.unique(span)].sum(axis=0)
 
 
 def loss_and_grads(

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from _oracles import naive_cross_attention
-from conftest import random_feature_set
+from conftest import random_feature_set, run_cli_capped
 from mvli.augment import AugmentedDocument, RawDocument, RelatedEntity
 from mvli.core import (
     ConfigError,
@@ -40,7 +40,6 @@ from mvli.encoder import (
     save_params,
     write_embedding_file,
 )
-from mvli.cli import main
 from mvli.index import build_index, save_index
 
 
@@ -425,6 +424,9 @@ CHECKPOINT_MUTATIONS = {
     "tensor_name_not_utf8": (CorruptionError, "utf-8", 3, lambda d: d.__setitem__(46, 0xFF)),
     "heads_not_dividing_attn_dim": (CorruptionError, "shape header", 3,
                                     lambda d: struct.pack_into("<I", d, 24, 3)),
+    # a valid header whose shapes would need 128 GiB; no tensor in the file has them
+    "header_text_dim_huge": (CorruptionError, "does not match the shape header", 3,
+                             lambda d: struct.pack_into("<I", d, 12, 2**31)),
     # non-finite parameters are a numeric error wherever they are found
     "nan_first_tensor": (NumericError, "non-finite", 4,
                          lambda d: struct.pack_into("<d", d, 54, np.nan)),
@@ -434,19 +436,20 @@ CHECKPOINT_MUTATIONS = {
 
 
 @pytest.mark.parametrize("case", sorted(CHECKPOINT_MUTATIONS))
-def test_mutated_checkpoint_rejected(tmp_path, tiny_config, capsys, case):
+def test_mutated_checkpoint_rejected(tmp_path, tiny_config, case):
     error, message, exit_code, mutate = CHECKPOINT_MUTATIONS[case]
     path = tmp_path / "p.mprm"
     save_params(init_encoder_params(tiny_config, seed=1), tiny_config, path)
     data = bytearray(path.read_bytes())
     mutate(data)
     path.write_bytes(bytes(data))
-    with pytest.raises(error, match=message):
-        load_params(path)
     corpus = {f"d{i}": random_feature_set(Rng(i), 5, tiny_config.dim) for i in range(3)}
     index_path = tmp_path / "x.mvli"
     save_index(build_index(corpus, seed=1), index_path)
-    capsys.readouterr()
-    assert main(["search", "--index", str(index_path), "--params", str(path),
-                 "--image-key", "img::x"]) == exit_code
-    assert message in capsys.readouterr().err
+    # the capped child runs first: a load that allocates from the header fails there
+    proc = run_cli_capped(["search", "--index", str(index_path), "--params", str(path),
+                           "--image-key", "img::x"])
+    assert proc.returncode == exit_code, proc.stderr
+    assert message in proc.stderr
+    with pytest.raises(error, match=message):
+        load_params(path)

@@ -42,6 +42,8 @@ def grad_batch(kb, kb_aug, n=3):
 GRAD_CONFIG = EncoderConfig(dim=6, text_dim=8, image_dim=8, n_patches=3, n_heads=2,
                             attn_dim=8, n_mm_tokens=2)
 
+SHAPES_SEED = 0  # kink-free for stack_shapes_batch on every flag row
+
 ALL_FLAG_ROWS = (
     EncoderFlags(False, False, False),
     EncoderFlags(True, False, False),
@@ -93,12 +95,32 @@ class TestContrastiveLoss:
             contrastive_loss([fs], [fs])
 
 
+def stack_shapes_batch():
+    """Every image-stack shape in one batch: a document with no related entity
+    (a one-image stack), a two-token entity mentioned twice (a four-token ETE
+    span), a document with two related images, and an empty-text query."""
+    kb = {d.doc_id: d for d in (
+        RawDocument("d0", "Lema Daturaphila",
+                    "Lema Daturaphila feeds upon Solan Ridge and guards Solan Ridge at dusk.",
+                    "img::Lema Daturaphila"),
+        RawDocument("d1", "Solan Ridge", "Solan Ridge overlooks a quiet valley.",
+                    "img::Solan Ridge"),
+        RawDocument("d2", "Tomat Vale", "Tomat Vale venerates Lema Daturaphila and Solan Ridge.",
+                    "img::Tomat Vale"),
+    )}
+    docs = [augment_kb(kb)[d] for d in ("d0", "d1", "d2")]
+    queries = [
+        QueryInput("which creature guards the ridge", "img::Lema Daturaphila"),
+        QueryInput("", "img::Solan Ridge"),
+        QueryInput("what vale venerates the creature", "img::Tomat Vale"),
+    ]
+    return queries, docs
+
+
 class TestGradients:
-    def _check_flags(self, flags, seed, coords_per_tensor=3, image_only=False):
-        kb, kb_aug = tiny_world(seed=seed)
+    def _check_batch(self, params, queries, docs, flags, seed, image_only=False,
+                     coords_per_tensor=3):
         provider = SeededEmbeddingProvider(GRAD_CONFIG)
-        params = init_encoder_params(GRAD_CONFIG, seed=seed + 50)
-        queries, docs = grad_batch(kb, kb_aug)
 
         # central differences are only meaningful away from MaxSim kinks:
         # require every top-2 similarity margin to exceed the step size
@@ -127,6 +149,13 @@ class TestGradients:
                 analytic = grads[name].flat[int(idx)]
                 worst = max(worst, grad_rel_error(fd, analytic))
         assert worst < 1e-3, f"flags={flags.label()} worst rel error {worst:.2e}"
+        return grads
+
+    def _check_flags(self, flags, seed, coords_per_tensor=3, image_only=False):
+        kb, kb_aug = tiny_world(seed=seed)
+        params = init_encoder_params(GRAD_CONFIG, seed=seed + 50)
+        queries, docs = grad_batch(kb, kb_aug)
+        self._check_batch(params, queries, docs, flags, seed, image_only, coords_per_tensor)
 
     @pytest.mark.parametrize("flags", ALL_FLAG_ROWS, ids=lambda f: f.label())
     def test_finite_difference_all_flag_rows(self, flags):
@@ -134,6 +163,17 @@ class TestGradients:
 
     def test_finite_difference_image_only_mode(self):
         self._check_flags(EncoderFlags(True, True, True), seed=2, image_only=True)
+
+    @pytest.mark.parametrize("flags", ALL_FLAG_ROWS, ids=lambda f: f.label())
+    def test_finite_difference_stack_shapes(self, flags):
+        queries, docs = stack_shapes_batch()
+        assert [len(d.related) for d in docs] == [1, 0, 2]
+        assert len(docs[0].related[0].span) == 4
+        params = init_encoder_params(GRAD_CONFIG, seed=SHAPES_SEED)
+        grads = self._check_batch(params, queries, docs, flags, seed=SHAPES_SEED,
+                                  image_only=True, coords_per_tensor=4)
+        assert np.any(grads["null_text"] != 0.0)
+        assert np.any(grads["ete"] != 0.0) == (flags.mi and flags.mmf and flags.ete)
 
     def test_ete_grad_zero_when_flag_off(self):
         kb, kb_aug = tiny_world(seed=2)
