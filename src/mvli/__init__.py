@@ -25,8 +25,10 @@ from .augment import (
     DictionaryLinker,
     RawDocument,
     RelatedEntity,
+    TitleTable,
     augment_document,
     augment_kb,
+    build_title_table,
     entity_from_image_key,
     image_key_for_entity,
     link_entities,

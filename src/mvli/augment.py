@@ -2,7 +2,9 @@
 
 Turns a raw knowledge base into augmented documents: related entities are
 located in each body by a longest-match dictionary scan over KB titles, and
-each one is resolved to the main image of its own document.
+each one is resolved to the main image of its own document.  The titles are
+tokenized once per KB into a title table, so augmenting a KB is linear in its
+size.
 """
 
 from __future__ import annotations
@@ -13,8 +15,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Mapping
 
-from .core import (DataError, DocumentError, FormatError, InputError, iter_jsonl,
-                   normalize_token, str_fields, tokenize)
+from .core import (DataError, DocumentError, FormatError, InputError, iter_jsonl, str_fields,
+                   tokenize)
 
 logger = logging.getLogger(__name__)
 
@@ -71,6 +73,39 @@ class LinkedMention:
     source_doc_id: str
 
 
+@dataclass(frozen=True)
+class TitleTable:
+    """KB titles keyed by their normalized token tuples, for the dictionary scan.
+
+    Build it once per KB with `build_title_table` and pass it to every
+    document's scan, so each title is tokenized once.
+    """
+
+    titles: Mapping[str, str]  # title -> doc_id, as given
+    title_tokens: Mapping[str, tuple[str, ...]]  # title -> normalized tokens
+    by_tokens: Mapping[tuple[str, ...], tuple[str, str]]  # tokens -> (title, doc_id)
+    max_len: int
+
+
+def build_title_table(kb_titles: Mapping[str, str]) -> TitleTable:
+    """Title table over `kb_titles`; when several titles share one token
+    tuple, the first in iteration order wins."""
+    if not kb_titles:
+        raise InputError("kb_titles must not be empty")
+    title_tokens = {title: tuple(tokenize(title)) for title in kb_titles}
+    by_tokens: dict[tuple[str, ...], tuple[str, str]] = {}
+    for title, doc_id in kb_titles.items():
+        key = title_tokens[title]
+        if key and key not in by_tokens:
+            by_tokens[key] = (title, doc_id)
+    return TitleTable(dict(kb_titles), title_tokens, by_tokens,
+                      max((len(key) for key in by_tokens), default=0))
+
+
+def _kb_title_table(kb: Mapping[str, RawDocument]) -> TitleTable:
+    return build_title_table({d.title: d.doc_id for d in kb.values()})
+
+
 class DictionaryLinker:
     """Longest-match, case-insensitive scan of body tokens against KB titles.
 
@@ -79,17 +114,12 @@ class DictionaryLinker:
     into a single record that keeps every span.
     """
 
-    def link(self, doc: RawDocument, kb_titles: Mapping[str, str]) -> list[LinkedMention]:
-        if not kb_titles:
-            raise InputError("kb_titles must not be empty")
-        by_tokens: dict[tuple[str, ...], tuple[str, str]] = {}
-        for title, doc_id in kb_titles.items():
-            key = tuple(normalize_token(t) for t in tokenize(title))
-            if key and key not in by_tokens:
-                by_tokens[key] = (title, doc_id)
-        max_len = max(len(key) for key in by_tokens)
-        tokens = [normalize_token(t) for t in tokenize(doc.body)]
-        own = tuple(normalize_token(t) for t in tokenize(doc.title))
+    def link(self, doc: RawDocument, table: TitleTable) -> list[LinkedMention]:
+        by_tokens, max_len = table.by_tokens, table.max_len
+        tokens = tokenize(doc.body)
+        own = table.title_tokens.get(doc.title)
+        if own is None:
+            own = tuple(tokenize(doc.title))
 
         candidates: list[tuple[int, int, str, str]] = []  # (start, length, title, doc_id)
         for start in range(len(tokens)):
@@ -136,9 +166,8 @@ class LlmEntityLinker:
     def __init__(self, extract: Callable[[str, str], list[dict]]):
         self.extract = extract
 
-    def link(self, doc: RawDocument, kb_titles: Mapping[str, str]) -> list[LinkedMention]:
-        if not kb_titles:
-            raise InputError("kb_titles must not be empty")
+    def link(self, doc: RawDocument, table: TitleTable) -> list[LinkedMention]:
+        kb_titles = table.titles
         proposed = []
         lowered = {title.lower(): title for title in kb_titles}
         for record in self.extract(doc.title, doc.body):
@@ -149,7 +178,7 @@ class LlmEntityLinker:
         if not proposed:
             return []
         restricted = {title: kb_titles[title] for title in proposed}
-        return DictionaryLinker().link(doc, restricted)
+        return DictionaryLinker().link(doc, build_title_table(restricted))
 
 
 def link_entities(
@@ -158,7 +187,7 @@ def link_entities(
     linker: DictionaryLinker | LlmEntityLinker | None = None,
 ) -> list[LinkedMention]:
     """Related-entity mentions of `doc` against the KB title dictionary."""
-    return (linker or DictionaryLinker()).link(doc, kb_titles)
+    return (linker or DictionaryLinker()).link(doc, build_title_table(kb_titles))
 
 
 def augment_document(
@@ -166,19 +195,23 @@ def augment_document(
     kb: Mapping[str, RawDocument],
     linker: DictionaryLinker | LlmEntityLinker | None = None,
     cap: int | None = None,
+    *,
+    table: TitleTable | None = None,
 ) -> AugmentedDocument:
     """Attach related-entity images to one document.
 
     Each linked entity contributes the main image of its source document.
     Linked documents without a main image are skipped with a warning record.
-    A cap keeps the first `cap` entities in order of first mention.
+    A cap keeps the first `cap` entities in order of first mention.  `table`
+    is the KB's title table; it is built from `kb` when not given.
     """
     if doc.doc_id not in kb:
         raise DataError(f"document {doc.doc_id!r} is not part of the provided KB")
     if not doc.main_image_key:
         raise DocumentError(f"document {doc.doc_id!r} has no main image")
-    kb_titles = {d.title: d.doc_id for d in kb.values()}
-    mentions = link_entities(doc, kb_titles, linker)
+    if table is None:
+        table = _kb_title_table(kb)
+    mentions = (linker or DictionaryLinker()).link(doc, table)
     related: list[RelatedEntity] = []
     warnings: list[str] = []
     for mention in mentions:
@@ -209,7 +242,10 @@ def augment_kb(
     linker: DictionaryLinker | LlmEntityLinker | None = None,
     cap: int | None = None,
 ) -> dict[str, AugmentedDocument]:
-    return {doc_id: augment_document(kb[doc_id], kb, linker, cap) for doc_id in sorted(kb)}
+    """Augment every document of `kb` against one shared title table."""
+    table = _kb_title_table(kb)
+    return {doc_id: augment_document(kb[doc_id], kb, linker, cap, table=table)
+            for doc_id in sorted(kb)}
 
 
 # ---------------------------------------------------------------------------

@@ -176,11 +176,9 @@ def cmd_synth(args, cfg: RunConfig) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     kb = sy.generate_kb(scfg)
     typemap = sy.assign_typemap([d.title for d in kb.values()], scfg)
-    splits = sy.generate_benchmark(kb, scfg, typemap)
+    splits = sy.generate_benchmark(kb, scfg, typemap, augmented=aug.augment_kb(kb))
     aug.save_kb(kb, out_dir / "kb.jsonl")
-    with open(out_dir / "typemap.json", "w", encoding="utf-8") as fh:
-        json.dump(typemap, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    dg.save_typemap(typemap, out_dir / "typemap.json")
     dg.save_samples(splits.train, out_dir / "train.jsonl")
     dg.save_samples(splits.test_seen, out_dir / "test_seen.jsonl")
     dg.save_samples(splits.test_unseen, out_dir / "test_unseen.jsonl")
@@ -207,8 +205,7 @@ def cmd_datagen(args, cfg: RunConfig) -> int:
     _require_files(args.kb, args.typemap)
     seed = cfg.seed(args.seed)
     kb = aug.load_kb(args.kb)
-    with open(args.typemap, "r", encoding="utf-8") as fh:
-        typemap = json.load(fh)
+    typemap = dg.load_typemap(args.typemap)
     kb_aug = aug.augment_kb(kb)
     samples, rejected = dg.generate_samples(
         kb_aug, typemap, seed, samples_per_doc=args.samples_per_doc

@@ -18,11 +18,12 @@ import json
 import re
 from dataclasses import dataclass, replace
 from pathlib import Path
+from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .augment import AugmentedDocument, image_key_for_entity
 from .bm25 import Bm25Index
-from .core import GenerationError, InputError, Rng, iter_jsonl, str_fields
+from .core import FormatError, GenerationError, InputError, Rng, iter_jsonl, str_fields
 
 REJECT_LEAK = "leak"
 REJECT_NO_QUALIFIER = "no_qualifier"
@@ -338,16 +339,17 @@ class RuleParaphraser:
     """
 
     def __init__(self, synonyms: Mapping[str, str] | None = None, reorder: bool = True):
-        self.synonyms = dict(DEFAULT_SYNONYMS if synonyms is None else synonyms)
+        # read-only: the substitution pattern is compiled from it once, here
+        self.synonyms = MappingProxyType(dict(DEFAULT_SYNONYMS if synonyms is None else synonyms))
         self.reorder = reorder
+        self._pattern = re.compile(
+            r"\b(" + "|".join(re.escape(w) for w in sorted(self.synonyms)) + r")\b"
+        ) if self.synonyms else None
 
     def _substitute(self, text: str) -> str:
-        if not self.synonyms:
+        if self._pattern is None:
             return text
-        pattern = re.compile(
-            r"\b(" + "|".join(re.escape(w) for w in sorted(self.synonyms)) + r")\b"
-        )
-        return pattern.sub(lambda m: self.synonyms[m.group(1)], text)
+        return self._pattern.sub(lambda m: self.synonyms[m.group(1)], text)
 
     def _reorder(self, question: str) -> str:
         front = _CLAUSE_FRONT.match(question)
@@ -508,3 +510,26 @@ def save_rejected(rejected: Sequence[RejectedSample], path: str | Path) -> None:
                 },
                 sort_keys=True,
             ) + "\n")
+
+
+def save_typemap(typemap: Mapping[str, str], path: str | Path) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(dict(typemap), fh, sort_keys=True, indent=2)
+        fh.write("\n")
+
+
+def load_typemap(path: str | Path) -> dict[str, str]:
+    """Entity title -> type noun; a file that is not UTF-8, not JSON, or not
+    an object of strings is a FormatError."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        typemap = json.loads(raw.decode("utf-8"))
+    except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON; deep nesting
+        raise FormatError(f"{path}: bad typemap ({exc})") from exc
+    if not isinstance(typemap, dict):
+        raise FormatError(f"{path}: bad typemap (not a JSON object)")
+    for title, noun in typemap.items():
+        if not isinstance(noun, str):
+            raise FormatError(f"{path}: bad typemap (type of {title!r} is not a string)")
+    return typemap

@@ -223,10 +223,6 @@ def zero_grads(params: EncoderParams) -> dict[str, np.ndarray]:
     return {name: np.zeros_like(arr) for name, arr in named_tensors(params).items()}
 
 
-def copy_params(params: EncoderParams) -> EncoderParams:
-    return _params_from_tensors({name: arr.copy() for name, arr in named_tensors(params).items()})
-
-
 def params_checksum(params: EncoderParams) -> str:
     h = hashlib.blake2b(digest_size=16)
     for name, arr in sorted(named_tensors(params).items()):

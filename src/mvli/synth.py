@@ -15,9 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .augment import RawDocument, augment_kb, image_key_for_entity
+from .augment import AugmentedDocument, RawDocument, augment_kb, image_key_for_entity
 from .bm25 import Bm25Index
-from .core import ConfigError, GenerationError, Rng
+from .core import ConfigError, DataError, GenerationError, Rng
 from .datagen import (
     DEFAULT_SYNONYMS,
     REJECT_NO_QUALIFIER,
@@ -187,18 +187,25 @@ def generate_benchmark(
     kb: Mapping[str, RawDocument],
     cfg: SynthConfig,
     typemap: Mapping[str, str] | None = None,
+    *,
+    augmented: Mapping[str, AugmentedDocument] | None = None,
 ) -> BenchmarkSplits:
     """Train/seen/unseen splits with the configured shortcut mixing ratio.
 
     Unseen-test documents contribute no training samples, so unseen split
     ground truths are disjoint from training ground truths by construction.
     Shortcut-free drafts pass through the BM25 leak filter; shortcut drafts
-    emulate legacy benchmarks and keep their lexical overlap.
+    emulate legacy benchmarks and keep their lexical overlap.  `augmented` is
+    `augment_kb(kb)`, for callers that already hold it; it is computed here
+    when not given.
     """
     if typemap is None:
         typemap = assign_typemap([doc.title for doc in kb.values()], cfg)
     type_nouns = set(typemap.values())
-    augmented = augment_kb(kb)
+    if augmented is None:
+        augmented = augment_kb(kb)
+    elif set(augmented) != set(kb):
+        raise DataError("augmented KB does not cover the same documents as the KB")
     graphs = enforce_unique_gt(
         {doc_id: build_onehop_graph(augmented[doc_id]) for doc_id in sorted(augmented)}
     )

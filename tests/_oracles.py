@@ -130,3 +130,44 @@ def naive_centroid_update(
         if norm > 1e-12:
             updated[c] = mean / norm
     return updated
+
+
+def naive_link(doc, kb_titles):
+    """Per-document dictionary scan that re-tokenizes every KB title.
+
+    Returns (entity, span, source_doc_id) triples in order of first mention:
+    longest match first, then leftmost; the document's own title is skipped;
+    when titles share a token tuple the first one in `kb_titles` wins.
+    """
+    from mvli.core import normalize_token, tokenize
+
+    by_tokens = {}
+    for title, doc_id in kb_titles.items():
+        key = tuple(normalize_token(t) for t in tokenize(title))
+        if key and key not in by_tokens:
+            by_tokens[key] = (title, doc_id)
+    max_len = max((len(key) for key in by_tokens), default=0)
+    tokens = [normalize_token(t) for t in tokenize(doc.body)]
+    own = tuple(normalize_token(t) for t in tokenize(doc.title))
+
+    candidates = []
+    for start in range(len(tokens)):
+        for length in range(min(max_len, len(tokens) - start), 0, -1):
+            window = tuple(tokens[start:start + length])
+            if window in by_tokens and window != own:
+                candidates.append((start, length) + by_tokens[window])
+    candidates.sort(key=lambda c: (-c[1], c[0]))
+
+    taken = [False] * len(tokens)
+    selected = []
+    for start, length, title, doc_id in candidates:
+        if not any(taken[start:start + length]):
+            for i in range(start, start + length):
+                taken[i] = True
+            selected.append((start, length, title, doc_id))
+
+    merged = {}
+    for start, length, title, doc_id in sorted(selected):
+        entity, span = merged.get(doc_id, (title, ()))
+        merged[doc_id] = (entity, span + tuple(range(start, start + length)))
+    return [(entity, span, doc_id) for doc_id, (entity, span) in merged.items()]

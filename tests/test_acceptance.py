@@ -71,8 +71,8 @@ def world_free():
     cfg = _bench_cfg(0.0)
     kb = generate_kb(cfg)
     typemap = assign_typemap([d.title for d in kb.values()], cfg)
-    splits = generate_benchmark(kb, cfg, typemap)
-    return kb, augment_kb(kb), splits
+    kb_aug = augment_kb(kb)
+    return kb, kb_aug, generate_benchmark(kb, cfg, typemap, augmented=kb_aug)
 
 
 @pytest.fixture(scope="module")
@@ -80,8 +80,8 @@ def world_shortcut():
     cfg = _bench_cfg(1.0)
     kb = generate_kb(cfg)
     typemap = assign_typemap([d.title for d in kb.values()], cfg)
-    splits = generate_benchmark(kb, cfg, typemap)
-    return kb, augment_kb(kb), splits
+    kb_aug = augment_kb(kb)
+    return kb, kb_aug, generate_benchmark(kb, cfg, typemap, augmented=kb_aug)
 
 
 @pytest.fixture(scope="module")

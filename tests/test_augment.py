@@ -1,5 +1,8 @@
+import numpy as np
 import pytest
 
+import mvli.augment as augment_mod
+from _oracles import naive_link
 from mvli.augment import (
     DictionaryLinker,
     LlmEntityLinker,
@@ -15,6 +18,7 @@ from mvli.augment import (
     save_kb,
 )
 from mvli.core import DataError, FormatError, InputError, normalize_token, tokenize
+from mvli.synth import SynthConfig, generate_kb
 
 
 def _kb(*docs):
@@ -149,6 +153,112 @@ class TestLlmLinker:
         adoc = augment_document(kb["a"], kb, linker)
         assert [r.entity for r in adoc.related] == ["Beta"]
         assert adoc.related[0].span == (2,)
+
+
+_WORDS = ("koro", "vale", "tomat", "solan", "ridge", "new", "york", "lema")
+# duplicate titles, two titles with one token key, overlapping multi-token titles
+_FIXED_TITLES = ("Koro.", "koro", "New York", "York Vale", "New York", "Vale")
+
+
+def _random_kb(seed: int) -> dict[str, RawDocument]:
+    gen = np.random.default_rng(seed)
+    titles = list(_FIXED_TITLES)
+    for _ in range(int(gen.integers(2, 8))):
+        words = gen.choice(len(_WORDS), size=int(gen.integers(1, 4)))
+        titles.append(" ".join(_WORDS[w] for w in words).title())
+    order = gen.permutation(len(titles))
+    titles = [titles[i] for i in order]
+    docs = []
+    for i, title in enumerate(titles):
+        parts = []
+        for _ in range(int(gen.integers(0, 14))):
+            r = gen.uniform()
+            if r < 0.35:
+                part = titles[int(gen.integers(len(titles)))]
+            elif r < 0.5:
+                part = title  # own-title mention
+            else:
+                part = _WORDS[int(gen.integers(len(_WORDS)))]
+            if gen.uniform() < 0.2:
+                part = part.upper()
+            if gen.uniform() < 0.3:
+                part += ",.!"[int(gen.integers(3))]
+            parts.append(part)
+        docs.append(RawDocument(f"d{i:02d}", title, " ".join(parts), f"img::{title}"))
+    return _kb(*docs)
+
+
+def _proposals(title: str, body: str) -> list[dict]:
+    """A stand-in external linker: every body word, in turn, as one entity."""
+    words = body.replace(",", " ").replace(".", " ").replace("!", " ").split()
+    return [{"entity": w, "entity_type": "x", "relation": None} for w in words] + [
+        {"entity": " ".join(words[:2]), "entity_type": "x", "relation": None},
+        {"entity": "Nowhere", "entity_type": "x", "relation": None},
+    ]
+
+
+def _oracle_augment(kb, cap=None, extract=None):
+    kb_titles = {d.title: d.doc_id for d in kb.values()}
+    out = {}
+    for doc_id in sorted(kb):
+        doc = kb[doc_id]
+        titles = kb_titles
+        if extract is not None:
+            lowered = {t.lower(): t for t in kb_titles}
+            proposed = [lowered[r["entity"].lower()] for r in extract(doc.title, doc.body)
+                        if r["entity"].lower() in lowered
+                        and r["entity"].lower() != doc.title.lower()]
+            titles = {t: kb_titles[t] for t in proposed}
+        out[doc_id] = naive_link(doc, titles)[:cap] if titles else []
+    return out
+
+
+class TestLinkerOracle:
+    @pytest.mark.parametrize("seed", range(40))
+    @pytest.mark.parametrize("run", ["dictionary", "capped", "llm"])
+    def test_augment_kb_matches_naive_linker(self, seed, run):
+        kb = _random_kb(seed)
+        cap = 2 if run == "capped" else None
+        extract = _proposals if run == "llm" else None
+        linker = LlmEntityLinker(extract) if extract is not None else None
+        augmented = augment_kb(kb, linker, cap)
+        expected = _oracle_augment(kb, cap, extract)
+        assert list(augmented) == sorted(kb)
+        for doc_id, adoc in augmented.items():
+            assert adoc.raw == kb[doc_id]
+            assert adoc.text_tokens == tuple(tokenize(kb[doc_id].body))
+            assert [(r.entity, r.span, r.source_doc_id) for r in adoc.related] \
+                == expected[doc_id]
+            assert all(r.image_key == kb[r.source_doc_id].main_image_key
+                       for r in adoc.related)
+
+    def test_random_kbs_exercise_every_case(self):
+        """The oracle runs above see own-title mentions, the shared key of
+        "Koro." and "koro", and overlapping titles resolved longest-first."""
+        own = shared_key = overlap = 0
+        for seed in range(40):
+            kb = _random_kb(seed)
+            for doc in kb.values():
+                tokens = tokenize(doc.body)
+                own += " ".join(tokens).count(" ".join(tokenize(doc.title))) > 0
+                links = naive_link(doc, {d.title: d.doc_id for d in kb.values()})
+                shared_key += any(e in ("Koro.", "koro") for e, _, _ in links)
+                overlap += "new york vale" in " ".join(tokens)
+        assert own and shared_key and overlap
+
+    def test_each_title_tokenized_once(self, monkeypatch):
+        kb = generate_kb(SynthConfig(n_docs=300, entities_per_doc=3.0, seed=4))
+        titles = {d.title for d in kb.values()}
+        calls = []
+        real = augment_mod.tokenize
+
+        def counting(text):
+            calls.append(text in titles)
+            return real(text)
+
+        monkeypatch.setattr(augment_mod, "tokenize", counting)
+        augment_kb(kb)
+        assert sum(calls) <= len(kb) + 2
 
 
 class TestImageKeys:

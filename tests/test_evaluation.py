@@ -124,8 +124,8 @@ def _world(fraction=0.0, seed=31):
                       n_test_unseen=5)
     kb = generate_kb(cfg)
     typemap = assign_typemap([d.title for d in kb.values()], cfg)
-    splits = generate_benchmark(kb, cfg, typemap)
-    return kb, augment_kb(kb), splits
+    kb_aug = augment_kb(kb)
+    return kb, kb_aug, generate_benchmark(kb, cfg, typemap, augmented=kb_aug)
 
 
 SMALL = EncoderConfig(dim=8, text_dim=12, image_dim=12, n_patches=2, n_heads=2,

@@ -1,8 +1,8 @@
 """Malformed input files end in a typed EngineError, never in a traceback.
 
 Every on-disk format the engine reads is covered: the index (.mvli), the
-parameter checkpoint (.mprm), embedding records, and the KB, augmented-KB and
-sample JSON-lines files.  The fuzz cases run under a capped address space, so
+parameter checkpoint (.mprm), embedding records, the KB, augmented-KB and
+sample JSON-lines files, and the typemap.  The fuzz cases run under a capped address space, so
 a reader that allocates from a corrupt length field fails fast.
 """
 
@@ -18,7 +18,7 @@ from conftest import random_feature_set
 from mvli.augment import load_augmented, load_kb, save_augmented, save_kb
 from mvli.cli import main
 from mvli.core import CorruptionError, EngineError, FormatError, Rng
-from mvli.datagen import QaSample, load_samples, save_samples
+from mvli.datagen import QaSample, load_samples, load_typemap, save_samples, save_typemap
 from mvli.encoder import (
     init_encoder_params,
     load_params,
@@ -42,6 +42,8 @@ def _write(kind: str, path, small_kb, small_kb_aug, tiny_config) -> None:
         save_augmented(small_kb_aug, path)
     elif kind == "samples":
         save_samples(SAMPLES, path)
+    elif kind == "typemap":
+        save_typemap({d.title: "creature" for d in small_kb.values()}, path)
     elif kind == "embedding":
         write_embedding_file({f"text:w{i}": Rng(i).generator().standard_normal(4)
                               for i in range(3)}, path)
@@ -56,6 +58,7 @@ READERS = {
     "kb": load_kb,
     "augmented": load_augmented,
     "samples": load_samples,
+    "typemap": load_typemap,
     "embedding": read_embedding_file,
     "params": load_params,
     "index": load_index,
@@ -71,6 +74,7 @@ NON_UTF8 = {
     "kb": (b"Potato", FormatError),
     "augmented": (b"Potato", FormatError),
     "samples": (b"potato", FormatError),
+    "typemap": (b"Potato", FormatError),
     "embedding": (b"text:w1", CorruptionError),
 }
 
@@ -112,6 +116,25 @@ def test_cli_non_utf8_input_exits_3(tmp_path, small_kb, capsys, command):
     capsys.readouterr()
     assert main(args) == 3
     assert "utf-8" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", ["[]", '{"Potato": 3}', '"creature"'])
+def test_typemap_not_object_of_strings(tmp_path, text):
+    path = tmp_path / "typemap.json"
+    path.write_text(text)
+    with pytest.raises(FormatError, match="typemap"):
+        load_typemap(path)
+
+
+@pytest.mark.parametrize("content", [b'{"Potato": "cr\xffature"}', b'{"Potato": '])
+def test_cli_datagen_bad_typemap_exits_3(tmp_path, small_kb, capsys, content):
+    kb_path, typemap_path = tmp_path / "kb.jsonl", tmp_path / "typemap.json"
+    save_kb(small_kb, kb_path)
+    typemap_path.write_bytes(content)
+    capsys.readouterr()
+    assert main(["datagen", "--kb", str(kb_path), "--typemap", str(typemap_path),
+                 "--out", str(tmp_path / "s.jsonl")]) == 3
+    assert "typemap" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

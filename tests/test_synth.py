@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+import mvli.augment as augment_mod
 from mvli.augment import augment_kb
-from mvli.core import ConfigError, GenerationError, tokenize
+from mvli.core import ConfigError, DataError, GenerationError, tokenize
 from mvli.datagen import validate_sample
 from mvli.synth import (
     TYPE_NOUNS,
@@ -140,6 +141,30 @@ class TestGenerateBenchmark:
         save_samples(a.train, pa)
         save_samples(b.train, pb)
         assert pa.read_bytes() == pb.read_bytes()
+
+    def test_passed_augmented_kb_is_used_not_recomputed(self, monkeypatch):
+        cfg = _bench_cfg()
+        kb = generate_kb(cfg)
+        expected = generate_benchmark(kb, cfg)
+        calls = []
+        real = augment_mod.augment_document
+
+        def counting(*args, **kwargs):
+            calls.append(args[0].doc_id)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(augment_mod, "augment_document", counting)
+        splits = generate_benchmark(kb, cfg, augmented=augment_kb(kb))
+        assert sorted(calls) == sorted(kb)
+        assert splits == expected
+
+    def test_augmented_kb_of_other_documents_rejected(self):
+        cfg = _bench_cfg()
+        kb = generate_kb(cfg)
+        augmented = augment_kb(kb)
+        del augmented[min(augmented)]
+        with pytest.raises(DataError, match="augmented KB"):
+            generate_benchmark(kb, cfg, augmented=augmented)
 
     def test_all_samples_pass_validators(self):
         cfg = _bench_cfg(fraction_shortcut=0.5)

@@ -234,8 +234,8 @@ def bench_world(seed=20):
                       n_train=24, n_test_seen=2, n_test_unseen=2)
     kb = generate_kb(cfg)
     typemap = assign_typemap([d.title for d in kb.values()], cfg)
-    splits = generate_benchmark(kb, cfg, typemap)
-    return kb, augment_kb(kb), splits
+    kb_aug = augment_kb(kb)
+    return kb, kb_aug, generate_benchmark(kb, cfg, typemap, augmented=kb_aug)
 
 
 class TestTrainLoop:
