@@ -9,14 +9,13 @@ size.
 
 from __future__ import annotations
 
-import json
 import logging
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Callable, Mapping
 
-from .core import (DataError, DocumentError, FormatError, InputError, iter_jsonl, str_fields,
-                   tokenize)
+from .core import (ConfigError, DataError, DocumentError, FormatError, InputError, iter_jsonl,
+                   str_fields, tokenize, write_jsonl)
 
 logger = logging.getLogger(__name__)
 
@@ -202,9 +201,12 @@ def augment_document(
 
     Each linked entity contributes the main image of its source document.
     Linked documents without a main image are skipped with a warning record.
-    A cap keeps the first `cap` entities in order of first mention.  `table`
-    is the KB's title table; it is built from `kb` when not given.
+    A cap keeps the first `cap` entities in order of first mention; a
+    negative cap is a ConfigError.  `table` is the KB's title table; it is
+    built from `kb` when not given.
     """
+    if cap is not None and cap < 0:
+        raise ConfigError(f"cap must be >= 0, got {cap}")
     if doc.doc_id not in kb:
         raise DataError(f"document {doc.doc_id!r} is not part of the provided KB")
     if not doc.main_image_key:
@@ -254,21 +256,10 @@ def augment_kb(
 
 
 def save_kb(kb: Mapping[str, RawDocument], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for doc_id in sorted(kb):
-            doc = kb[doc_id]
-            fh.write(json.dumps(
-                {
-                    "doc_id": doc.doc_id,
-                    "title": doc.title,
-                    "body": doc.body,
-                    "main_image_key": doc.main_image_key,
-                },
-                sort_keys=True,
-            ) + "\n")
+    write_jsonl(path, (asdict(kb[doc_id]) for doc_id in sorted(kb)))
 
 
-_RAW_FIELDS = ("doc_id", "title", "body", "main_image_key")
+_RAW_FIELDS = tuple(f.name for f in fields(RawDocument))
 
 
 def load_kb(path: str | Path) -> dict[str, RawDocument]:
@@ -282,28 +273,11 @@ def load_kb(path: str | Path) -> dict[str, RawDocument]:
 
 
 def save_augmented(docs: Mapping[str, AugmentedDocument], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for doc_id in sorted(docs):
-            adoc = docs[doc_id]
-            fh.write(json.dumps(
-                {
-                    "doc_id": adoc.raw.doc_id,
-                    "title": adoc.raw.title,
-                    "body": adoc.raw.body,
-                    "main_image_key": adoc.raw.main_image_key,
-                    "related": [
-                        {
-                            "entity": r.entity,
-                            "span": list(r.span),
-                            "image_key": r.image_key,
-                            "source_doc_id": r.source_doc_id,
-                        }
-                        for r in adoc.related
-                    ],
-                    "warnings": list(adoc.warnings),
-                },
-                sort_keys=True,
-            ) + "\n")
+    write_jsonl(path, (
+        {**asdict(docs[doc_id].raw), "related": [asdict(r) for r in docs[doc_id].related],
+         "warnings": docs[doc_id].warnings}
+        for doc_id in sorted(docs)
+    ))
 
 
 def _list_of(value, kind: type) -> bool:

@@ -93,30 +93,22 @@ class RunConfig:
     def get(self, section: str, key: str, default=None):
         return self.values.get((section, key), default)
 
+    def section(self, name: str, keys: tuple[str, ...] = ()) -> dict:
+        """Values set in one section (or in its `keys`); unset keys keep library defaults."""
+        return {key: self.values[(name, key)] for key in (keys or _SCHEMA[name])
+                if (name, key) in self.values}
+
     def encoder_config(self) -> EncoderConfig:
-        kwargs = {}
-        for key in _SCHEMA["engine"]:
-            value = self.get("engine", key)
-            if value is not None:
-                kwargs[key] = value
-        return EncoderConfig(**kwargs)
+        return EncoderConfig(**self.section("engine"))
 
     def train_config(self, seed: int) -> TrainConfig:
-        kwargs: dict = {"seed": seed}
-        for key in _SCHEMA["train"]:
-            value = self.get("train", key)
-            if value is None:
-                continue
-            kwargs[key] = EncoderFlags.parse(value) if key == "flags" else value
-        return TrainConfig(**kwargs)
+        kwargs = self.section("train")
+        if "flags" in kwargs:
+            kwargs["flags"] = EncoderFlags.parse(kwargs["flags"])
+        return TrainConfig(seed=seed, **kwargs)
 
     def synth_config(self, seed: int) -> sy.SynthConfig:
-        kwargs: dict = {"seed": seed}
-        for key in _SCHEMA["synth"]:
-            value = self.get("synth", key)
-            if value is not None:
-                kwargs[key] = value
-        return sy.SynthConfig(**kwargs)
+        return sy.SynthConfig(seed=seed, **self.section("synth"))
 
     def seed(self, args_seed: int | None) -> int:
         if args_seed is not None:
@@ -193,8 +185,7 @@ def cmd_synth(args, cfg: RunConfig) -> int:
 
 def cmd_augment(args, cfg: RunConfig) -> int:
     _require_files(args.kb)
-    kb = aug.load_kb(args.kb)
-    augmented = aug.augment_kb(kb, cap=args.cap)
+    _, augmented = _load_world(args.kb, args.cap)
     aug.save_augmented(augmented, args.out)
     total = sum(len(a.related) for a in augmented.values())
     print(f"augment: {len(augmented)} docs, {total} related-entity images -> {args.out}")
@@ -204,9 +195,8 @@ def cmd_augment(args, cfg: RunConfig) -> int:
 def cmd_datagen(args, cfg: RunConfig) -> int:
     _require_files(args.kb, args.typemap)
     seed = cfg.seed(args.seed)
-    kb = aug.load_kb(args.kb)
+    _, kb_aug = _load_world(args.kb)
     typemap = dg.load_typemap(args.typemap)
-    kb_aug = aug.augment_kb(kb)
     samples, rejected = dg.generate_samples(
         kb_aug, typemap, seed, samples_per_doc=args.samples_per_doc
     )
@@ -255,11 +245,7 @@ def cmd_index(args, cfg: RunConfig) -> int:
     provider = SeededEmbeddingProvider(encoder_config)
     corpus = encode_corpus(kb_aug, params, encoder_config, provider, _flags(args, cfg))
     built = idx.build_index(
-        corpus,
-        k_centroids=cfg.get("index", "k_centroids"),
-        kmeans_iters=int(cfg.get("index", "kmeans_iters", 20)),
-        nbits=int(cfg.get("index", "nbits", 8)),
-        seed=seed,
+        corpus, seed=seed, **cfg.section("index", ("k_centroids", "kmeans_iters", "nbits"))
     )
     idx.save_index(built, args.out)
     print(f"index: {built.n_vectors} vectors, {built.centroids.shape[0]} centroids "
@@ -276,11 +262,10 @@ def cmd_search(args, cfg: RunConfig) -> int:
         QueryInput(args.query_text or "", args.image_key),
         params, encoder_config, provider, image_only=not args.query_text,
     )
-    sp = idx.SearchParams(
-        k=args.k,
-        nprobe=int(cfg.get("index", "nprobe", 4)),
-        candidate_doc_cap=max(int(cfg.get("index", "candidate_doc_cap", 256)), args.k),
-    )
+    search_kwargs = cfg.section("index", ("nprobe", "candidate_doc_cap"))
+    search_kwargs["candidate_doc_cap"] = max(
+        search_kwargs.get("candidate_doc_cap", idx.SearchParams.candidate_doc_cap), args.k)
+    sp = idx.SearchParams(k=args.k, **search_kwargs)
     for rank, scored in enumerate(idx.search(built, query, sp), start=1):
         print(f"{rank}\t{scored.doc_id}\t{scored.score:.6f}")
     return 0
@@ -296,10 +281,7 @@ def cmd_eval(args, cfg: RunConfig) -> int:
     if args.index:
         built = idx.load_index(args.index)
         search_params = idx.SearchParams(
-            k=max(ev.DEFAULT_KS),
-            nprobe=int(cfg.get("index", "nprobe", 4)),
-            candidate_doc_cap=int(cfg.get("index", "candidate_doc_cap", 256)),
-        )
+            k=max(ev.DEFAULT_KS), **cfg.section("index", ("nprobe", "candidate_doc_cap")))
     report = ev.evaluate_model(
         kb, kb_aug, params, encoder_config, provider, samples, _flags(args, cfg),
         benchmark=args.benchmark, index=built, search_params=search_params,

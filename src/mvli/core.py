@@ -12,7 +12,7 @@ import os
 import string
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -118,6 +118,13 @@ def iter_jsonl(path: str | Path, kind: str) -> Iterator[tuple[str, dict]]:
             if not isinstance(rec, dict):
                 raise FormatError(f"{where}: bad {kind} record (not a JSON object)")
             yield where, rec
+
+
+def write_jsonl(path: str | Path, records: Iterable[dict]) -> None:
+    """One JSON object per line, keys sorted; what iter_jsonl reads back."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for rec in records:
+            fh.write(json.dumps(rec, sort_keys=True) + "\n")
 
 
 def str_fields(rec, names: Sequence[str], where: str, kind: str) -> list[str]:

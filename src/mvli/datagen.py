@@ -14,16 +14,18 @@ against the same invariants.
 
 from __future__ import annotations
 
+import functools
 import json
 import re
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .augment import AugmentedDocument, image_key_for_entity
 from .bm25 import Bm25Index
-from .core import FormatError, GenerationError, InputError, Rng, iter_jsonl, str_fields
+from .core import (ConfigError, FormatError, GenerationError, InputError, Rng, iter_jsonl,
+                   str_fields, write_jsonl)
 
 REJECT_LEAK = "leak"
 REJECT_NO_QUALIFIER = "no_qualifier"
@@ -200,9 +202,17 @@ def _strip_terminal(sentence: str) -> str:
     return sentence.strip().rstrip(".!?").strip()
 
 
+@functools.lru_cache(maxsize=4096)
+def _surface_patterns(surface: str) -> tuple[re.Pattern, re.Pattern]:
+    """(leading, anywhere) case-insensitive whole-word patterns of a surface,
+    compiled once per surface: a KB has more surfaces than `re` caches."""
+    escaped = re.escape(surface)
+    return (re.compile(r"^\s*" + escaped + r"\b", re.IGNORECASE),
+            re.compile(r"\b" + escaped + r"\b", re.IGNORECASE))
+
+
 def _strip_leading_surface(sentence: str, surface: str) -> str:
-    pattern = re.compile(r"^\s*" + re.escape(surface) + r"\b", re.IGNORECASE)
-    stripped, count = pattern.subn("", sentence, count=1)
+    stripped, count = _surface_patterns(surface)[0].subn("", sentence, count=1)
     if count == 0:
         raise GenerationError(
             f"relation sentence does not start with entity surface {surface!r}: {sentence!r}"
@@ -211,8 +221,7 @@ def _strip_leading_surface(sentence: str, surface: str) -> str:
 
 
 def _truncate_at_surface(text: str, surface: str) -> str:
-    pattern = re.compile(r"\b" + re.escape(surface) + r"\b", re.IGNORECASE)
-    match = pattern.search(text)
+    match = _surface_patterns(surface)[1].search(text)
     if match is None:
         raise GenerationError(f"entity surface {surface!r} not present in {text!r}")
     return text[: match.start()].strip()
@@ -222,7 +231,8 @@ def _collapse(text: str) -> str:
     return re.sub(r"\s+", " ", text).strip()
 
 
-def _type_of(entity: str, typemap: Mapping[str, str]) -> str:
+def type_of(entity: str, typemap: Mapping[str, str]) -> str:
+    """The entity's type noun; a GenerationError when the typemap lacks it."""
     noun = typemap.get(entity)
     if not noun:
         raise GenerationError(f"typemap does not cover entity {entity!r}")
@@ -254,8 +264,8 @@ def render_question(sg: TargetSubgraph, typemap: Mapping[str, str]) -> tuple[str
     pred_q = relation_predicate(sg.relation_q, answer, stop_at=sg.query_entity)
     pred_k = relation_predicate(sg.relation_k, answer)
     question = (
-        f"Which {_type_of(answer, typemap)} {pred_q} this "
-        f"{_type_of(sg.query_entity, typemap)}, given that it {pred_k}?"
+        f"Which {type_of(answer, typemap)} {pred_q} this "
+        f"{type_of(sg.query_entity, typemap)}, given that it {pred_k}?"
     )
     return question, answer
 
@@ -413,6 +423,44 @@ def split_seen_unseen(samples: Sequence[QaSample], train_gt_ids: set[str]) -> li
 # ---------------------------------------------------------------------------
 
 
+def build_graphs(kb_aug: Mapping[str, AugmentedDocument]) -> dict[str, OneHopGraph]:
+    """One-hop graph of every document, with mutual edges dropped."""
+    return enforce_unique_gt(
+        {doc_id: build_onehop_graph(kb_aug[doc_id]) for doc_id in sorted(kb_aug)}
+    )
+
+
+def draft_sample(
+    sample_id: str,
+    gt_doc_id: str,
+    render: Callable[[], tuple[str, str]],
+    paraphraser: Callable[[str], str],
+    query_entity: str,
+    query_image_key: str,
+    type_nouns: Iterable[str],
+) -> QaSample | RejectedSample:
+    """Render, paraphrase and validate one draft.
+
+    `render` returns (question, answer); a GenerationError from it rejects
+    the draft as a strip failure, and a question that breaks a surface rule
+    is rejected with the validator's reason.
+    """
+    try:
+        question, answer = render()
+    except GenerationError:
+        return RejectedSample(sample_id, gt_doc_id, REJECT_STRIP)
+    question = paraphraser(question)
+    reason = validate_sample(question, answer, query_entity, type_nouns)
+    if reason is not None:
+        return RejectedSample(sample_id, gt_doc_id, reason, question)
+    return QaSample(sample_id, question, query_image_key, answer, gt_doc_id)
+
+
+def leak_index(kb_aug: Mapping[str, AugmentedDocument]) -> Bm25Index:
+    """The BM25 index of the KB's raw bodies that `bm25_leak_filter` searches."""
+    return Bm25Index({doc_id: adoc.raw.body for doc_id, adoc in kb_aug.items()})
+
+
 def generate_samples(
     kb_aug: Mapping[str, AugmentedDocument],
     typemap: Mapping[str, str],
@@ -427,9 +475,9 @@ def generate_samples(
     Deterministic for a fixed (KB, seed, typemap): per-document random streams
     are derived from the seed and documents are processed in id order.
     """
-    graphs = enforce_unique_gt(
-        {doc_id: build_onehop_graph(kb_aug[doc_id]) for doc_id in sorted(kb_aug)}
-    )
+    if samples_per_doc < 1:
+        raise ConfigError("samples_per_doc must be >= 1")
+    graphs = build_graphs(kb_aug)
     rng = Rng(seed).split("datagen")
     transformer = paraphraser if paraphraser is not None else RuleParaphraser()
     type_nouns = set(typemap.values())
@@ -437,34 +485,18 @@ def generate_samples(
     drafts: list[QaSample] = []
     rejected: list[RejectedSample] = []
     for doc_id in sorted(graphs):
-        graph = graphs[doc_id]
-        subgraphs = enumerate_target_subgraphs(graph, rng.split(doc_id), samples_per_doc)
+        subgraphs = enumerate_target_subgraphs(graphs[doc_id], rng.split(doc_id), samples_per_doc)
         if not subgraphs:
             rejected.append(RejectedSample(f"{doc_id}:0", doc_id, REJECT_NO_QUALIFIER))
             continue
         for i, sg in enumerate(subgraphs):
-            sample_id = f"{doc_id}:{i}"
-            try:
-                question, answer = generate_question(sg, typemap, question_generator)
-            except GenerationError:
-                rejected.append(RejectedSample(sample_id, doc_id, REJECT_STRIP))
-                continue
-            question = transformer(question)
-            reason = validate_sample(question, answer, sg.query_entity, type_nouns)
-            if reason is not None:
-                rejected.append(RejectedSample(sample_id, doc_id, reason, question))
-                continue
-            drafts.append(
-                QaSample(
-                    sample_id=sample_id,
-                    question=question,
-                    query_image_key=image_key_for_entity(sg.query_entity),
-                    answer=answer,
-                    gt_doc_id=doc_id,
-                )
+            draft = draft_sample(
+                f"{doc_id}:{i}", doc_id,
+                lambda: generate_question(sg, typemap, question_generator), transformer,
+                sg.query_entity, image_key_for_entity(sg.query_entity), type_nouns,
             )
-    kb_index = Bm25Index({doc_id: kb_aug[doc_id].raw.body for doc_id in kb_aug})
-    kept, leaks = bm25_leak_filter(drafts, kb_index, leak_top_k)
+            (drafts if isinstance(draft, QaSample) else rejected).append(draft)
+    kept, leaks = bm25_leak_filter(drafts, leak_index(kb_aug), leak_top_k)
     rejected.extend(leaks)
     return kept, rejected
 
@@ -475,22 +507,10 @@ def generate_samples(
 
 
 def save_samples(samples: Sequence[QaSample], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for s in samples:
-            fh.write(json.dumps(
-                {
-                    "sample_id": s.sample_id,
-                    "question": s.question,
-                    "query_image_key": s.query_image_key,
-                    "answer": s.answer,
-                    "gt_doc_id": s.gt_doc_id,
-                    "split": s.split,
-                },
-                sort_keys=True,
-            ) + "\n")
+    write_jsonl(path, map(asdict, samples))
 
 
-_SAMPLE_FIELDS = ("sample_id", "question", "query_image_key", "answer", "gt_doc_id", "split")
+_SAMPLE_FIELDS = tuple(f.name for f in fields(QaSample))
 
 
 def load_samples(path: str | Path) -> list[QaSample]:
@@ -499,17 +519,7 @@ def load_samples(path: str | Path) -> list[QaSample]:
 
 
 def save_rejected(rejected: Sequence[RejectedSample], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for r in rejected:
-            fh.write(json.dumps(
-                {
-                    "sample_id": r.sample_id,
-                    "gt_doc_id": r.gt_doc_id,
-                    "reason": r.reason,
-                    "question": r.question,
-                },
-                sort_keys=True,
-            ) + "\n")
+    write_jsonl(path, map(asdict, rejected))
 
 
 def save_typemap(typemap: Mapping[str, str], path: str | Path) -> None:

@@ -142,7 +142,8 @@ def rank_samples(
             params, config, provider, image_only=image_only,
         )
         if index is not None:
-            sp = search_params or SearchParams(k=depth, candidate_doc_cap=max(256, depth))
+            sp = search_params or SearchParams(
+                k=depth, candidate_doc_cap=max(SearchParams.candidate_doc_cap, depth))
             ranked = search(index, query, sp)
         else:
             ranked = rank_exact(query, corpus, depth)

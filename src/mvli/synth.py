@@ -8,6 +8,10 @@ linkability, plus benchmark splits mixing two sample styles:
   document's own main entity (legacy-benchmark style), while
 * shortcut-free samples run the full qualifying-entity pipeline, so the query
   image always shows a related, non-main entity.
+
+Both styles draft through the same datagen steps as `mvli datagen`: the graph
+builder, the render-paraphrase-validate helper `draft_sample`, and the BM25
+leak filter; only the question template and the pictured entity differ.
 """
 
 from __future__ import annotations
@@ -16,24 +20,23 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .augment import AugmentedDocument, RawDocument, augment_kb, image_key_for_entity
-from .bm25 import Bm25Index
 from .core import ConfigError, DataError, GenerationError, Rng
 from .datagen import (
     DEFAULT_SYNONYMS,
     REJECT_NO_QUALIFIER,
-    REJECT_STRIP,
     OneHopGraph,
     QaSample,
     RejectedSample,
     RuleParaphraser,
     bm25_leak_filter,
-    build_onehop_graph,
-    enforce_unique_gt,
+    build_graphs,
+    draft_sample,
     enumerate_target_subgraphs,
+    leak_index,
     relation_predicate,
     render_question,
     split_seen_unseen,
-    validate_sample,
+    type_of,
 )
 
 VERB_PHRASES: tuple[str, ...] = (
@@ -98,6 +101,9 @@ class SynthConfig:
             raise ConfigError("samples_per_doc must be >= 1")
         if not 0.0 < self.unseen_doc_fraction < 1.0:
             raise ConfigError("unseen_doc_fraction must lie in (0, 1)")
+        for knob in ("n_train", "n_test_seen", "n_test_unseen"):
+            if (getattr(self, knob) or 0) < 0:
+                raise ConfigError(f"{knob} must be >= 0")
 
 
 def _entity_names(rng: Rng, count: int) -> list[str]:
@@ -175,11 +181,8 @@ def _render_shortcut_question(
     pred = relation_predicate(
         neighbor.relation_sentence, graph.main_entity, stop_at=neighbor.entity
     )
-    qtype = typemap.get(neighbor.entity)
-    mtype = typemap.get(graph.main_entity)
-    if not qtype or not mtype:
-        raise GenerationError("typemap does not cover a sampled entity")
-    question = f"Name the {qtype} that this {mtype} {pred}."
+    question = (f"Name the {type_of(neighbor.entity, typemap)} that this "
+                f"{type_of(graph.main_entity, typemap)} {pred}.")
     return question, neighbor.entity
 
 
@@ -206,9 +209,7 @@ def generate_benchmark(
         augmented = augment_kb(kb)
     elif set(augmented) != set(kb):
         raise DataError("augmented KB does not cover the same documents as the KB")
-    graphs = enforce_unique_gt(
-        {doc_id: build_onehop_graph(augmented[doc_id]) for doc_id in sorted(augmented)}
-    )
+    graphs = build_graphs(augmented)
     rng = Rng(cfg.seed).split("benchmark")
 
     doc_ids = sorted(kb)
@@ -234,57 +235,28 @@ def generate_benchmark(
         free_cursor = 0
         pick_gen = doc_rng.split("shortcut-pick").generator()
         for slot in range(cfg.samples_per_doc):
-            shortcut = bool(style_gen.uniform() < cfg.fraction_shortcut)
-            if shortcut:
-                sample_id = f"{doc_id}:s{slot}"
+            if style_gen.uniform() < cfg.fraction_shortcut:
                 n_idx = int(pick_gen.integers(len(graph.neighbors)))
-                try:
-                    question, answer = _render_shortcut_question(graph, n_idx, typemap)
-                except GenerationError:
-                    rejected.append(RejectedSample(sample_id, doc_id, REJECT_STRIP))
-                    continue
-                question = paraphraser(question)
-                reason = validate_sample(question, answer, graph.main_entity, type_nouns)
-                if reason is not None:
-                    rejected.append(RejectedSample(sample_id, doc_id, reason, question))
-                    continue
-                shortcut_samples.append(QaSample(
-                    sample_id=sample_id,
-                    question=question,
-                    query_image_key=kb[doc_id].main_image_key,
-                    answer=answer,
-                    gt_doc_id=doc_id,
-                ))
-            else:
-                if free_cursor >= len(subgraphs):
-                    if slot == 0:
-                        rejected.append(
-                            RejectedSample(f"{doc_id}:f{slot}", doc_id, REJECT_NO_QUALIFIER)
-                        )
-                    continue
-                sg = subgraphs[free_cursor]
-                free_cursor += 1
-                sample_id = f"{doc_id}:f{slot}"
-                try:
-                    question, answer = render_question(sg, typemap)
-                except GenerationError:
-                    rejected.append(RejectedSample(sample_id, doc_id, REJECT_STRIP))
-                    continue
-                question = paraphraser(question)
-                reason = validate_sample(question, answer, sg.query_entity, type_nouns)
-                if reason is not None:
-                    rejected.append(RejectedSample(sample_id, doc_id, reason, question))
-                    continue
-                free_drafts.append(QaSample(
-                    sample_id=sample_id,
-                    question=question,
-                    query_image_key=image_key_for_entity(sg.query_entity),
-                    answer=answer,
-                    gt_doc_id=doc_id,
-                ))
+                draft = draft_sample(
+                    f"{doc_id}:s{slot}", doc_id,
+                    lambda: _render_shortcut_question(graph, n_idx, typemap), paraphraser,
+                    graph.main_entity, kb[doc_id].main_image_key, type_nouns,
+                )
+                (shortcut_samples if isinstance(draft, QaSample) else rejected).append(draft)
+                continue
+            if free_cursor >= len(subgraphs):
+                if slot == 0:
+                    rejected.append(RejectedSample(f"{doc_id}:f0", doc_id, REJECT_NO_QUALIFIER))
+                continue
+            sg = subgraphs[free_cursor]
+            free_cursor += 1
+            draft = draft_sample(
+                f"{doc_id}:f{slot}", doc_id, lambda: render_question(sg, typemap), paraphraser,
+                sg.query_entity, image_key_for_entity(sg.query_entity), type_nouns,
+            )
+            (free_drafts if isinstance(draft, QaSample) else rejected).append(draft)
 
-    kb_index = Bm25Index({doc_id: kb[doc_id].body for doc_id in kb})
-    kept_free, leaks = bm25_leak_filter(free_drafts, kb_index)
+    kept_free, leaks = bm25_leak_filter(free_drafts, leak_index(augmented))
     rejected.extend(leaks)
     pool = sorted(kept_free + shortcut_samples, key=lambda s: s.sample_id)
 

@@ -17,7 +17,8 @@ from mvli.augment import (
     save_augmented,
     save_kb,
 )
-from mvli.core import DataError, FormatError, InputError, normalize_token, tokenize
+from mvli.core import (ConfigError, DataError, FormatError, InputError, normalize_token,
+                       tokenize)
 from mvli.synth import SynthConfig, generate_kb
 
 
@@ -108,6 +109,13 @@ class TestAugmentDocument:
         kb = self._base_kb()
         adoc = augment_document(kb["a"], kb, cap=1)
         assert [r.entity for r in adoc.related] == ["Beta Hall"]
+
+    def test_negative_cap_is_config_error(self):
+        kb = self._base_kb()
+        with pytest.raises(ConfigError, match="cap"):
+            augment_document(kb["a"], kb, cap=-1)
+        with pytest.raises(ConfigError, match="cap"):
+            augment_kb(kb, cap=-1)
 
     def test_missing_source_image_skipped_with_warning(self):
         kb = _kb(

@@ -156,6 +156,25 @@ class TestExitCodes:
         )
         assert code == 0
 
+    def test_negative_split_size_is_config_error(self, tmp_path):
+        assert run_cli("--set", "synth.n_test_seen=-3", "synth",
+                       "--out-dir", str(tmp_path / "w")) == 2
+
+    def test_negative_cap_is_config_error(self, workdir, tmp_path):
+        _, _, out = workdir
+        aug_out = tmp_path / "aug.jsonl"
+        assert run_cli("augment", "--kb", str(out / "kb.jsonl"), "--out", str(aug_out),
+                       "--cap", "-1") == 2
+        assert not aug_out.exists()
+
+    def test_samples_per_doc_below_one_is_config_error(self, workdir, tmp_path):
+        _, _, out = workdir
+        dg_out = tmp_path / "generated.jsonl"
+        assert run_cli("datagen", "--kb", str(out / "kb.jsonl"),
+                       "--typemap", str(out / "typemap.json"), "--out", str(dg_out),
+                       "--samples-per-doc", "0") == 2
+        assert not dg_out.exists()
+
     def test_config_without_section_is_config_error(self, tmp_path):
         cfg = tmp_path / "run.ini"
         cfg.write_text("n_docs = 30\n")

@@ -2,9 +2,10 @@ import pytest
 
 from mvli.augment import RawDocument, augment_kb
 from mvli.bm25 import Bm25Index
-from mvli.core import GenerationError, Rng
+from mvli.core import ConfigError, GenerationError, Rng
 from mvli.datagen import (
     DEFAULT_SYNONYMS,
+    REJECT_STRIP,
     QaSample,
     RuleParaphraser,
     TargetSubgraph,
@@ -23,6 +24,7 @@ from mvli.datagen import (
     split_sentences,
     validate_sample,
 )
+from mvli.synth import SynthConfig, generate_benchmark
 
 
 def _graph_kb():
@@ -283,8 +285,8 @@ class TestSplit:
 
 
 class TestPipeline:
-    def _world(self):
-        kb = {}
+    def _world(self, *extra: RawDocument):
+        kb = {doc.doc_id: doc for doc in extra}
         names = ["Alpha Site", "Beta Hall", "Gama Keep", "Delta Bay", "Epsil Fort",
                  "Zeta Grove"]
         bodies = {
@@ -335,3 +337,30 @@ class TestPipeline:
         path = tmp_path / "samples.jsonl"
         save_samples(tagged, path)
         assert load_samples(path) == tagged
+
+    def test_samples_per_doc_below_one_is_config_error(self):
+        kb_aug, typemap = self._world()
+        with pytest.raises(ConfigError, match="samples_per_doc"):
+            generate_samples(kb_aug, typemap, seed=5, samples_per_doc=0)
+
+    @pytest.mark.parametrize("run, expected_ids", [
+        ("datagen", ["x:0", "x:1"]),
+        ("free", ["x:f0", "x:f1"]),
+        ("shortcut", ["x:s0", "x:s1", "x:s2"]),
+    ])
+    def test_untyped_entity_gives_strip_failures(self, run, expected_ids):
+        # "Theta Well" has no type noun and no document mentions it, so every
+        # draft of its document fails to render and no other draft does
+        theta = RawDocument("x", "Theta Well", "Theta Well guards Beta Hall. "
+                            "Theta Well rivals Gama Keep.", "img::Theta Well")
+        kb_aug, typemap = self._world(theta)
+        if run == "datagen":
+            _, rejected = generate_samples(kb_aug, typemap, seed=5, samples_per_doc=3)
+        else:
+            cfg = SynthConfig(n_docs=len(kb_aug), samples_per_doc=3, seed=5,
+                              fraction_shortcut=1.0 if run == "shortcut" else 0.0)
+            kb = {doc_id: adoc.raw for doc_id, adoc in kb_aug.items()}
+            rejected = generate_benchmark(kb, cfg, typemap, augmented=kb_aug).rejected
+        strips = [r for r in rejected if r.reason == REJECT_STRIP]
+        assert [r.sample_id for r in strips] == expected_ids
+        assert all(r.gt_doc_id == "x" and r.question == "" for r in strips)

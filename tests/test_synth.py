@@ -81,6 +81,12 @@ class TestGenerateKb:
         with pytest.raises(ConfigError):
             SynthConfig(entities_per_doc=0.2)
 
+    @pytest.mark.parametrize("knob", ["n_train", "n_test_seen", "n_test_unseen"])
+    def test_negative_split_size_is_config_error(self, knob):
+        with pytest.raises(ConfigError, match=knob):
+            SynthConfig(**{knob: -3})
+        assert getattr(SynthConfig(**{knob: 0}), knob) == 0
+
 
 class TestTypemap:
     def test_covers_all_titles_deterministically(self):
