@@ -460,22 +460,40 @@ def apply_ete(text: TextFeatures, span: Iterable[int], theta: np.ndarray) -> Tex
 
 _GELU_C = math.sqrt(2.0 / math.pi)
 
+# Height of the zero-padded row tiles every tiled product runs in.
+TILE_ROWS = 16
+
+
+def tile_matmul(a: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """`a @ w` for a 2-D `a`, computed in zero-padded tiles of TILE_ROWS rows.
+
+    Every tile is one BLAS product of the same shape, so a row's bits depend
+    only on the row and `w`: not on how many rows are stacked with it, nor on
+    its position among them.
+    """
+    n, d = a.shape
+    n_tiles = -(-n // TILE_ROWS)
+    padded = np.zeros((n_tiles * TILE_ROWS, d))
+    padded[:n] = a
+    out = padded.reshape(n_tiles, TILE_ROWS, d) @ w
+    return out.reshape(-1, w.shape[1])[:n]
+
 
 def gelu(x: np.ndarray) -> np.ndarray:
-    return 0.5 * x * (1.0 + np.tanh(_GELU_C * (x + 0.044715 * x**3)))
+    return 0.5 * x * (1.0 + np.tanh(_GELU_C * (x + 0.044715 * (x * x * x))))
 
 
 def gelu_grad(x: np.ndarray) -> np.ndarray:
-    u = _GELU_C * (x + 0.044715 * x**3)
-    t = np.tanh(u)
-    return 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t**2) * _GELU_C * (1.0 + 3 * 0.044715 * x**2)
+    sq = x * x
+    t = np.tanh(_GELU_C * (x + 0.044715 * (sq * x)))
+    return 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * _GELU_C * (1.0 + 3 * 0.044715 * sq)
 
 
 def mlp_forward(x: np.ndarray, p: MlpParams) -> tuple[np.ndarray, dict]:
-    """x: (n, d_in) -> (n, d_out)."""
-    pre = x @ p.w1 + p.b1
+    """x: (n, d_in) -> (n, d_out), both products in row tiles."""
+    pre = tile_matmul(x, p.w1) + p.b1
     act = gelu(pre)
-    out = act @ p.w2 + p.b2
+    out = tile_matmul(act, p.w2) + p.b2
     return out, {"x": x, "pre": pre, "act": act}
 
 
@@ -499,6 +517,16 @@ def merge_heads(x: np.ndarray) -> np.ndarray:
     return x.swapaxes(-2, -3).reshape(*lead, n, h * hd)
 
 
+def stack_rows(rows: np.ndarray, fresh: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """The (..., N_t, width) stack of per-text rows `cross_attend_forward` keeps
+    as distinct rows: the first text's N_t rows repeated over the stack, and
+    rows[N_t:] where `fresh` (S - 1, N_t) marks a later text's row as its own."""
+    n_t = shape[-1]
+    out = np.repeat(rows[None, :n_t], len(fresh) + 1, axis=0)
+    out[1:][fresh] = rows[n_t:]
+    return out.reshape(*shape, rows.shape[-1])
+
+
 def cross_attend_forward(
     patches: np.ndarray, text_emb: np.ndarray, p: AttnParams, config: EncoderConfig
 ) -> tuple[np.ndarray, dict]:
@@ -509,20 +537,28 @@ def cross_attend_forward(
     residual connection.  Leading axes stack independent images: patches
     (..., n_patches, image_dim) attend to text_emb (..., N_t, text_dim).
     Output: (..., n_patches, attn_dim).
+
+    Keys and values are projected in row tiles, once for the first stacked
+    text and once more only for the rows where a later text differs from it
+    (a document's ETE spans); tiles give those rows the bits they would get
+    projected with all the others.
     """
     head_dim = config.attn_dim // config.n_heads
     scale = 1.0 / math.sqrt(head_dim)
     x = patches @ p.wq + p.bq  # (..., N_p, attn_dim): query projection, residual base
-    k = text_emb @ p.wk + p.bk
-    v = text_emb @ p.wv + p.bv
+    stack = text_emb.reshape(-1, *text_emb.shape[-2:])
+    fresh = np.any(stack[1:] != stack[0], axis=-1)  # rows that differ from the first text
+    rows = np.concatenate([stack[0], stack[1:][fresh]])
+    k_rows = tile_matmul(rows, p.wk) + p.bk
+    v_rows = tile_matmul(rows, p.wv) + p.bv
     qh = split_heads(x, config.n_heads)
-    kh = split_heads(k, config.n_heads)
-    vh = split_heads(v, config.n_heads)
-    logits = np.einsum("...hqd,...hkd->...hqk", qh, kh) * scale
+    kh = split_heads(stack_rows(k_rows, fresh, text_emb.shape[:-1]), config.n_heads)
+    vh = split_heads(stack_rows(v_rows, fresh, text_emb.shape[:-1]), config.n_heads)
+    logits = (qh @ kh.swapaxes(-1, -2)) * scale
     logits -= logits.max(axis=-1, keepdims=True)  # stability shift, gradient-neutral
     weights = np.exp(logits)
     weights /= weights.sum(axis=-1, keepdims=True)
-    heads = np.einsum("...hqk,...hkd->...hqd", weights, vh)
+    heads = weights @ vh
     concat = merge_heads(heads)
     attn_out = concat @ p.wo + p.bo
     h1 = x + attn_out
@@ -530,9 +566,10 @@ def cross_attend_forward(
     ff_act = gelu(ff_pre)
     ff_out = ff_act @ p.f2 + p.f2b
     h2 = h1 + ff_out
+    # keys and values are kept as their distinct rows; the backward restacks them
     cache = {
-        "patches": patches, "text_emb": text_emb, "x": x,
-        "qh": qh, "kh": kh, "vh": vh, "weights": weights, "concat": concat,
+        "patches": patches, "rows": rows, "fresh": fresh, "k_rows": k_rows, "v_rows": v_rows,
+        "x": x, "qh": qh, "weights": weights, "concat": concat,
         "h1": h1, "ff_pre": ff_pre, "ff_act": ff_act, "scale": scale,
     }
     return h2, cache
@@ -551,7 +588,20 @@ def cross_attend(
 
 # ---------------------------------------------------------------------------
 # Feature-set assembly.
+#
+# Encoding runs in two steps.  The per-item step embeds one query or one
+# document and runs what depends on it alone: the text and global projections
+# and cross-attention, which leave one fused row (n_patches * attn_dim wide)
+# per image that gets fused tokens.  The batch-level step, `add_mm_tokens`,
+# runs `mm_proj` over the fused rows of any number of items in one tiled
+# product and inserts each item's multimodal tokens.  Tiles keep each row's
+# bits whatever the batch, so a document encodes to the same bytes alone, in
+# a corpus chunk or in a training batch.
 # ---------------------------------------------------------------------------
+
+# Fused rows per `mm_proj` product in `encode_corpus`: many tiles per product,
+# a few MB of activations per chunk.
+CORPUS_CHUNK_ROWS = 256
 
 
 def _project_unit(rows: np.ndarray, p: MlpParams) -> tuple[np.ndarray, dict]:
@@ -564,24 +614,59 @@ def _images_forward(
     image_keys: Sequence[str], text_emb: np.ndarray, params: EncoderParams,
     config: EncoderConfig, provider,
 ) -> tuple[np.ndarray, np.ndarray, dict]:
-    """Stacked features of the R images of one query or one document.
+    """Per-item step for the R images of one query or one document.
 
     Every image gets a projected global vector; the first M = len(text_emb)
-    images also attend to their own text rows text_emb[r] and get fused
-    tokens.  Each product runs over the leading image axis, one image at a
-    time, so an image's features do not depend on how many are stacked.
-    Returns ghat (R, dim) and mhat (M, n_mm_tokens, dim).
+    images also attend to their own text rows text_emb[r].  Returns ghat
+    (R, dim) and the fused rows (M, n_patches * attn_dim).
     """
     images = [embed_image(key, provider, config) for key in image_keys]
     n_fused = text_emb.shape[0]
-    globals_ = np.stack([image.global_vec for image in images])[:, None, :]
+    globals_ = np.stack([image.global_vec for image in images])
     ghat, g_cache = _project_unit(globals_, params.global_proj)
     patches = np.stack([image.patches for image in images[:n_fused]])
     fused, x_cache = cross_attend_forward(patches, text_emb, params.xattn, config)
-    mm_raw, mm_cache = mlp_forward(fused.reshape(n_fused, 1, -1), params.mm_proj)
-    mhat, mm_norm = rownorm_forward(mm_raw.reshape(n_fused, config.n_mm_tokens, config.dim))
-    cache = {"g": g_cache, "xattn": x_cache, "mm_mlp": mm_cache, "mm_norm": mm_norm}
-    return ghat[:, 0], mhat, cache
+    return ghat, fused.reshape(n_fused, -1), {"g": g_cache, "xattn": x_cache}
+
+
+def add_mm_tokens(
+    items: Sequence[tuple[FeatureSet, dict]], params: EncoderParams, config: EncoderConfig
+) -> tuple[list[FeatureSet], dict]:
+    """The batch-level step: one `mm_proj` over the fused rows of every item
+    encoded with `defer_mm=True`, whose unit outputs are the items' multimodal
+    tokens.
+
+    Each item is its features without those tokens and a cache holding its
+    fused rows "fused" (M, n_patches * attn_dim) and "mm_at" (M,): fused image
+    r's tokens go before row mm_at[r].  Returns the complete feature sets and
+    the cache; item i owns fused rows bounds[i]:bounds[i + 1], and rows[i]
+    are the indices of its tokens in its complete set.
+    """
+    n_mm = config.n_mm_tokens
+    fused = np.concatenate([cache["fused"] for _, cache in items])
+    raw, mlp_cache = mlp_forward(fused, params.mm_proj)
+    mhat, norm_cache = rownorm_forward(raw.reshape(len(fused), n_mm, config.dim))
+    bounds = np.cumsum([0] + [len(cache["fused"]) for _, cache in items])
+    features, rows = [], []
+    for (partial, cache), a, b in zip(items, bounds, bounds[1:]):
+        at = np.repeat(cache["mm_at"], n_mm)
+        tags = [f"multimodal:{r},{j}" for r in range(b - a) for j in range(n_mm)]
+        vectors = np.insert(partial.vectors, at, mhat[a:b].reshape(-1, config.dim), axis=0)
+        provenance = np.insert(np.array(partial.provenance, dtype=object), at, tags)
+        features.append(FeatureSet(vectors, tuple(provenance)))
+        rows.append(at + np.arange(len(at)))  # where np.insert put each token
+    return features, {"mlp": mlp_cache, "norm": norm_cache, "bounds": bounds, "rows": rows}
+
+
+def _complete(
+    partial: FeatureSet, cache: dict, params: EncoderParams, config: EncoderConfig,
+    defer_mm: bool,
+) -> tuple[FeatureSet, dict]:
+    """One item's batch-level step, unless the caller batches it."""
+    if defer_mm:
+        return partial, cache
+    (features,), mm_cache = add_mm_tokens([(partial, cache)], params, config)
+    return features, {**cache, "mm": mm_cache}
 
 
 def encode_query_forward(
@@ -590,7 +675,12 @@ def encode_query_forward(
     config: EncoderConfig,
     provider,
     image_only: bool = False,
+    *,
+    defer_mm: bool = False,
 ) -> tuple[FeatureSet, dict]:
+    """Features and cache of `encode_query`.  defer_mm=True stops after the
+    per-item step: the features lack the fused tokens, which `add_mm_tokens`
+    adds to many items in one product."""
     tokens = tokenize(query.text)
     if not tokens and not image_only:
         raise InputError("query text is empty; only image-only mode allows that")
@@ -598,10 +688,11 @@ def encode_query_forward(
         text_emb = embed_tokens(tokens, provider, config).embeddings
     else:
         text_emb = params.null_text[None, :]  # learned null-text token stands in for absent text
-    ghat, mhat, img_cache = _images_forward(
+    ghat, fused, img_cache = _images_forward(
         [query.image_key], text_emb[None], params, config, provider
     )
 
+    # rows: global, text (unless image-only), then the fused tokens
     rows = [ghat]
     provenance: list[str] = ["global-image:0"]
     text_cache = None
@@ -609,11 +700,10 @@ def encode_query_forward(
         that, text_cache = _project_unit(text_emb, params.text_proj)
         rows.append(that)
         provenance.extend(["textual"] * text_emb.shape[0])
-    rows.append(mhat[0])
-    provenance.extend(f"multimodal:0,{j}" for j in range(config.n_mm_tokens))
-    features = FeatureSet(np.vstack(rows), tuple(provenance))
-    cache = {"images": img_cache, "text_cache": text_cache, "used_null": not tokens}
-    return features, cache
+    partial = FeatureSet(np.vstack(rows), tuple(provenance))
+    cache = {"images": img_cache, "text_cache": text_cache, "used_null": not tokens,
+             "fused": fused, "mm_at": np.array([len(provenance)])}
+    return _complete(partial, cache, params, config, defer_mm)
 
 
 def encode_query(
@@ -639,7 +729,11 @@ def encode_document_forward(
     config: EncoderConfig,
     provider,
     flags: EncoderFlags,
+    *,
+    defer_mm: bool = False,
 ) -> tuple[FeatureSet, dict]:
+    """Features and cache of `encode_document`; defer_mm as in
+    `encode_query_forward`."""
     if not doc.raw.main_image_key:
         raise DocumentError(f"document {doc.doc_id!r} has no main image")
     if not doc.text_tokens:
@@ -655,21 +749,17 @@ def encode_document_forward(
     texts = [apply_ete(text, span, params.ete).embeddings if span else text.embeddings
              for span in spans]
     n_fused = len(images) if flags.mmf else 1  # the main image always gets fused tokens
-    ghat, mhat, img_cache = _images_forward(
+    ghat, fused, img_cache = _images_forward(
         [key for key, _ in images], np.stack(texts[:n_fused]), params, config, provider
     )
 
     # rows: text, then per image its global vector followed by its fused tokens
-    fused_rows = np.concatenate([ghat[:n_fused, None], mhat], axis=1).reshape(-1, config.dim)
-    provenance = ["textual"] * len(doc.text_tokens)
-    for r in range(len(images)):
-        provenance.append(f"global-image:{r}")
-        if r < n_fused:
-            provenance.extend(f"multimodal:{r},{j}" for j in range(config.n_mm_tokens))
-    features = FeatureSet(np.vstack([that, fused_rows, ghat[n_fused:]]), tuple(provenance))
+    n_text = len(doc.text_tokens)
+    provenance = ["textual"] * n_text + [f"global-image:{r}" for r in range(len(images))]
+    partial = FeatureSet(np.vstack([that, ghat]), tuple(provenance))
     cache = {"text_cache": text_cache, "images": img_cache, "spans": spans[:n_fused],
-             "n_text": len(doc.text_tokens)}
-    return features, cache
+             "n_text": n_text, "fused": fused, "mm_at": n_text + 1 + np.arange(n_fused)}
+    return _complete(partial, cache, params, config, defer_mm)
 
 
 def encode_document(
@@ -698,9 +788,25 @@ def encode_corpus(
     provider,
     flags: EncoderFlags = EncoderFlags(),
 ) -> dict[str, FeatureSet]:
+    """Every document's feature set, with `mm_proj` run over chunks of about
+    CORPUS_CHUNK_ROWS fused rows; the bytes equal `encode_document`'s."""
     check_params_finite(params)
     out: dict[str, FeatureSet] = {}
+
+    def finish(chunk: dict[str, tuple[FeatureSet, dict]]) -> None:
+        out.update(zip(chunk, add_mm_tokens(list(chunk.values()), params, config)[0]))
+
+    chunk: dict[str, tuple[FeatureSet, dict]] = {}
+    n_rows = 0
     for doc_id in sorted(kb):
-        features, _ = encode_document_forward(kb[doc_id], params, config, provider, flags)
-        out[doc_id] = features
+        partial, cache = encode_document_forward(kb[doc_id], params, config, provider, flags,
+                                                 defer_mm=True)
+        # keep what add_mm_tokens reads, not the backward's activations
+        chunk[doc_id] = (partial, {"fused": cache["fused"], "mm_at": cache["mm_at"]})
+        n_rows += len(cache["fused"])
+        if n_rows >= CORPUS_CHUNK_ROWS:
+            finish(chunk)
+            chunk, n_rows = {}, 0
+    if chunk:
+        finish(chunk)
     return out

@@ -182,6 +182,8 @@ def build_index(
         raise InputError("cannot index an empty corpus")
     if nbits not in (0, 8):
         raise ConfigError(f"nbits must be 0 (lossless) or 8, got {nbits}")
+    if kmeans_iters < 0:
+        raise ConfigError(f"kmeans_iters must be >= 0, got {kmeans_iters}")
     doc_ids = sorted(corpus)
     dims = {corpus[d].dim for d in doc_ids}
     if len(dims) != 1:

@@ -16,6 +16,7 @@ leak filter; only the question template and the pictured entity differ.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -93,8 +94,8 @@ class SynthConfig:
             raise ConfigError("n_docs must be >= 2")
         if not 0.0 <= self.fraction_shortcut <= 1.0:
             raise ConfigError("fraction_shortcut must lie in [0, 1]")
-        if self.entities_per_doc < 1.0:
-            raise ConfigError("entities_per_doc must be >= 1")
+        if not (math.isfinite(self.entities_per_doc) and self.entities_per_doc >= 1.0):
+            raise ConfigError("entities_per_doc must be finite and >= 1")
         if not 1 <= self.typemap_size <= len(TYPE_NOUNS):
             raise ConfigError(f"typemap_size must lie in [1, {len(TYPE_NOUNS)}]")
         if self.samples_per_doc < 1:

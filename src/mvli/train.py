@@ -24,6 +24,7 @@ from .encoder import (
     EncoderParams,
     MlpParams,
     QueryInput,
+    add_mm_tokens,
     check_params_finite,
     encode_document_forward,
     encode_query_forward,
@@ -32,6 +33,8 @@ from .encoder import (
     named_tensors,
     params_checksum,
     split_heads,
+    stack_rows,
+    tile_matmul,
     zero_grads,
 )
 
@@ -116,14 +119,14 @@ def _flat(a: np.ndarray) -> np.ndarray:
 
 
 def _mlp_backward(dy: np.ndarray, cache: dict, p: MlpParams, grads: dict, prefix: str):
-    x, pre, act = _flat(cache["x"]), _flat(cache["pre"]), _flat(cache["act"])
-    dy = _flat(dy)
+    x, pre, act = cache["x"], cache["pre"], cache["act"]
     grads[prefix + ".w2"] += act.T @ dy
     grads[prefix + ".b2"] += dy.sum(axis=0)
-    dpre = (dy @ p.w2.T) * gelu_grad(pre)
+    dpre = tile_matmul(dy, p.w2.T)
+    dpre *= gelu_grad(pre)
     grads[prefix + ".w1"] += x.T @ dpre
     grads[prefix + ".b1"] += dpre.sum(axis=0)
-    return (dpre @ p.w1.T).reshape(cache["x"].shape)
+    return tile_matmul(dpre, p.w1.T)
 
 
 def _rownorm_backward(dy: np.ndarray, cache: dict) -> np.ndarray:
@@ -136,18 +139,29 @@ def _project_unit_backward(dy, cache, p: MlpParams, grads, prefix) -> np.ndarray
     return _mlp_backward(draw, cache["mlp"], p, grads, prefix)
 
 
+def _fold_rows(d: np.ndarray, fresh: np.ndarray) -> np.ndarray:
+    """Transpose of `encoder.stack_rows`: the gradient of each stacked text row
+    summed into the distinct row it was copied from."""
+    d = d.reshape(-1, *d.shape[-2:])
+    shared = d[0] + np.where(fresh[..., None], 0.0, d[1:]).sum(axis=0)
+    return np.concatenate([shared, d[1:][fresh]])
+
+
 def _cross_attend_backward(
-    dh2: np.ndarray, cache: dict, p: AttnParams, config: EncoderConfig, grads: dict
+    dh2: np.ndarray, cache: dict, p: AttnParams, config: EncoderConfig, grads: dict,
+    at: tuple[np.ndarray, np.ndarray],
 ) -> np.ndarray:
-    """Returns the gradient w.r.t. the text embeddings fed as keys/values.
+    """Returns d loss / d text_emb summed over the (image, row) positions `at`.
 
     Position-wise products run on the stack folded into rows; attention
-    keeps the stack's leading axes.
+    keeps the stack's leading axes.  Keys and values are restacked from the
+    distinct text rows, and their weight gradients folded back onto them.
     """
     h1, ff_pre, ff_act = _flat(cache["h1"]), _flat(cache["ff_pre"]), _flat(cache["ff_act"])
-    weights, qh, kh, vh = cache["weights"], cache["qh"], cache["kh"], cache["vh"]
-    patches, text_emb = _flat(cache["patches"]), _flat(cache["text_emb"])
-    scale = cache["scale"]
+    weights, qh, fresh, scale = cache["weights"], cache["qh"], cache["fresh"], cache["scale"]
+    text_shape = (*cache["x"].shape[:-2], fresh.shape[-1])
+    kh = split_heads(stack_rows(cache["k_rows"], fresh, text_shape), config.n_heads)
+    vh = split_heads(stack_rows(cache["v_rows"], fresh, text_shape), config.n_heads)
 
     # feed-forward sublayer with residual
     dh2 = _flat(dh2)
@@ -163,64 +177,80 @@ def _cross_attend_backward(
     grads["xattn.bo"] += dh1.sum(axis=0)
     dheads = split_heads((dh1 @ p.wo.T).reshape(cache["x"].shape), config.n_heads)
 
-    dweights = np.einsum("...hqd,...hkd->...hqk", dheads, vh)
-    dvh = np.einsum("...hqk,...hqd->...hkd", weights, dheads)
+    dweights = dheads @ vh.swapaxes(-1, -2)
+    dvh = weights.swapaxes(-1, -2) @ dheads
     dlogits = weights * (dweights - (dweights * weights).sum(axis=-1, keepdims=True))
-    dqh = np.einsum("...hqk,...hkd->...hqd", dlogits, kh) * scale
-    dkh = np.einsum("...hqk,...hqd->...hkd", dlogits, qh) * scale
+    dqh = (dlogits @ kh) * scale
+    dkh = (dlogits.swapaxes(-1, -2) @ qh) * scale
 
     dx = dh1 + _flat(merge_heads(dqh))  # residual path plus query-projection path
-    dk = _flat(merge_heads(dkh))
-    dv = _flat(merge_heads(dvh))
+    dk = merge_heads(dkh).reshape(-1, *text_shape[-1:], config.attn_dim)
+    dv = merge_heads(dvh).reshape(dk.shape)
 
-    grads["xattn.wq"] += patches.T @ dx
+    grads["xattn.wq"] += _flat(cache["patches"]).T @ dx
     grads["xattn.bq"] += dx.sum(axis=0)
-    grads["xattn.wk"] += text_emb.T @ dk
-    grads["xattn.bk"] += dk.sum(axis=0)
-    grads["xattn.wv"] += text_emb.T @ dv
-    grads["xattn.bv"] += dv.sum(axis=0)
-    return (dk @ p.wk.T + dv @ p.wv.T).reshape(cache["text_emb"].shape)
+    for name, d in (("wk", dk), ("wv", dv)):
+        d_rows = _fold_rows(d, fresh)
+        grads[f"xattn.{name}"] += cache["rows"].T @ d_rows
+        grads[f"xattn.b{name[1]}"] += d_rows.sum(axis=0)
+    return dk[at].sum(axis=0) @ p.wk.T + dv[at].sum(axis=0) @ p.wv.T
 
 
 def _images_backward(
-    dghat: np.ndarray, dmhat: np.ndarray, cache: dict, params: EncoderParams,
-    config: EncoderConfig, grads: dict,
+    dghat: np.ndarray, dfused: np.ndarray, cache: dict, params: EncoderParams,
+    config: EncoderConfig, grads: dict, at: tuple[np.ndarray, np.ndarray],
 ) -> np.ndarray:
-    """Mirror of `encoder._images_forward`: dghat (R, dim), dmhat (M, n_mm_tokens,
-    dim) -> d loss / d text rows of the M fused images, (M, N_t, text_dim)."""
-    _project_unit_backward(dghat[:, None], cache["g"], params.global_proj, grads, "global_proj")
-    n_fused = dmhat.shape[0]
-    draw = _rownorm_backward(dmhat, cache["mm_norm"])
-    dflat = _mlp_backward(draw.reshape(n_fused, 1, -1), cache["mm_mlp"], params.mm_proj,
-                          grads, "mm_proj")
-    dfused = dflat.reshape(n_fused, config.n_patches, config.attn_dim)
-    return _cross_attend_backward(dfused, cache["xattn"], params.xattn, config, grads)
+    """Mirror of `encoder._images_forward`: dghat (R, dim), dfused (M, n_patches
+    * attn_dim) -> d loss / d text rows of the M fused images, summed over the
+    (image, row) positions `at`."""
+    _project_unit_backward(dghat, cache["g"], params.global_proj, grads, "global_proj")
+    dfused = dfused.reshape(len(dfused), config.n_patches, config.attn_dim)
+    return _cross_attend_backward(dfused, cache["xattn"], params.xattn, config, grads, at)
+
+
+def _mm_tokens_backward(
+    drows: Sequence[np.ndarray], cache: dict, params: EncoderParams, config: EncoderConfig,
+    grads: dict,
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Mirror of `encoder.add_mm_tokens`: per item, the gradient of its rows
+    without the fused tokens and d loss / d its fused rows."""
+    rows, bounds = cache["rows"], cache["bounds"]
+    dmhat = np.concatenate([d[r] for d, r in zip(drows, rows)])
+    draw = _rownorm_backward(dmhat.reshape(-1, config.n_mm_tokens, config.dim), cache["norm"])
+    dfused = _mlp_backward(draw.reshape(len(draw), -1), cache["mlp"], params.mm_proj, grads,
+                           "mm_proj")
+    return [(np.delete(d, r, axis=0), dfused[a:b])
+            for d, r, a, b in zip(drows, rows, bounds, bounds[1:])]
 
 
 def _query_backward(
-    dq: np.ndarray, cache: dict, params: EncoderParams, config: EncoderConfig, grads: dict
+    dq: np.ndarray, dfused: np.ndarray, cache: dict, params: EncoderParams,
+    config: EncoderConfig, grads: dict,
 ):
-    n_mm = config.n_mm_tokens  # rows: global, text (unless image-only), fused tokens
+    """dq: rows global, then text unless image-only; the fused tokens' part is
+    dfused."""
     if cache["text_cache"] is not None:
-        _project_unit_backward(dq[1:-n_mm], cache["text_cache"], params.text_proj, grads,
+        _project_unit_backward(dq[1:], cache["text_cache"], params.text_proj, grads,
                                "text_proj")
-    dtext = _images_backward(dq[:1], dq[None, -n_mm:], cache["images"], params, config, grads)
+    at = (np.zeros(int(cache["used_null"]), dtype=int),) * 2  # the null-text row, if used
+    dtext = _images_backward(dq[:1], dfused, cache["images"], params, config, grads, at)
     if cache["used_null"]:
-        grads["null_text"] += dtext.sum(axis=(0, 1))
+        grads["null_text"] += dtext
 
 
 def _document_backward(
-    dd: np.ndarray, cache: dict, params: EncoderParams, config: EncoderConfig, grads: dict
+    dd: np.ndarray, dfused: np.ndarray, cache: dict, params: EncoderParams,
+    config: EncoderConfig, grads: dict,
 ):
-    n_text, spans = cache["n_text"], cache["spans"]
+    """dd: rows text, then every image's global; the fused tokens' part is
+    dfused."""
+    n_text = cache["n_text"]
     _project_unit_backward(dd[:n_text], cache["text_cache"], params.text_proj, grads, "text_proj")
-    end = n_text + len(spans) * (1 + config.n_mm_tokens)
-    fused = dd[n_text:end].reshape(len(spans), 1 + config.n_mm_tokens, -1)
-    dghat = np.concatenate([fused[:, 0], dd[end:]])
-    dtext = _images_backward(dghat, fused[:, 1:], cache["images"], params, config, grads)
-    for r, span in enumerate(spans):
-        if span:
-            grads["ete"] += dtext[r, np.unique(span)].sum(axis=0)
+    pairs = [(r, s) for r, span in enumerate(cache["spans"]) for s in sorted(set(span))]
+    at = tuple(np.array(pairs, dtype=int).reshape(-1, 2).T)  # the ETE-shifted text rows
+    dtext = _images_backward(dd[n_text:], dfused, cache["images"], params, config, grads, at)
+    if pairs:
+        grads["ete"] += dtext
 
 
 def loss_and_grads(
@@ -233,21 +263,19 @@ def loss_and_grads(
     image_only: bool = False,
 ) -> tuple[float, dict[str, np.ndarray]]:
     """Contrastive loss over aligned (query, positive document) pairs and the
-    gradient for every trainable tensor."""
+    gradient for every trainable tensor.  `mm_proj` runs once forward and
+    once backward over the fused rows of the whole batch."""
     if len(queries) != len(docs):
         raise ConfigError("queries and documents must be aligned")
     if len(queries) < 2:
         raise ConfigError("batch size must be >= 2")
-    q_feats, q_caches = [], []
-    for q in queries:
-        feats, cache = encode_query_forward(q, params, config, provider, image_only)
-        q_feats.append(feats)
-        q_caches.append(cache)
-    d_feats, d_caches = [], []
-    for d in docs:
-        feats, cache = encode_document_forward(d, params, config, provider, flags)
-        d_feats.append(feats)
-        d_caches.append(cache)
+    q_items = [encode_query_forward(q, params, config, provider, image_only, defer_mm=True)
+               for q in queries]
+    d_items = [encode_document_forward(d, params, config, provider, flags, defer_mm=True)
+               for d in docs]
+    b = len(queries)
+    features, mm_cache = add_mm_tokens(q_items + d_items, params, config)
+    q_feats, d_feats = features[:b], features[b:]
 
     scores, argmax = score_matrix(q_feats, d_feats)
     loss, dscores = softmax_cross_entropy(scores)
@@ -255,7 +283,6 @@ def loss_and_grads(
     grads = zero_grads(params)
     dq_rows = [np.zeros_like(f.vectors) for f in q_feats]
     dd_rows = [np.zeros_like(f.vectors) for f in d_feats]
-    b = len(queries)
     for i in range(b):
         qv = q_feats[i].vectors
         for j in range(b):
@@ -265,10 +292,11 @@ def loss_and_grads(
             best = argmax[i][j]
             dq_rows[i] += w * d_feats[j].vectors[best]
             np.add.at(dd_rows[j], best, w * qv)
-    for i in range(b):
-        _query_backward(dq_rows[i], q_caches[i], params, config, grads)
-    for j in range(b):
-        _document_backward(dd_rows[j], d_caches[j], params, config, grads)
+    split = _mm_tokens_backward(dq_rows + dd_rows, mm_cache, params, config, grads)
+    for (dq, dfused), (_, cache) in zip(split[:b], q_items):
+        _query_backward(dq, dfused, cache, params, config, grads)
+    for (dd, dfused), (_, cache) in zip(split[b:], d_items):
+        _document_backward(dd, dfused, cache, params, config, grads)
 
     for name, g in grads.items():
         if not np.all(np.isfinite(g)):

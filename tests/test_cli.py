@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from mvli.cli import build_parser, main
+from mvli.encoder import EncoderConfig, init_encoder_params, save_params
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -174,6 +175,25 @@ class TestExitCodes:
                        "--typemap", str(out / "typemap.json"), "--out", str(dg_out),
                        "--samples-per-doc", "0") == 2
         assert not dg_out.exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_entities_per_doc_is_config_error(self, tmp_path, value):
+        out = tmp_path / "w"
+        assert run_cli("--set", f"synth.entities_per_doc={value}", "--set", "synth.n_docs=20",
+                       "synth", "--out-dir", str(out)) == 2
+        assert not (out / "train.jsonl").exists()
+
+    def test_negative_kmeans_iters_is_config_error(self, workdir, tmp_path):
+        root, cfg, out = workdir
+        params = tmp_path / "p.mprm"
+        config = EncoderConfig(dim=8, text_dim=12, image_dim=12, n_patches=2,
+                               n_heads=2, attn_dim=8, n_mm_tokens=2)
+        save_params(init_encoder_params(config, seed=0), config, params)
+        index = tmp_path / "kb.mvli"
+        assert run_cli("--config", str(cfg), "--set", "index.kmeans_iters=-5", "index",
+                       "--kb", str(out / "kb.jsonl"), "--params", str(params),
+                       "--out", str(index)) == 2
+        assert not index.exists()
 
     def test_config_without_section_is_config_error(self, tmp_path):
         cfg = tmp_path / "run.ini"

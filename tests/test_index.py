@@ -76,6 +76,12 @@ class TestBuild:
         with pytest.raises(ConfigError):
             build_index(corpus, k_centroids=n_vec + 1)
 
+    def test_negative_kmeans_iters_rejected(self):
+        corpus = make_corpus(n_docs=5)
+        with pytest.raises(ConfigError, match="kmeans_iters"):
+            build_index(corpus, kmeans_iters=-5)
+        build_index(corpus, kmeans_iters=0)  # zero iterations stay allowed
+
     def test_default_centroid_count(self):
         assert default_k_centroids(2500) == 100
         assert default_k_centroids(1) == 2

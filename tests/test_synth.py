@@ -81,6 +81,11 @@ class TestGenerateKb:
         with pytest.raises(ConfigError):
             SynthConfig(entities_per_doc=0.2)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_entities_per_doc_is_config_error(self, value):
+        with pytest.raises(ConfigError, match="entities_per_doc"):
+            SynthConfig(entities_per_doc=value)
+
     @pytest.mark.parametrize("knob", ["n_train", "n_test_seen", "n_test_unseen"])
     def test_negative_split_size_is_config_error(self, knob):
         with pytest.raises(ConfigError, match=knob):
