@@ -80,7 +80,7 @@ from .datagen import (
     paraphrase,
     split_seen_unseen,
 )
-from .train import TrainConfig, TrainStats, contrastive_loss, grad_params, train
+from .train import TrainConfig, TrainStats, contrastive_loss, train
 from .evaluation import (
     EvalReport,
     build_distractor_map,

@@ -590,83 +590,99 @@ def cross_attend(
 # Feature-set assembly.
 #
 # Encoding runs in two steps.  The per-item step embeds one query or one
-# document and runs what depends on it alone: the text and global projections
-# and cross-attention, which leave one fused row (n_patches * attn_dim wide)
-# per image that gets fused tokens.  The batch-level step, `add_mm_tokens`,
-# runs `mm_proj` over the fused rows of any number of items in one tiled
-# product and inserts each item's multimodal tokens.  Tiles keep each row's
-# bits whatever the batch, so a document encodes to the same bytes alone, in
-# a corpus chunk or in a training batch.
+# document and runs cross-attention, the one part that mixes its text with
+# its images.  It returns the item's unprojected source rows: text embeddings
+# (none for an image-only query), image globals and fused rows (n_patches *
+# attn_dim wide, one per image that gets fused tokens), with `order`, the
+# source row of each feature row.  Sources count text rows first, then
+# globals, then fused tokens, n_mm_tokens per fused row.  The batch step,
+# `project_batch`, runs `text_proj`, `global_proj` and `mm_proj` once each
+# over the source rows of any number of items and gathers each item's unit
+# vectors and provenance tags by its `order`.  Tiles keep each row's bits
+# whatever the batch, so a document encodes to the same bytes alone, in a
+# corpus chunk or in a training batch.
 # ---------------------------------------------------------------------------
 
-# Fused rows per `mm_proj` product in `encode_corpus`: many tiles per product,
-# a few MB of activations per chunk.
+# Fused rows per batch step in `encode_corpus`: many tiles per `mm_proj`
+# product, a few MB of activations per chunk.
 CORPUS_CHUNK_ROWS = 256
 
+# Each kind of source row and the projection it runs through, in source order.
+SOURCES = (("text", "text_proj"), ("globals", "global_proj"), ("fused", "mm_proj"))
 
-def _project_unit(rows: np.ndarray, p: MlpParams) -> tuple[np.ndarray, dict]:
+
+def _project_unit(rows: np.ndarray, p: MlpParams, dim: int) -> tuple[np.ndarray, dict]:
+    """rows (n, d_in) -> unit vectors (n * d_out // dim, dim): every output row
+    split into dim-wide vectors, each normalized."""
     raw, mlp_cache = mlp_forward(rows, p)
-    unit, norm_cache = rownorm_forward(raw)
+    unit, norm_cache = rownorm_forward(raw.reshape(-1, dim))
     return unit, {"mlp": mlp_cache, "norm": norm_cache}
 
 
-def _images_forward(
-    image_keys: Sequence[str], text_emb: np.ndarray, params: EncoderParams,
+def _item(
+    text_rows: np.ndarray, image_keys: Sequence[str], texts: np.ndarray, order: np.ndarray,
+    at: tuple[np.ndarray, np.ndarray], target: str, params: EncoderParams,
     config: EncoderConfig, provider,
-) -> tuple[np.ndarray, np.ndarray, dict]:
-    """Per-item step for the R images of one query or one document.
+) -> dict:
+    """The per-item step: the source rows of one query or one document.
 
-    Every image gets a projected global vector; the first M = len(text_emb)
-    images also attend to their own text rows text_emb[r].  Returns ghat
-    (R, dim) and the fused rows (M, n_patches * attn_dim).
+    Every image gives its global vector; the first M = len(texts) images also
+    attend to their own text rows texts[r], in one cross-attention call.  The
+    gradient of texts at the (image, row) positions `at` goes to the tensor
+    named `target`.
     """
     images = [embed_image(key, provider, config) for key in image_keys]
-    n_fused = text_emb.shape[0]
-    globals_ = np.stack([image.global_vec for image in images])
-    ghat, g_cache = _project_unit(globals_, params.global_proj)
-    patches = np.stack([image.patches for image in images[:n_fused]])
-    fused, x_cache = cross_attend_forward(patches, text_emb, params.xattn, config)
-    return ghat, fused.reshape(n_fused, -1), {"g": g_cache, "xattn": x_cache}
+    patches = np.stack([image.patches for image in images[:len(texts)]])
+    fused, x_cache = cross_attend_forward(patches, texts, params.xattn, config)
+    return {"text": text_rows, "globals": np.stack([image.global_vec for image in images]),
+            "fused": fused.reshape(len(texts), -1), "order": order,
+            "xattn": x_cache, "at": at, "target": target}
 
 
-def add_mm_tokens(
-    items: Sequence[tuple[FeatureSet, dict]], params: EncoderParams, config: EncoderConfig
+def project_batch(
+    items: Sequence[dict], params: EncoderParams, config: EncoderConfig
 ) -> tuple[list[FeatureSet], dict]:
-    """The batch-level step: one `mm_proj` over the fused rows of every item
-    encoded with `defer_mm=True`, whose unit outputs are the items' multimodal
-    tokens.
+    """The batch step: one `text_proj`, one `global_proj` and one `mm_proj`
+    call over the source rows of every item, each item's features gathered
+    from the stacked unit outputs by its `order`.
 
-    Each item is its features without those tokens and a cache holding its
-    fused rows "fused" (M, n_patches * attn_dim) and "mm_at" (M,): fused image
-    r's tokens go before row mm_at[r].  Returns the complete feature sets and
-    the cache; item i owns fused rows bounds[i]:bounds[i + 1], and rows[i]
-    are the indices of its tokens in its complete set.
+    Returns the feature sets and the cache: each projection's activations
+    under its source name, the items, "index", the stacked unit rows each
+    item's features took, and "bounds", where each source kind starts and
+    ends in the stack.
     """
     n_mm = config.n_mm_tokens
-    fused = np.concatenate([cache["fused"] for _, cache in items])
-    raw, mlp_cache = mlp_forward(fused, params.mm_proj)
-    mhat, norm_cache = rownorm_forward(raw.reshape(len(fused), n_mm, config.dim))
-    bounds = np.cumsum([0] + [len(cache["fused"]) for _, cache in items])
-    features, rows = [], []
-    for (partial, cache), a, b in zip(items, bounds, bounds[1:]):
-        at = np.repeat(cache["mm_at"], n_mm)
-        tags = [f"multimodal:{r},{j}" for r in range(b - a) for j in range(n_mm)]
-        vectors = np.insert(partial.vectors, at, mhat[a:b].reshape(-1, config.dim), axis=0)
-        provenance = np.insert(np.array(partial.provenance, dtype=object), at, tags)
-        features.append(FeatureSet(vectors, tuple(provenance)))
-        rows.append(at + np.arange(len(at)))  # where np.insert put each token
-    return features, {"mlp": mlp_cache, "norm": norm_cache, "bounds": bounds, "rows": rows}
+    cache: dict = {"items": items}
+    units = []
+    for key, name in SOURCES:
+        rows = np.concatenate([item[key] for item in items])
+        unit, cache[key] = _project_unit(rows, getattr(params, name), config.dim)
+        units.append(unit)
+    stacked = np.concatenate(units)
+    # units per (source kind, item), and where each block starts in the stack
+    sizes = np.array([[len(item[key]) for item in items] for key, _ in SOURCES])
+    sizes[2] *= n_mm
+    starts = (np.cumsum(sizes) - sizes.ravel()).reshape(sizes.shape)
+    cache["bounds"] = np.cumsum([0, *sizes.sum(axis=1)])
+    features, cache["index"] = [], []
+    for item, first, size in zip(items, starts.T, sizes.T):
+        order = item["order"]
+        index = np.concatenate([np.arange(a, a + n) for a, n in zip(first, size)])[order]
+        tags = (["textual"] * len(item["text"])
+                + [f"global-image:{r}" for r in range(len(item["globals"]))]
+                + [f"multimodal:{r},{j}" for r in range(len(item["fused"]))
+                   for j in range(n_mm)])
+        features.append(FeatureSet(stacked[index], tuple(tags[k] for k in order.tolist())))
+        cache["index"].append(index)
+    return features, cache
 
 
-def _complete(
-    partial: FeatureSet, cache: dict, params: EncoderParams, config: EncoderConfig,
-    defer_mm: bool,
-) -> tuple[FeatureSet, dict]:
-    """One item's batch-level step, unless the caller batches it."""
-    if defer_mm:
-        return partial, cache
-    (features,), mm_cache = add_mm_tokens([(partial, cache)], params, config)
-    return features, {**cache, "mm": mm_cache}
+def _complete(item: dict, params: EncoderParams, config: EncoderConfig, defer_batch: bool):
+    """One item's batch step, unless the caller batches it."""
+    if defer_batch:
+        return item
+    (features,), cache = project_batch([item], params, config)
+    return features, cache
 
 
 def encode_query_forward(
@@ -676,11 +692,11 @@ def encode_query_forward(
     provider,
     image_only: bool = False,
     *,
-    defer_mm: bool = False,
-) -> tuple[FeatureSet, dict]:
-    """Features and cache of `encode_query`.  defer_mm=True stops after the
-    per-item step: the features lack the fused tokens, which `add_mm_tokens`
-    adds to many items in one product."""
+    defer_batch: bool = False,
+):
+    """Features and cache of `encode_query`.  defer_batch=True returns the
+    per-item step's source rows instead, for `project_batch` to project with
+    those of other items."""
     tokens = tokenize(query.text)
     if not tokens and not image_only:
         raise InputError("query text is empty; only image-only mode allows that")
@@ -688,22 +704,15 @@ def encode_query_forward(
         text_emb = embed_tokens(tokens, provider, config).embeddings
     else:
         text_emb = params.null_text[None, :]  # learned null-text token stands in for absent text
-    ghat, fused, img_cache = _images_forward(
-        [query.image_key], text_emb[None], params, config, provider
-    )
-
+    text_rows = text_emb[:0] if image_only else text_emb
     # rows: global, text (unless image-only), then the fused tokens
-    rows = [ghat]
-    provenance: list[str] = ["global-image:0"]
-    text_cache = None
-    if not image_only:
-        that, text_cache = _project_unit(text_emb, params.text_proj)
-        rows.append(that)
-        provenance.extend(["textual"] * text_emb.shape[0])
-    partial = FeatureSet(np.vstack(rows), tuple(provenance))
-    cache = {"images": img_cache, "text_cache": text_cache, "used_null": not tokens,
-             "fused": fused, "mm_at": np.array([len(provenance)])}
-    return _complete(partial, cache, params, config, defer_mm)
+    n_text = len(text_rows)
+    order = np.concatenate([[n_text], np.arange(n_text),
+                            n_text + 1 + np.arange(config.n_mm_tokens)])
+    at = (np.zeros(int(not tokens), dtype=int),) * 2  # the null-text row, if used
+    item = _item(text_rows, [query.image_key], text_emb[None], order, at, "null_text",
+                 params, config, provider)
+    return _complete(item, params, config, defer_batch)
 
 
 def encode_query(
@@ -718,7 +727,6 @@ def encode_query(
     Standard mode yields 1 + N_t + n_mm_tokens members; image-only mode drops
     the projected text tokens (they still drive cross-attention keys/values).
     """
-    check_params_finite(params)
     features, _ = encode_query_forward(query, params, config, provider, image_only)
     return features
 
@@ -730,16 +738,15 @@ def encode_document_forward(
     provider,
     flags: EncoderFlags,
     *,
-    defer_mm: bool = False,
-) -> tuple[FeatureSet, dict]:
-    """Features and cache of `encode_document`; defer_mm as in
+    defer_batch: bool = False,
+):
+    """Features and cache of `encode_document`; defer_batch as in
     `encode_query_forward`."""
     if not doc.raw.main_image_key:
         raise DocumentError(f"document {doc.doc_id!r} has no main image")
     if not doc.text_tokens:
         raise InputError(f"document {doc.doc_id!r} has an empty body")
     text = embed_tokens(doc.text_tokens, provider, config)
-    that, text_cache = _project_unit(text.embeddings, params.text_proj)
 
     images: list[tuple[str, tuple[int, ...]]] = [(doc.raw.main_image_key, ())]
     if flags.mi:
@@ -749,17 +756,19 @@ def encode_document_forward(
     texts = [apply_ete(text, span, params.ete).embeddings if span else text.embeddings
              for span in spans]
     n_fused = len(images) if flags.mmf else 1  # the main image always gets fused tokens
-    ghat, fused, img_cache = _images_forward(
-        [key for key, _ in images], np.stack(texts[:n_fused]), params, config, provider
-    )
 
     # rows: text, then per image its global vector followed by its fused tokens
-    n_text = len(doc.text_tokens)
-    provenance = ["textual"] * n_text + [f"global-image:{r}" for r in range(len(images))]
-    partial = FeatureSet(np.vstack([that, ghat]), tuple(provenance))
-    cache = {"text_cache": text_cache, "images": img_cache, "spans": spans[:n_fused],
-             "n_text": n_text, "fused": fused, "mm_at": n_text + 1 + np.arange(n_fused)}
-    return _complete(partial, cache, params, config, defer_mm)
+    n_text, n_mm = len(doc.text_tokens), config.n_mm_tokens
+    blocks = [np.arange(n_text)]
+    for r in range(len(images)):
+        blocks.append([n_text + r])
+        if r < n_fused:
+            blocks.append(n_text + len(images) + r * n_mm + np.arange(n_mm))
+    pairs = [(r, s) for r, span in enumerate(spans[:n_fused]) for s in sorted(set(span))]
+    at = tuple(np.array(pairs, dtype=int).reshape(-1, 2).T)  # the ETE-shifted text rows
+    item = _item(text.embeddings, [key for key, _ in images], np.stack(texts[:n_fused]),
+                 np.concatenate(blocks), at, "ete", params, config, provider)
+    return _complete(item, params, config, defer_batch)
 
 
 def encode_document(
@@ -776,7 +785,6 @@ def encode_document(
     image, so each related image contributes just its projected global
     feature; ete off (or a zero embedding) leaves the text unperturbed.
     """
-    check_params_finite(params)
     features, _ = encode_document_forward(doc, params, config, provider, flags)
     return features
 
@@ -788,22 +796,22 @@ def encode_corpus(
     provider,
     flags: EncoderFlags = EncoderFlags(),
 ) -> dict[str, FeatureSet]:
-    """Every document's feature set, with `mm_proj` run over chunks of about
-    CORPUS_CHUNK_ROWS fused rows; the bytes equal `encode_document`'s."""
+    """Every document's feature set, with the batch step run over chunks of
+    about CORPUS_CHUNK_ROWS fused rows; the bytes equal `encode_document`'s."""
     check_params_finite(params)
     out: dict[str, FeatureSet] = {}
 
-    def finish(chunk: dict[str, tuple[FeatureSet, dict]]) -> None:
-        out.update(zip(chunk, add_mm_tokens(list(chunk.values()), params, config)[0]))
+    def finish(chunk: dict[str, dict]) -> None:
+        out.update(zip(chunk, project_batch(list(chunk.values()), params, config)[0]))
 
-    chunk: dict[str, tuple[FeatureSet, dict]] = {}
+    chunk: dict[str, dict] = {}
     n_rows = 0
     for doc_id in sorted(kb):
-        partial, cache = encode_document_forward(kb[doc_id], params, config, provider, flags,
-                                                 defer_mm=True)
-        # keep what add_mm_tokens reads, not the backward's activations
-        chunk[doc_id] = (partial, {"fused": cache["fused"], "mm_at": cache["mm_at"]})
-        n_rows += len(cache["fused"])
+        item = encode_document_forward(kb[doc_id], params, config, provider, flags,
+                                       defer_batch=True)
+        del item["xattn"]  # the backward's activations
+        chunk[doc_id] = item
+        n_rows += len(item["fused"])
         if n_rows >= CORPUS_CHUNK_ROWS:
             finish(chunk)
             chunk, n_rows = {}, 0

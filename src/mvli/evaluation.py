@@ -15,8 +15,17 @@ from typing import Mapping, Sequence
 from .augment import AugmentedDocument, RawDocument, entity_from_image_key
 from .core import ConfigError, DataError, InputError
 from .datagen import QaSample
-from .encoder import EncoderConfig, EncoderFlags, EncoderParams, encode_corpus, encode_query
-from .encoder import QueryInput, SeededEmbeddingProvider, init_encoder_params
+from .encoder import (
+    EncoderConfig,
+    EncoderFlags,
+    EncoderParams,
+    QueryInput,
+    SeededEmbeddingProvider,
+    check_params_finite,
+    encode_corpus,
+    encode_query,
+    init_encoder_params,
+)
 from .index import RetrievalIndex, SearchParams, search
 from .scoring import rank_exact
 from .train import TrainConfig, train
@@ -135,6 +144,7 @@ def rank_samples(
     depth: int = 10,
 ) -> dict[str, list[str]]:
     """One ranking pass per sample, reused by every downstream metric."""
+    check_params_finite(params)  # once here, not once per encoded query
     rankings: dict[str, list[str]] = {}
     for sample in samples:
         query = encode_query(

@@ -18,13 +18,13 @@ import numpy as np
 from .augment import AugmentedDocument
 from .core import ConfigError, DataError, FeatureSet, NumericError, Rng
 from .encoder import (
+    SOURCES,
     AttnParams,
     EncoderConfig,
     EncoderFlags,
     EncoderParams,
     MlpParams,
     QueryInput,
-    add_mm_tokens,
     check_params_finite,
     encode_document_forward,
     encode_query_forward,
@@ -32,6 +32,7 @@ from .encoder import (
     merge_heads,
     named_tensors,
     params_checksum,
+    project_batch,
     split_heads,
     stack_rows,
     tile_matmul,
@@ -135,7 +136,8 @@ def _rownorm_backward(dy: np.ndarray, cache: dict) -> np.ndarray:
 
 
 def _project_unit_backward(dy, cache, p: MlpParams, grads, prefix) -> np.ndarray:
-    draw = _rownorm_backward(dy, cache["norm"])
+    """Mirror of `encoder._project_unit`: d loss / d its input rows."""
+    draw = _rownorm_backward(dy, cache["norm"]).reshape(len(cache["mlp"]["x"]), -1)
     return _mlp_backward(draw, cache["mlp"], p, grads, prefix)
 
 
@@ -196,61 +198,23 @@ def _cross_attend_backward(
     return dk[at].sum(axis=0) @ p.wk.T + dv[at].sum(axis=0) @ p.wv.T
 
 
-def _images_backward(
-    dghat: np.ndarray, dfused: np.ndarray, cache: dict, params: EncoderParams,
-    config: EncoderConfig, grads: dict, at: tuple[np.ndarray, np.ndarray],
-) -> np.ndarray:
-    """Mirror of `encoder._images_forward`: dghat (R, dim), dfused (M, n_patches
-    * attn_dim) -> d loss / d text rows of the M fused images, summed over the
-    (image, row) positions `at`."""
-    _project_unit_backward(dghat, cache["g"], params.global_proj, grads, "global_proj")
-    dfused = dfused.reshape(len(dfused), config.n_patches, config.attn_dim)
-    return _cross_attend_backward(dfused, cache["xattn"], params.xattn, config, grads, at)
-
-
-def _mm_tokens_backward(
+def _batch_backward(
     drows: Sequence[np.ndarray], cache: dict, params: EncoderParams, config: EncoderConfig,
     grads: dict,
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Mirror of `encoder.add_mm_tokens`: per item, the gradient of its rows
-    without the fused tokens and d loss / d its fused rows."""
-    rows, bounds = cache["rows"], cache["bounds"]
-    dmhat = np.concatenate([d[r] for d, r in zip(drows, rows)])
-    draw = _rownorm_backward(dmhat.reshape(-1, config.n_mm_tokens, config.dim), cache["norm"])
-    dfused = _mlp_backward(draw.reshape(len(draw), -1), cache["mlp"], params.mm_proj, grads,
-                           "mm_proj")
-    return [(np.delete(d, r, axis=0), dfused[a:b])
-            for d, r, a, b in zip(drows, rows, bounds, bounds[1:])]
-
-
-def _query_backward(
-    dq: np.ndarray, dfused: np.ndarray, cache: dict, params: EncoderParams,
-    config: EncoderConfig, grads: dict,
-):
-    """dq: rows global, then text unless image-only; the fused tokens' part is
-    dfused."""
-    if cache["text_cache"] is not None:
-        _project_unit_backward(dq[1:], cache["text_cache"], params.text_proj, grads,
-                               "text_proj")
-    at = (np.zeros(int(cache["used_null"]), dtype=int),) * 2  # the null-text row, if used
-    dtext = _images_backward(dq[:1], dfused, cache["images"], params, config, grads, at)
-    if cache["used_null"]:
-        grads["null_text"] += dtext
-
-
-def _document_backward(
-    dd: np.ndarray, dfused: np.ndarray, cache: dict, params: EncoderParams,
-    config: EncoderConfig, grads: dict,
-):
-    """dd: rows text, then every image's global; the fused tokens' part is
-    dfused."""
-    n_text = cache["n_text"]
-    _project_unit_backward(dd[:n_text], cache["text_cache"], params.text_proj, grads, "text_proj")
-    pairs = [(r, s) for r, span in enumerate(cache["spans"]) for s in sorted(set(span))]
-    at = tuple(np.array(pairs, dtype=int).reshape(-1, 2).T)  # the ETE-shifted text rows
-    dtext = _images_backward(dd[n_text:], dfused, cache["images"], params, config, grads, at)
-    if pairs:
-        grads["ete"] += dtext
+) -> None:
+    """Mirror of `encoder.project_batch` and of each item's cross-attention:
+    drows[i] is d loss / d item i's feature rows."""
+    bounds, items = cache["bounds"], cache["items"]
+    dunits = np.zeros((bounds[-1], config.dim))
+    dunits[np.concatenate(cache["index"])] = np.concatenate(drows)
+    dsource = {key: _project_unit_backward(dunits[a:b], cache[key], getattr(params, name),
+                                           grads, name)
+               for (key, name), a, b in zip(SOURCES, bounds, bounds[1:])}
+    fused_bounds = np.cumsum([0] + [len(item["fused"]) for item in items])
+    for item, a, b in zip(items, fused_bounds, fused_bounds[1:]):
+        dfused = dsource["fused"][a:b].reshape(b - a, config.n_patches, config.attn_dim)
+        grads[item["target"]] += _cross_attend_backward(
+            dfused, item["xattn"], params.xattn, config, grads, item["at"])
 
 
 def loss_and_grads(
@@ -263,18 +227,18 @@ def loss_and_grads(
     image_only: bool = False,
 ) -> tuple[float, dict[str, np.ndarray]]:
     """Contrastive loss over aligned (query, positive document) pairs and the
-    gradient for every trainable tensor.  `mm_proj` runs once forward and
-    once backward over the fused rows of the whole batch."""
+    gradient for every trainable tensor.  Each projection runs once forward
+    and once backward over the source rows of the whole batch."""
     if len(queries) != len(docs):
         raise ConfigError("queries and documents must be aligned")
     if len(queries) < 2:
         raise ConfigError("batch size must be >= 2")
-    q_items = [encode_query_forward(q, params, config, provider, image_only, defer_mm=True)
-               for q in queries]
-    d_items = [encode_document_forward(d, params, config, provider, flags, defer_mm=True)
-               for d in docs]
+    items = ([encode_query_forward(q, params, config, provider, image_only, defer_batch=True)
+              for q in queries]
+             + [encode_document_forward(d, params, config, provider, flags, defer_batch=True)
+                for d in docs])
     b = len(queries)
-    features, mm_cache = add_mm_tokens(q_items + d_items, params, config)
+    features, cache = project_batch(items, params, config)
     q_feats, d_feats = features[:b], features[b:]
 
     scores, argmax = score_matrix(q_feats, d_feats)
@@ -292,29 +256,12 @@ def loss_and_grads(
             best = argmax[i][j]
             dq_rows[i] += w * d_feats[j].vectors[best]
             np.add.at(dd_rows[j], best, w * qv)
-    split = _mm_tokens_backward(dq_rows + dd_rows, mm_cache, params, config, grads)
-    for (dq, dfused), (_, cache) in zip(split[:b], q_items):
-        _query_backward(dq, dfused, cache, params, config, grads)
-    for (dd, dfused), (_, cache) in zip(split[b:], d_items):
-        _document_backward(dd, dfused, cache, params, config, grads)
+    _batch_backward(dq_rows + dd_rows, cache, params, config, grads)
 
     for name, g in grads.items():
         if not np.all(np.isfinite(g)):
             raise NumericError(f"non-finite gradient for tensor {name!r}")
     return loss, grads
-
-
-def grad_params(
-    params: EncoderParams,
-    queries: Sequence[QueryInput],
-    docs: Sequence[AugmentedDocument],
-    config: EncoderConfig,
-    provider,
-    flags: EncoderFlags = EncoderFlags(),
-    image_only: bool = False,
-) -> dict[str, np.ndarray]:
-    """Gradient structure only; see loss_and_grads."""
-    return loss_and_grads(params, queries, docs, config, provider, flags, image_only)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -358,6 +305,9 @@ def train(
         if sample.gt_doc_id not in kb:
             raise DataError(f"sample {sample.sample_id!r} references missing "
                             f"document {sample.gt_doc_id!r}")
+    if cfg.epochs >= 1 and len(samples) < cfg.batch_size:
+        raise DataError(f"{len(samples)} training samples cannot fill one batch of "
+                        f"{cfg.batch_size}")
     check_params_finite(params)
     stats = TrainStats()
     tensors = named_tensors(params)

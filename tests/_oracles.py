@@ -62,6 +62,71 @@ def naive_cross_attention(
     return h2
 
 
+def _naive_unit_rows(rows, p, dim: int) -> list[np.ndarray]:
+    """A projection MLP applied row by row; each output row is cut into
+    dim-wide pieces, each normalized."""
+    out = []
+    for x in rows:
+        y = _gelu(x @ p.w1 + p.b1) @ p.w2 + p.b2
+        for start in range(0, len(y), dim):
+            piece = y[start:start + dim]
+            out.append(piece / np.linalg.norm(piece))
+    return out
+
+
+def _naive_fused_tokens(image_key, text, params, config, provider, r: int):
+    """(tag, vector) of each fused token of image r attending to `text`."""
+    patches = np.array([provider.image_patch(image_key, j) for j in range(config.n_patches)])
+    fused = naive_cross_attention(patches, text, params.xattn, config.n_heads).reshape(-1)
+    tokens = _naive_unit_rows([fused], params.mm_proj, config.dim)
+    return [(f"multimodal:{r},{j}", vec) for j, vec in enumerate(tokens)]
+
+
+def _naive_global(image_key, params, config, provider, r: int):
+    vec = _naive_unit_rows([provider.image_global(image_key)], params.global_proj, config.dim)[0]
+    return (f"global-image:{r}", vec)
+
+
+def naive_query_features(query, params, config, provider, image_only: bool):
+    """Tags and vectors of a query, row by row: its global image, then its
+    text unless image-only, then its image's fused tokens.  An empty text
+    attends to the null-text token."""
+    from mvli.core import tokenize
+
+    tokens = tokenize(query.text)
+    if tokens:
+        text = np.array([provider.text_vector(tok) for tok in tokens])
+    else:
+        text = params.null_text[None, :]
+    rows = [_naive_global(query.image_key, params, config, provider, 0)]
+    if not image_only:
+        for vec in _naive_unit_rows(text, params.text_proj, config.dim):
+            rows.append(("textual", vec))
+    rows.extend(_naive_fused_tokens(query.image_key, text, params, config, provider, 0))
+    return [tag for tag, _ in rows], np.array([vec for _, vec in rows])
+
+
+def naive_document_features(doc, params, config, provider, flags):
+    """Tags and vectors of a document, row by row: its text, then each image's
+    global vector followed by that image's fused tokens when it gets them (the
+    main image always, a related image with mmf).  Related images come only
+    with mi; with ete an image's text has `ete` added on its entity span."""
+    text = np.array([provider.text_vector(tok) for tok in doc.text_tokens])
+    rows = [("textual", vec) for vec in _naive_unit_rows(text, params.text_proj, config.dim)]
+    images = [(doc.raw.main_image_key, ())]
+    if flags.mi:
+        images += [(rel.image_key, rel.span) for rel in doc.related]
+    for r, (image_key, span) in enumerate(images):
+        rows.append(_naive_global(image_key, params, config, provider, r))
+        if r == 0 or flags.mmf:
+            shifted = text.copy()
+            if flags.ete:
+                for i in set(span):
+                    shifted[i] += params.ete
+            rows.extend(_naive_fused_tokens(image_key, shifted, params, config, provider, r))
+    return [tag for tag, _ in rows], np.array([vec for _, vec in rows])
+
+
 def finite_diff(loss_fn, arr: np.ndarray, flat_index: int, eps: float = 1e-4) -> float:
     """Central finite difference of loss_fn w.r.t. one tensor coordinate."""
     orig = arr.flat[flat_index]

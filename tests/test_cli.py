@@ -200,6 +200,15 @@ class TestExitCodes:
         cfg.write_text("n_docs = 30\n")
         assert run_cli("--config", str(cfg), "synth", "--out-dir", str(tmp_path / "w")) == 2
 
+    def test_fewer_samples_than_a_batch_is_data_error(self, workdir, tmp_path):
+        root, cfg, out = workdir  # cfg sets batch_size = 4
+        few = tmp_path / "few.jsonl"
+        few.write_text("".join((out / "train.jsonl").read_text().splitlines(True)[:3]))
+        params = tmp_path / "p.mprm"
+        assert run_cli("--config", str(cfg), "train", "--kb", str(out / "kb.jsonl"),
+                       "--samples", str(few), "--out", str(params)) == 3
+        assert not params.exists()
+
     def test_corrupt_index_is_data_error(self, workdir, tmp_path):
         root, cfg, out = workdir
         kb = str(out / "kb.jsonl")

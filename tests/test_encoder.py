@@ -3,9 +3,10 @@ import struct
 import numpy as np
 import pytest
 
-from _oracles import naive_cross_attention
+import mvli.encoder as encoder_mod
+from _oracles import naive_cross_attention, naive_document_features, naive_query_features
 from conftest import random_feature_set, run_cli_capped
-from mvli.augment import AugmentedDocument, RawDocument, RelatedEntity
+from mvli.augment import AugmentedDocument, RawDocument, RelatedEntity, augment_kb
 from mvli.core import (
     ConfigError,
     CorruptionError,
@@ -19,6 +20,7 @@ from mvli.core import (
     UnsupportedVersionError,
 )
 from mvli.encoder import (
+    ABLATION_ROWS,
     EncoderConfig,
     EncoderFlags,
     EncoderParams,
@@ -31,16 +33,19 @@ from mvli.encoder import (
     embed_image,
     embed_text,
     embed_tokens,
+    encode_corpus,
     encode_document,
     encode_query,
     init_encoder_params,
     load_params,
     named_tensors,
+    param_shapes,
     params_checksum,
     save_params,
     write_embedding_file,
 )
 from mvli.index import build_index, save_index
+from mvli.synth import SynthConfig, generate_kb
 
 
 def make_augmented(doc_id, title, body, related, image_key=None):
@@ -245,6 +250,21 @@ class TestEncodeQuery:
         assert not np.allclose(with_text.vectors, null_text.vectors)
 
 
+# the tensors a query with text reads; an empty-text query reads null_text too
+QUERY_TENSORS = [name for name in param_shapes(EncoderConfig())
+                 if name not in ("ete", "null_text")]
+
+
+@pytest.mark.parametrize("name", QUERY_TENSORS + ["null_text"])
+def test_nan_in_a_tensor_the_query_reads_is_numeric_error(tiny_config, tiny_provider, name):
+    params = init_encoder_params(tiny_config, seed=2)
+    named_tensors(params)[name].flat[0] = np.nan
+    image_only = name == "null_text"  # the null-text token stands in for an empty text
+    query = QueryInput("" if image_only else "alpha beta", "img::q")
+    with pytest.raises(NumericError):
+        encode_query(query, params, tiny_config, tiny_provider, image_only=image_only)
+
+
 class TestEncodeDocument:
     def _doc(self, n_related=2):
         related = [
@@ -354,6 +374,43 @@ class TestEncodeDocument:
             doc = make_augmented(f"d{trial}", "T", body, related)
             out = encode_document(doc, params, config, provider, EncoderFlags(True, True, True))
             assert len(out) == n_t + (r + 1) * (1 + n_v)
+
+
+class TestRowLayout:
+    """Every feature row against the plain-loop oracle: tags exactly, vectors
+    to rounding."""
+
+    @pytest.fixture(scope="class")
+    def kb_aug(self):
+        return augment_kb(generate_kb(SynthConfig(n_docs=10, entities_per_doc=4.0, seed=6)))
+
+    @staticmethod
+    def _check(features, oracle):
+        tags, vectors = oracle
+        assert list(features.provenance) == tags
+        np.testing.assert_allclose(features.vectors, vectors, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("mode", ["standard", "image-only", "empty-text image-only"])
+    def test_queries(self, kb_aug, tiny_params, tiny_config, tiny_provider, mode):
+        image_only = mode != "standard"
+        for doc in kb_aug.values():
+            text = "" if mode.startswith("empty") else f"which one is {doc.raw.title}"
+            query = QueryInput(text, doc.raw.main_image_key)
+            self._check(encode_query(query, tiny_params, tiny_config, tiny_provider, image_only),
+                        naive_query_features(query, tiny_params, tiny_config, tiny_provider,
+                                             image_only))
+
+    @pytest.mark.parametrize("flags", ABLATION_ROWS, ids=lambda f: f.label())
+    def test_documents_alone_and_in_corpus_chunks(self, kb_aug, tiny_params, tiny_config,
+                                                  tiny_provider, flags, monkeypatch):
+        monkeypatch.setattr(encoder_mod, "CORPUS_CHUNK_ROWS", 7)
+        corpus = encode_corpus(kb_aug, tiny_params, tiny_config, tiny_provider, flags)
+        assert sum(len(doc.related) for doc in kb_aug.values()) > 0
+        for doc_id, doc in kb_aug.items():
+            oracle = naive_document_features(doc, tiny_params, tiny_config, tiny_provider, flags)
+            self._check(encode_document(doc, tiny_params, tiny_config, tiny_provider, flags),
+                        oracle)
+            self._check(corpus[doc_id], oracle)
 
 
 class TestConfigValidation:

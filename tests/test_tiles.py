@@ -157,6 +157,17 @@ def test_document_bytes_alone_in_corpus_chunks_and_in_a_batch(config, monkeypatc
     assert [f.vectors.tobytes() for f in q_feats] == [
         encode_query(q, params, config, provider).vectors.tobytes() for q in queries]
 
+    # image-only: no query text row reaches text_proj, and an empty-text query
+    # attends to the null-text token
+    queries[0] = QueryInput("", queries[0].image_key)
+    loss_and_grads(params, queries, [kb_aug[d] for d in doc_ids], config, provider,
+                   image_only=True)
+    q_feats, d_feats = seen[1]
+    assert [f.vectors.tobytes() for f in d_feats] == alone
+    assert [f.vectors.tobytes() for f in q_feats] == [
+        encode_query(q, params, config, provider, image_only=True).vectors.tobytes()
+        for q in queries]
+
 
 def test_gelu_matches_oracle():
     x = np.linspace(-10.0, 10.0, 400_001)

@@ -282,6 +282,17 @@ class TestTrainLoop:
             train(bad, kb_aug, TrainConfig(batch_size=2, seed=1), params,
                   GRAD_CONFIG, provider)
 
+    def test_fewer_samples_than_a_batch_rejected(self):
+        kb, kb_aug, splits = bench_world()
+        provider = SeededEmbeddingProvider(GRAD_CONFIG)
+        params = init_encoder_params(GRAD_CONFIG, seed=3)
+        with pytest.raises(DataError, match="3 training samples cannot fill one batch of 4"):
+            train(splits.train[:3], kb_aug, TrainConfig(batch_size=4, seed=1), params,
+                  GRAD_CONFIG, provider)
+        # zero epochs need no batch
+        train(splits.train[:3], kb_aug, TrainConfig(batch_size=4, epochs=0), params,
+              GRAD_CONFIG, provider)
+
     def test_adam_variant_runs_and_is_deterministic(self):
         kb, kb_aug, splits = bench_world()
         provider = SeededEmbeddingProvider(GRAD_CONFIG)
