@@ -32,6 +32,7 @@ from .encoder import (
     encode_query,
     init_encoder_params,
     load_params,
+    params_checksum,
     save_params,
 )
 from .train import TrainConfig, train
@@ -219,13 +220,14 @@ def cmd_train(args, cfg: RunConfig) -> int:
     params = init_encoder_params(encoder_config, seed)
     params, stats = train(samples, kb_aug, tcfg, params, encoder_config, provider)
     save_params(params, encoder_config, args.out)
+    checksum = params_checksum(params)
     if args.stats:
         with open(args.stats, "w", encoding="utf-8") as fh:
             json.dump(
                 {
                     "losses": stats.losses,
                     "grad_norms": stats.grad_norms,
-                    "final_checksum": stats.final_checksum,
+                    "final_checksum": checksum,
                 },
                 fh, sort_keys=True, indent=2,
             )
@@ -233,7 +235,7 @@ def cmd_train(args, cfg: RunConfig) -> int:
     first = stats.losses[0] if stats.losses else float("nan")
     last = stats.losses[-1] if stats.losses else float("nan")
     print(f"train: {len(stats.losses)} steps, loss {first:.4f} -> {last:.4f}, "
-          f"checksum {stats.final_checksum} -> {args.out}")
+          f"checksum {checksum} -> {args.out}")
     return 0
 
 

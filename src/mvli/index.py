@@ -5,7 +5,8 @@ geometry, centroids renormalized every iteration).  Each vector is stored as
 its centroid id plus a per-dimension 8-bit uniform quantization of the
 residual; nbits=0 selects the lossless mode that stores raw float64 vectors.
 Search runs centroid-probing candidate generation followed by exact
-late-interaction re-ranking on reconstructed vectors.
+late-interaction re-ranking on reconstructed vectors, both over fixed-width
+column blocks.
 """
 
 from __future__ import annotations
@@ -56,7 +57,8 @@ class RetrievalIndex:
 
     Only assignments and doc_sizes describe the layout; the per-doc vector
     ranges, per-doc centroid sets and per-centroid doc lists are derived from
-    them on construction.
+    them on construction; the sets and lists are each one flat array in
+    CSR form (values plus n + 1 offsets).
     """
 
     dim: int
@@ -70,13 +72,21 @@ class RetrievalIndex:
     doc_sizes: np.ndarray  # (n_docs,) vector count per doc
     objective_trace: list[float] = field(default_factory=list)
     doc_offsets: np.ndarray = field(init=False)  # (n_docs + 1,) doc d: rows off[d]..off[d+1]
-    doc_centroids: list[np.ndarray] = field(init=False)  # sorted centroid ids per doc
-    centroid_docs: list[np.ndarray] = field(init=False)  # sorted doc indices per centroid
+    # doc d's sorted centroid set: doc_centroid_ids[doc_centroid_offsets[d]:...[d + 1]]
+    doc_centroid_ids: np.ndarray = field(init=False)
+    doc_centroid_offsets: np.ndarray = field(init=False)  # (n_docs + 1,)
+    # centroid c's sorted doc indices: centroid_doc_ids[centroid_doc_offsets[c]:...[c + 1]]
+    centroid_doc_ids: np.ndarray = field(init=False)
+    centroid_doc_offsets: np.ndarray = field(init=False)  # (K + 1,)
+    doc_rank: np.ndarray = field(init=False)  # (n_docs,) position of each doc_id in sorted order
 
     def __post_init__(self):
-        self.doc_offsets, self.doc_centroids, self.centroid_docs = _derive_layout(
-            self.assignments, self.doc_sizes, self.centroids.shape[0]
-        )
+        (self.doc_offsets, self.doc_centroid_ids, self.doc_centroid_offsets,
+         self.centroid_doc_ids, self.centroid_doc_offsets) = _derive_layout(
+            self.assignments, self.doc_sizes, self.centroids.shape[0])
+        by_id = sorted(range(len(self.doc_ids)), key=self.doc_ids.__getitem__)
+        self.doc_rank = np.empty(len(by_id), dtype=np.int64)
+        self.doc_rank[by_id] = np.arange(len(by_id))
 
     @property
     def n_vectors(self) -> int:
@@ -85,9 +95,10 @@ class RetrievalIndex:
 
 def _derive_layout(
     assignments: np.ndarray, doc_sizes: np.ndarray, k: int
-) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]:
-    """Doc offsets, each doc's sorted centroid set and each centroid's sorted
-    doc list, for docs stored as contiguous runs of `doc_sizes` vectors."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Doc offsets, then each doc's sorted centroid set and each centroid's
+    sorted doc list in CSR form (values, offsets), for docs stored as
+    contiguous runs of `doc_sizes` vectors."""
     n = assignments.shape[0]
     n_docs = doc_sizes.shape[0]
     if k < 1 or n_docs < 1:
@@ -101,10 +112,10 @@ def _derive_layout(
         raise CorruptionError("index assignment references a missing centroid")
     owners = np.repeat(np.arange(n_docs, dtype=np.int64), doc_sizes)
     docs, cents = np.divmod(np.unique(owners * k + assignments), k)  # doc-major pairs
-    doc_centroids = np.split(cents, np.cumsum(np.bincount(docs, minlength=n_docs))[:-1])
+    doc_cent_offsets = np.concatenate(([0], np.cumsum(np.bincount(docs, minlength=n_docs))))
     by_centroid = np.argsort(cents, kind="stable")  # docs stay ascending per centroid
-    centroid_docs = np.split(docs[by_centroid], np.cumsum(np.bincount(cents, minlength=k))[:-1])
-    return offsets, doc_centroids, centroid_docs
+    cent_doc_offsets = np.concatenate(([0], np.cumsum(np.bincount(cents, minlength=k))))
+    return offsets, cents, doc_cent_offsets, docs[by_centroid], cent_doc_offsets
 
 
 # Bytes of one block of the assign step's similarity matrix; the build's
@@ -225,13 +236,67 @@ def build_index(
 
 
 def reconstruct(index: RetrievalIndex, vec_ids: np.ndarray) -> np.ndarray:
-    """Dequantized vectors for the given vector ids."""
+    """Dequantized vectors for the given vector ids: centroid plus residual,
+    centroids[a] + (code_min + codes * step), accumulated in place."""
     if index.nbits == 0:
         return index.codes[vec_ids]
     spread = index.code_max - index.code_min
     step = np.where(spread > 0, spread / 255.0, 0.0)
-    residuals = index.code_min + index.codes[vec_ids].astype(np.float64) * step
-    return index.centroids[index.assignments[vec_ids]] + residuals
+    rows = index.codes.take(vec_ids, axis=0).astype(np.float64)
+    rows *= step
+    rows += index.code_min
+    rows += index.centroids.take(index.assignments.take(vec_ids), axis=0)
+    return rows
+
+
+# Columns of one block of search's similarity matrices (query rows x
+# candidate vectors in the re-rank, x candidate doc centroids in the
+# prefilter); a query's working memory is a few such blocks plus one int64
+# row id per candidate vector, whatever the corpus size.
+_SEARCH_BLOCK_COLS = 2048
+
+
+def _run_positions(starts: np.ndarray, sizes: np.ndarray, pad_to: int = 1) -> np.ndarray:
+    """The ranges starts[i] .. starts[i] + sizes[i] concatenated, then padded
+    to a multiple of pad_to by repeating the last position; built in place as
+    a running sum of steps, so the output is the only array of its length.
+    At least one size must be positive."""
+    keep = sizes > 0
+    starts, sizes = starts[keep], sizes[keep]
+    total = int(sizes.sum())
+    steps = np.ones(-(-total // pad_to) * pad_to, dtype=np.int64)
+    steps[total:] = 0
+    steps[0] = starts[0]
+    steps[np.cumsum(sizes[:-1])] = starts[1:] - (starts[:-1] + sizes[:-1] - 1)
+    return np.cumsum(steps, out=steps)
+
+
+def _maxsim_sums(sizes: np.ndarray, block_sims, n_rows: int) -> np.ndarray:
+    """Late-interaction sums of docs whose columns are consecutive runs of
+    `sizes` columns: per doc, the sum over the n_rows query rows of the max
+    over its columns.
+
+    block_sims(start) returns the similarities of columns start onwards, at
+    least up to the block's end or the last column; columns beyond are
+    ignored.  One maximum.reduceat per block cuts it at the doc starts inside
+    it, and a second joins the pieces of docs that cross a block edge.  Each
+    doc's sum runs over one contiguous row, so its bits equal
+    sims[:, doc].max(axis=1).sum().
+    """
+    width = _SEARCH_BLOCK_COLS
+    ends = np.cumsum(sizes)
+    starts = ends - sizes
+    total = int(ends[-1])
+    block_starts = np.arange(0, total, width)
+    cuts = np.union1d(starts, block_starts)  # each piece starts at a cut
+    edges = np.append(np.searchsorted(cuts, block_starts), cuts.size)
+    pieces = np.empty((n_rows, cuts.size))
+    for b, start in enumerate(block_starts):
+        sims = block_sims(start)[:, :min(width, total - start)]
+        first, last = edges[b], edges[b + 1]
+        pieces[:, first:last] = np.maximum.reduceat(sims, cuts[first:last] - start, axis=1)
+    maxima = np.maximum.reduceat(pieces, np.searchsorted(cuts, starts), axis=1)
+    return np.ascontiguousarray(maxima.T).sum(axis=1)
 
 
 def search(index: RetrievalIndex, query: FeatureSet, params: SearchParams) -> list[ScoredDoc]:
@@ -240,33 +305,50 @@ def search(index: RetrievalIndex, query: FeatureSet, params: SearchParams) -> li
     Stage 1 probes the nprobe nearest centroids per query token, pools the
     documents holding a vector in any of them, and keeps at most
     candidate_doc_cap of them by a centroid-level approximation of the
-    late-interaction score.  Stage 2 re-scores candidates exactly on
-    dequantized vectors; ties break by doc_id.
+    late-interaction score: each doc's score over its centroid set.  Stage 2
+    re-scores candidates exactly on dequantized vectors; ties break by
+    doc_id.
+
+    Neither stage loops over documents: each walks the candidates'
+    concatenated columns (their centroid sets, then their vectors) in blocks
+    of _SEARCH_BLOCK_COLS and reduces each block at the doc edges with
+    _maxsim_sums, so a query holds a few blocks of similarities rather than
+    all candidates' at once.  The re-rank pads the candidates' row ids to
+    whole blocks and runs one reconstruct and one product of the same shape
+    per block, so a doc's score does not depend on the other candidates.
+    The prefilter keeps the same docs, ties to the lower doc index, as a
+    per-doc loop would.
     """
     if query.dim != index.dim:
         raise ShapeError(f"query dim {query.dim} does not match index dim {index.dim}")
+    q = query.vectors
     nprobe = min(params.nprobe, index.centroids.shape[0])
-    cent_sims = query.vectors @ index.centroids.T  # (m, K)
+    cent_sims = q @ index.centroids.T  # (m, K)
     probed = np.unique(np.argpartition(-cent_sims, nprobe - 1, axis=1)[:, :nprobe])
-    ordered = np.unique(np.concatenate([index.centroid_docs[c] for c in probed])).tolist()
-    if not ordered:
+    offsets = index.centroid_doc_offsets
+    sizes = offsets[probed + 1] - offsets[probed]
+    if not sizes.any():  # every probed centroid is empty
         return []
+    ordered = np.unique(index.centroid_doc_ids[_run_positions(offsets[probed], sizes)])
 
-    if len(ordered) > params.candidate_doc_cap:
-        approx = []
-        for d in ordered:
-            clist = index.doc_centroids[d]
-            approx.append(float(cent_sims[:, clist].max(axis=1).sum()))
-        ranked = sorted(zip(ordered, approx), key=lambda t: (-t[1], t[0]))
-        ordered = sorted(d for d, _ in ranked[: params.candidate_doc_cap])
+    if ordered.size > params.candidate_doc_cap:
+        offsets = index.doc_centroid_offsets
+        sizes = offsets[ordered + 1] - offsets[ordered]
+        cents = index.doc_centroid_ids[_run_positions(offsets[ordered], sizes)]
+        approx = _maxsim_sums(
+            sizes,
+            lambda start: cent_sims.take(cents[start:start + _SEARCH_BLOCK_COLS], axis=1),
+            len(q))
+        ordered = np.sort(ordered[np.lexsort((ordered, -approx))[:params.candidate_doc_cap]])
 
-    results: list[ScoredDoc] = []
-    for d in ordered:
-        rows = reconstruct(index, np.arange(index.doc_offsets[d], index.doc_offsets[d + 1]))
-        score = float((query.vectors @ rows.T).max(axis=1).sum())
-        results.append(ScoredDoc(index.doc_ids[d], score))
-    results.sort(key=lambda s: (-s.score, s.doc_id))
-    return results[: params.k]
+    sizes = index.doc_sizes[ordered]
+    ids = _run_positions(index.doc_offsets[ordered], sizes, _SEARCH_BLOCK_COLS)
+    scores = _maxsim_sums(
+        sizes,
+        lambda start: q @ reconstruct(index, ids[start:start + _SEARCH_BLOCK_COLS]).T,
+        len(q))
+    top = np.lexsort((index.doc_rank[ordered], -scores))[:params.k]
+    return [ScoredDoc(index.doc_ids[ordered[i]], float(scores[i])) for i in top]
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,6 @@ from .encoder import (
     gelu_grad,
     merge_heads,
     named_tensors,
-    params_checksum,
     project_batch,
     split_heads,
     stack_rows,
@@ -63,7 +62,6 @@ class TrainConfig:
 class TrainStats:
     losses: list[float] = field(default_factory=list)
     grad_norms: list[float] = field(default_factory=list)
-    final_checksum: str = ""
 
 
 # ---------------------------------------------------------------------------
@@ -331,5 +329,4 @@ def train(
             else:
                 for name, tensor in tensors.items():
                     tensor -= cfg.learning_rate * grads[name]
-    stats.final_checksum = params_checksum(params)
     return params, stats

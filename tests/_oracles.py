@@ -236,3 +236,54 @@ def naive_link(doc, kb_titles):
         entity, span = merged.get(doc_id, (title, ()))
         merged[doc_id] = (entity, span + tuple(range(start, start + length)))
     return [(entity, span, doc_id) for doc_id, (entity, span) in merged.items()]
+
+
+def naive_dequantize(index, start: int, stop: int) -> np.ndarray:
+    """Rows start..stop of a compressed index, one vector at a time: its
+    centroid plus code_min + code * step per dimension (the stored vectors
+    themselves when nbits == 0)."""
+    if index.nbits == 0:
+        return np.array([index.codes[i] for i in range(start, stop)])
+    spread = index.code_max - index.code_min
+    step = np.where(spread > 0, spread / 255.0, 0.0)
+    return np.array([
+        index.centroids[index.assignments[i]]
+        + (index.code_min + index.codes[i].astype(np.float64) * step)
+        for i in range(start, stop)
+    ])
+
+
+def naive_search(index, query_rows: np.ndarray, k: int, nprobe: int, cap: int):
+    """Two-stage search as a per-doc loop, from the stored assignments and doc
+    sizes alone.
+
+    Each query row probes its nprobe most similar centroids; a doc is a
+    candidate if any of its vectors sits in a probed centroid.  Past `cap`
+    candidates, each doc's centroid-level score (sum over query rows of the
+    max over the doc's distinct centroids) picks the cap best, ties to the
+    lower doc index.  Each candidate is then dequantized and scored exactly
+    on its own.  Returns the sorted candidate doc ids and the top k
+    (doc_id, score) pairs, ties broken by doc_id.
+    """
+    n_docs = len(index.doc_ids)
+    nprobe = min(nprobe, index.centroids.shape[0])
+    cent_sims = query_rows @ index.centroids.T
+    probed = set()
+    for row in cent_sims:
+        probed.update(np.argsort(-row, kind="stable")[:nprobe].tolist())
+    bounds = [0]
+    for size in index.doc_sizes:
+        bounds.append(bounds[-1] + int(size))
+    cents = [sorted(set(index.assignments[bounds[d]:bounds[d + 1]].tolist()))
+             for d in range(n_docs)]
+    candidates = [d for d in range(n_docs) if probed & set(cents[d])]
+    if len(candidates) > cap:
+        approx = [float(cent_sims[:, cents[d]].max(axis=1).sum()) for d in candidates]
+        ranked = sorted(zip(candidates, approx), key=lambda t: (-t[1], t[0]))
+        candidates = sorted(d for d, _ in ranked[:cap])
+    scored = []
+    for d in candidates:
+        rows = naive_dequantize(index, bounds[d], bounds[d + 1])
+        scored.append((index.doc_ids[d], float((query_rows @ rows.T).max(axis=1).sum())))
+    scored.sort(key=lambda t: (-t[1], t[0]))
+    return sorted(index.doc_ids[d] for d in candidates), scored[:k]

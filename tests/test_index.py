@@ -1,17 +1,22 @@
+import os
 import struct
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import mvli.index as index_mod
-from _oracles import naive_centroid_update
+from _oracles import naive_centroid_update, naive_search
 from conftest import random_feature_set
 from mvli.cli import main
 from mvli.core import ConfigError, CorruptionError, FeatureSet, FormatError, InputError, Rng
 from mvli.core import UnsupportedVersionError
 from mvli.encoder import EncoderConfig, init_encoder_params, save_params
 from mvli.index import (
+    RetrievalIndex,
     SearchParams,
     build_index,
     default_k_centroids,
@@ -166,11 +171,14 @@ class TestDerivedLayout:
         for d in range(n_docs):
             rows = np.arange(index.doc_offsets[d], index.doc_offsets[d + 1])
             np.testing.assert_array_equal(rows, np.flatnonzero(owners == d))
+            cents = slice(index.doc_centroid_offsets[d], index.doc_centroid_offsets[d + 1])
             np.testing.assert_array_equal(
-                index.doc_centroids[d], np.unique(index.assignments[owners == d]))
-        assert len(index.centroid_docs) == index.centroids.shape[0]
-        for c, docs in enumerate(index.centroid_docs):
-            np.testing.assert_array_equal(docs, np.unique(owners[index.assignments == c]))
+                index.doc_centroid_ids[cents], np.unique(index.assignments[owners == d]))
+        assert len(index.centroid_doc_offsets) == index.centroids.shape[0] + 1
+        for c in range(index.centroids.shape[0]):
+            docs = slice(index.centroid_doc_offsets[c], index.centroid_doc_offsets[c + 1])
+            np.testing.assert_array_equal(index.centroid_doc_ids[docs],
+                                          np.unique(owners[index.assignments == c]))
 
     @pytest.mark.parametrize("seed", range(4))
     def test_random_corpora(self, seed):
@@ -182,7 +190,7 @@ class TestDerivedLayout:
         for k in (1, 3, None, n_vec):
             index = build_index(corpus, k_centroids=k, kmeans_iters=3, seed=seed)
             self.assert_matches_brute_force(index)
-            assert index.doc_centroids[4].size == 1
+            assert np.diff(index.doc_centroid_offsets)[4] == 1
 
 
 class TestSearch:
@@ -242,6 +250,165 @@ class TestSearch:
             SearchParams(k=5, nprobe=0)
         with pytest.raises(ConfigError):
             SearchParams(k=5, candidate_doc_cap=3)
+
+
+def rerank_invariance(seed: int = 0) -> tuple[list[str], str]:
+    """Docs whose exhaustive re-rank score changes bits between being scored
+    among all docs and alone (in a one-doc index with the same codebook, and
+    as the only candidate left by cap 1), plus a digest of every score.  The
+    corpus spans three blocks of _SEARCH_BLOCK_COLS columns."""
+    corpus = make_corpus(seed=seed, n_docs=120, dim=16, min_tokens=10, max_tokens=80)
+    index = build_index(corpus, kmeans_iters=5, seed=seed)
+    assert index.n_vectors > 2 * index_mod._SEARCH_BLOCK_COLS
+    k_cent, n_docs = index.centroids.shape[0], len(index.doc_ids)
+    failures: list[str] = []
+    digest = []
+    for i in range(3):
+        q = random_feature_set(Rng(seed).split(f"q{i}"), 12, 16)
+        among = {s.doc_id: s.score for s in search(
+            index, q, SearchParams(k=n_docs, nprobe=k_cent, candidate_doc_cap=n_docs))}
+        digest += [float.hex(among[d]) for d in index.doc_ids]
+        (top,) = search(index, q, SearchParams(k=1, nprobe=k_cent, candidate_doc_cap=1))
+        if top.score.hex() != among[top.doc_id].hex():
+            failures.append(f"query {i} {top.doc_id} at cap 1")
+        for d, doc_id in enumerate(index.doc_ids):
+            rows = slice(index.doc_offsets[d], index.doc_offsets[d + 1])
+            alone = RetrievalIndex(
+                dim=index.dim, nbits=index.nbits, centroids=index.centroids,
+                assignments=index.assignments[rows], codes=index.codes[rows],
+                code_min=index.code_min, code_max=index.code_max, doc_ids=[doc_id],
+                doc_sizes=index.doc_sizes[d:d + 1])
+            (got,) = search(alone, q, SearchParams(k=1, nprobe=k_cent))
+            if got.score.hex() != among[doc_id].hex():
+                failures.append(f"query {i} {doc_id} alone")
+    return failures, " ".join(digest)
+
+
+class TestBlockedSearch:
+    """Both stages of search score all candidates in fixed-width column
+    blocks; a per-doc loop is the oracle."""
+
+    @pytest.mark.parametrize("nbits", [0, 8])
+    @pytest.mark.parametrize("block_cols", [5, 64, None])
+    def test_matches_per_doc_oracle(self, monkeypatch, nbits, block_cols):
+        if block_cols is not None:  # docs of 4-20 vectors then cross block edges
+            monkeypatch.setattr(index_mod, "_SEARCH_BLOCK_COLS", block_cols)
+        corpus = make_corpus(seed=31, n_docs=40)
+        index = build_index(corpus, k_centroids=24, nbits=nbits, kmeans_iters=5, seed=3)
+        n_docs = len(corpus)
+        pruned = unpruned = 0
+        for i in range(8):
+            q = random_feature_set(Rng(300 + i), 3 + i % 4, 8).vectors
+            for nprobe, cap in ((1, 3), (2, 10), (4, 25), (24, 12), (24, n_docs)):
+                k = min(5, cap)
+                want_cands, want_top = naive_search(index, q, k, nprobe, cap)
+                probed, _ = naive_search(index, q, k, nprobe, n_docs)
+                pruned += len(probed) > cap
+                unpruned += len(probed) <= cap
+                query = FeatureSet(q, ("textual",) * len(q))
+                cands = search(index, query, SearchParams(k=cap, nprobe=nprobe,
+                                                          candidate_doc_cap=cap))
+                assert sorted(s.doc_id for s in cands) == want_cands
+                got = search(index, query, SearchParams(k=k, nprobe=nprobe,
+                                                        candidate_doc_cap=cap))
+                assert [s.doc_id for s in got] == [d for d, _ in want_top]
+                np.testing.assert_allclose([s.score for s in got],
+                                           [v for _, v in want_top], rtol=0, atol=1e-12)
+        assert pruned and unpruned
+
+    def test_empty_clusters_probed(self):
+        """Centroids 2 and 3 hold no vector: probing only them finds no doc,
+        probing them with a used one finds that one's docs."""
+        gen = Rng(12).generator()
+        centroids = np.eye(4, 8)
+        index = RetrievalIndex(
+            dim=8, nbits=8, centroids=centroids, assignments=gen.integers(0, 2, 30),
+            codes=gen.integers(0, 256, (30, 8), dtype=np.uint8),
+            code_min=np.full(8, -0.2), code_max=np.full(8, 0.2),
+            doc_ids=[f"doc{i}" for i in range(5)], doc_sizes=np.array([4, 8, 6, 2, 10]))
+        rows = np.array([[0.0, 0.1, 1.0, 0.9, 0, 0, 0, 0], [0.3, 0.0, 0.9, 1.0, 0, 0, 0, 0]])
+        query = FeatureSet(rows / np.linalg.norm(rows, axis=1, keepdims=True), ("textual",) * 2)
+        assert search(index, query, SearchParams(k=3, nprobe=2)) == []
+        for nprobe, cap in ((3, 5), (3, 2)):
+            want_cands, want_top = naive_search(index, query.vectors, 2, nprobe, cap)
+            assert want_cands
+            got = search(index, query, SearchParams(k=cap, nprobe=nprobe, candidate_doc_cap=cap))
+            assert sorted(s.doc_id for s in got) == want_cands
+            assert [s.doc_id for s in got[:2]] == [d for d, _ in want_top]
+
+    def test_reconstruct_bits_equal_formula(self):
+        corpus = make_corpus(seed=8, n_docs=20)
+        index = build_index(corpus, seed=2)
+        index.code_max[3] = index.code_min[3]  # a dimension with one bucket
+        ids = Rng(4).generator().integers(0, index.n_vectors, size=300)  # unsorted, repeats
+        spread = index.code_max - index.code_min
+        step = np.where(spread > 0, spread / 255.0, 0.0)
+        want = index.centroids[index.assignments[ids]] + (
+            index.code_min + index.codes[ids].astype(np.float64) * step)
+        assert reconstruct(index, ids).tobytes() == want.tobytes()
+
+    def test_run_positions_concatenate_and_pad(self):
+        got = index_mod._run_positions(np.array([5, 0, 9]), np.array([2, 3, 1]), pad_to=4)
+        np.testing.assert_array_equal(got, [5, 6, 0, 1, 2, 9, 9, 9])
+        got = index_mod._run_positions(np.array([7]), np.array([4]), pad_to=4)
+        np.testing.assert_array_equal(got, [7, 8, 9, 10])
+        # empty runs (empty clusters' doc lists) contribute nothing
+        got = index_mod._run_positions(np.array([3, 8, 5, 1, 6]), np.array([0, 2, 0, 1, 0]))
+        np.testing.assert_array_equal(got, [8, 9, 1])
+
+    def test_score_alone_equals_score_among_all_docs(self):
+        failures, _ = rerank_invariance()
+        assert not failures, f"re-rank scores change bits with the other candidates: {failures}"
+
+    def test_score_alone_equals_score_among_all_docs_at_four_threads(self):
+        """The same checks in a child process whose BLAS runs 4 threads; its
+        scores must also carry this process's bits."""
+        tests = Path(__file__).resolve().parent
+        src = Path(index_mod.__file__).resolve().parents[1]
+        code = ("import test_index as t; failures, digest = t.rerank_invariance(); "
+                "print(failures); print(digest)")
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="4", OMP_NUM_THREADS="4",
+                   MKL_NUM_THREADS="4", PYTHONPATH=os.pathsep.join([str(src), str(tests)]))
+        proc = subprocess.run([sys.executable, "-c", code], cwd=tests, env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        failures, digest = proc.stdout.split("\n")[:2]
+        assert failures == "[]", f"4 threads: scores change bits with the other candidates: {failures}"
+        assert digest == rerank_invariance()[1], "4 threads change the re-rank scores' bits"
+
+    def test_search_memory_bounded_by_block(self):
+        """One search over 204,800 vectors, all re-ranked, and one whose
+        prefilter keeps a quarter of the docs.  A one-pass re-rank would hold
+        every candidate row and its similarities at once (78.6 MB here); the
+        blocked one holds a block of each, its pieces and one int64 row id
+        per candidate row (1.6 MB here)."""
+        n_docs, per_doc, dim, k_cent, m = 400, 512, 16, 64, 32
+        n = n_docs * per_doc
+        gen = Rng(9).generator()
+        centroids = gen.standard_normal((k_cent, dim))
+        centroids /= np.linalg.norm(centroids, axis=1, keepdims=True)
+        index = RetrievalIndex(
+            dim=dim, nbits=8, centroids=centroids, assignments=gen.integers(0, k_cent, n),
+            codes=gen.integers(0, 256, (n, dim), dtype=np.uint8),
+            code_min=np.full(dim, -0.1), code_max=np.full(dim, 0.1),
+            doc_ids=[f"doc{i:04d}" for i in range(n_docs)],
+            doc_sizes=np.full(n_docs, per_doc))
+        query = random_feature_set(Rng(10), m, dim)
+        block = index_mod._SEARCH_BLOCK_COLS
+        # a block's rows as codes, floats and centroids, and its similarities
+        block_bytes = block * (dim + 8 * 2 * dim + 8 * m)
+        one_pass_bytes = n * 8 * (dim + m)
+        assert one_pass_bytes > 50 * block_bytes
+        for cap in (n_docs, n_docs // 4):
+            params = SearchParams(k=10, nprobe=k_cent, candidate_doc_cap=cap)
+            tracemalloc.start()
+            try:
+                tracemalloc.reset_peak()
+                search(index, query, params)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 4 * block_bytes, (cap, peak)
 
 
 class TestPersistence:
