@@ -15,8 +15,6 @@ from .core import (
     FeatureSet,
     NumericError,
     Rng,
-    cosine,
-    l2_normalize,
     seeded_unit_vector,
     tokenize,
 )
@@ -31,7 +29,6 @@ from .augment import (
     build_title_table,
     entity_from_image_key,
     image_key_for_entity,
-    link_entities,
     load_kb,
     save_kb,
 )
@@ -44,11 +41,8 @@ from .encoder import (
     ImageFeatures,
     QueryInput,
     SeededEmbeddingProvider,
-    TextFeatures,
     apply_ete,
-    cross_attend,
     embed_image,
-    embed_text,
     encode_corpus,
     encode_document,
     encode_query,
@@ -65,7 +59,7 @@ from .index import (
     save_index,
     search,
 )
-from .bm25 import Bm25Index, bm25_score
+from .bm25 import Bm25Index
 from .datagen import (
     OneHopGraph,
     QaSample,
@@ -75,9 +69,7 @@ from .datagen import (
     build_onehop_graph,
     enforce_unique_gt,
     extract_target_subgraph,
-    generate_question,
     generate_samples,
-    paraphrase,
     split_seen_unseen,
 )
 from .train import TrainConfig, TrainStats, contrastive_loss, train

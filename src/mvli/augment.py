@@ -180,15 +180,6 @@ class LlmEntityLinker:
         return DictionaryLinker().link(doc, build_title_table(restricted))
 
 
-def link_entities(
-    doc: RawDocument,
-    kb_titles: Mapping[str, str],
-    linker: DictionaryLinker | LlmEntityLinker | None = None,
-) -> list[LinkedMention]:
-    """Related-entity mentions of `doc` against the KB title dictionary."""
-    return (linker or DictionaryLinker()).link(doc, build_title_table(kb_titles))
-
-
 def augment_document(
     doc: RawDocument,
     kb: Mapping[str, RawDocument],

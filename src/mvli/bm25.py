@@ -8,44 +8,12 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
-from .core import InputError, StateError, tokenize
+from .core import InputError, tokenize
 
 DEFAULT_K1 = 1.2
 DEFAULT_B = 0.75
-
-
-@dataclass(frozen=True)
-class CorpusStats:
-    doc_count: int
-    avgdl: float
-    df: Mapping[str, int] = field(default_factory=dict)
-
-
-def bm25_score(
-    query_terms: Sequence[str],
-    doc_terms: Sequence[str],
-    stats: CorpusStats,
-    k1: float = DEFAULT_K1,
-    b: float = DEFAULT_B,
-) -> float:
-    """Okapi BM25 score of one document for the given query terms."""
-    if stats.doc_count < 1 or stats.avgdl <= 0:
-        raise StateError("corpus statistics are empty; build them first")
-    tf = Counter(doc_terms)
-    dl = len(doc_terms)
-    norm = k1 * (1.0 - b + b * dl / stats.avgdl)
-    score = 0.0
-    for term in query_terms:
-        f = tf.get(term, 0)
-        if f == 0:
-            continue
-        df = stats.df.get(term, 0)
-        idf = math.log((stats.doc_count - df + 0.5) / (df + 0.5))
-        score += idf * f * (k1 + 1.0) / (f + norm)
-    return score
 
 
 class Bm25Index:
@@ -56,25 +24,15 @@ class Bm25Index:
             raise InputError("cannot index an empty corpus")
         self.k1 = k1
         self.b = b
-        self.doc_ids = sorted(bodies)
-        self.doc_terms = {doc_id: tokenize(bodies[doc_id]) for doc_id in self.doc_ids}
-        self.doc_len = {doc_id: len(terms) for doc_id, terms in self.doc_terms.items()}
-        total = sum(self.doc_len.values())
-        df: Counter[str] = Counter()
-        self.postings: dict[str, dict[str, int]] = {}
-        for doc_id in self.doc_ids:
-            counts = Counter(self.doc_terms[doc_id])
-            for term, f in counts.items():
-                df[term] += 1
+        self.doc_count = len(bodies)
+        self.doc_len: dict[str, int] = {}
+        self.postings: dict[str, dict[str, int]] = {}  # term -> doc_id -> term frequency
+        for doc_id in sorted(bodies):
+            terms = tokenize(bodies[doc_id])
+            self.doc_len[doc_id] = len(terms)
+            for term, f in Counter(terms).items():
                 self.postings.setdefault(term, {})[doc_id] = f
-        self.stats = CorpusStats(
-            doc_count=len(self.doc_ids),
-            avgdl=total / len(self.doc_ids) if self.doc_ids else 0.0,
-            df=dict(df),
-        )
-
-    def score(self, query_terms: Sequence[str], doc_id: str) -> float:
-        return bm25_score(query_terms, self.doc_terms[doc_id], self.stats, self.k1, self.b)
+        self.avgdl = sum(self.doc_len.values()) / self.doc_count
 
     def top_k(self, query_text: str | Iterable[str], k: int) -> list[tuple[str, float]]:
         """Top-k (doc_id, score) pairs, descending score then ascending id.
@@ -84,17 +42,15 @@ class Bm25Index:
         """
         terms = tokenize(query_text) if isinstance(query_text, str) else list(query_text)
         scores: dict[str, float] = {}
-        counted = Counter(terms)
-        stats = self.stats
-        for term, qtf in counted.items():
+        for term, qtf in Counter(terms).items():
             posting = self.postings.get(term)
             if not posting:
                 continue
-            df = stats.df[term]
-            idf = math.log((stats.doc_count - df + 0.5) / (df + 0.5))
+            df = len(posting)
+            idf = math.log((self.doc_count - df + 0.5) / (df + 0.5))
             for doc_id, f in posting.items():
                 dl = self.doc_len[doc_id]
-                norm = self.k1 * (1.0 - self.b + self.b * dl / stats.avgdl)
+                norm = self.k1 * (1.0 - self.b + self.b * dl / self.avgdl)
                 contrib = idf * f * (self.k1 + 1.0) / (f + norm)
                 scores[doc_id] = scores.get(doc_id, 0.0) + qtf * contrib
         ranked = sorted(scores.items(), key=lambda kv: (-kv[1], kv[0]))

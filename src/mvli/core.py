@@ -1,4 +1,4 @@
-"""Foundational numerics: deterministic vectors, similarity kernels, shared errors.
+"""Foundational numerics: deterministic vectors, feature sets, shared errors.
 
 Everything here is pure and reentrant; no module-level mutable state.
 """
@@ -55,10 +55,6 @@ class InputError(DataError):
 
 class SpanError(DataError):
     """Token index outside the valid token range."""
-
-
-class StateError(DataError):
-    """Operation attempted on an object in an unusable state."""
 
 
 class GenerationError(DataError):
@@ -209,33 +205,6 @@ class Rng:
             hashlib.blake2b(self._material, digest_size=16).digest(), dtype=np.uint64
         )
         return np.random.Generator(np.random.Philox(key=key))
-
-
-# ---------------------------------------------------------------------------
-# Vector kernels.
-# ---------------------------------------------------------------------------
-
-
-def l2_normalize(v: np.ndarray) -> np.ndarray:
-    """Scale a vector to unit L2 norm."""
-    v = np.asarray(v, dtype=np.float64)
-    norm = float(np.linalg.norm(v))
-    if norm <= 0.0 or not math.isfinite(norm):
-        raise DomainError("cannot normalize a zero or non-finite vector")
-    return v / norm
-
-
-def cosine(a: np.ndarray, b: np.ndarray) -> float:
-    """Cosine similarity in [-1, 1]; equals the dot product for unit inputs."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.ndim != 1 or b.ndim != 1 or a.shape != b.shape:
-        raise ShapeError(f"cosine needs equal-length 1-D vectors, got {a.shape} vs {b.shape}")
-    na = float(np.linalg.norm(a))
-    nb = float(np.linalg.norm(b))
-    if na <= 0.0 or nb <= 0.0:
-        raise DomainError("cosine is undefined for zero vectors")
-    return float(np.clip(float(a @ b) / (na * nb), -1.0, 1.0))
 
 
 @dataclass(frozen=True, eq=False)

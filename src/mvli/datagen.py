@@ -24,8 +24,8 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 from .augment import AugmentedDocument, image_key_for_entity
 from .bm25 import Bm25Index
-from .core import (ConfigError, FormatError, GenerationError, InputError, Rng, iter_jsonl,
-                   str_fields, write_jsonl)
+from .core import (ConfigError, FormatError, GenerationError, Rng, iter_jsonl, str_fields,
+                   write_jsonl)
 
 REJECT_LEAK = "leak"
 REJECT_NO_QUALIFIER = "no_qualifier"
@@ -177,15 +177,19 @@ def extract_target_subgraph(graph: OneHopGraph, rng: Rng) -> TargetSubgraph | No
 
 
 def enumerate_target_subgraphs(graph: OneHopGraph, rng: Rng, limit: int) -> list[TargetSubgraph]:
-    """Up to `limit` distinct subgraphs drawn by repeated uniform extraction."""
+    """Up to `limit` distinct subgraphs drawn by repeated uniform extraction.
+
+    Draws stop once every (query, qualifying) pair of the graph has been
+    found, so a limit above the pair count costs no more than the count.
+    """
+    pairs = {(q.entity, n.entity) for q in graph.neighbors if q.has_image
+             for n in graph.neighbors if n is not q}
     found: list[TargetSubgraph] = []
     seen: set[tuple[str, str]] = set()
     for attempt in range(max(4 * limit, 8)):
-        if len(found) >= limit:
+        if len(found) >= min(limit, len(pairs)):
             break
         sg = extract_target_subgraph(graph, rng.split(attempt))
-        if sg is None:
-            break
         key = (sg.query_entity, sg.qualifying_entity)
         if key not in seen:
             seen.add(key)
@@ -271,17 +275,6 @@ def render_question(sg: TargetSubgraph, typemap: Mapping[str, str]) -> tuple[str
 
 
 QuestionGenerator = Callable[[TargetSubgraph, Mapping[str, str]], tuple[str, str]]
-
-
-def generate_question(
-    sg: TargetSubgraph,
-    typemap: Mapping[str, str],
-    generator: QuestionGenerator | None = None,
-) -> tuple[str, str]:
-    """Question and answer for a subgraph; the default generator is the
-    deterministic template, but an external model may be plugged in and its
-    output is re-validated downstream like any other draft."""
-    return (generator or render_question)(sg, typemap)
 
 
 def validate_sample(
@@ -377,12 +370,6 @@ class RuleParaphraser:
         if self.reorder:
             result = self._reorder(result)
         return result
-
-
-def paraphrase(question: str, transformer: Callable[[str], str] | None = None) -> str:
-    if not question:
-        raise InputError("cannot paraphrase an empty question")
-    return (transformer or RuleParaphraser())(question)
 
 
 # ---------------------------------------------------------------------------
@@ -492,7 +479,7 @@ def generate_samples(
         for i, sg in enumerate(subgraphs):
             draft = draft_sample(
                 f"{doc_id}:{i}", doc_id,
-                lambda: generate_question(sg, typemap, question_generator), transformer,
+                lambda: (question_generator or render_question)(sg, typemap), transformer,
                 sg.query_entity, image_key_for_entity(sg.query_entity), type_nouns,
             )
             (drafts if isinstance(draft, QaSample) else rejected).append(draft)

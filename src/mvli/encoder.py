@@ -312,12 +312,6 @@ def load_params(path: str | Path) -> tuple[EncoderParams, EncoderConfig]:
 
 
 @dataclass(frozen=True)
-class TextFeatures:
-    tokens: tuple[str, ...]
-    embeddings: np.ndarray  # (N_t, text_dim)
-
-
-@dataclass(frozen=True)
 class ImageFeatures:
     global_vec: np.ndarray  # (image_dim,)
     patches: np.ndarray  # (n_patches, image_dim)
@@ -417,19 +411,11 @@ def read_embedding_file(path: str | Path) -> dict[str, np.ndarray]:
     return records
 
 
-def embed_tokens(tokens: Sequence[str], provider, config: EncoderConfig) -> TextFeatures:
+def embed_tokens(tokens: Sequence[str], provider, config: EncoderConfig) -> np.ndarray:
+    """Text features (N_t, text_dim): one backbone vector per token."""
     if not tokens:
         raise InputError("cannot embed an empty token sequence")
-    embeddings = np.stack([provider.text_vector(tok) for tok in tokens])
-    return TextFeatures(tuple(tokens), embeddings)
-
-
-def embed_text(text: str, provider, config: EncoderConfig) -> TextFeatures:
-    """Token-level text features: lowercased whitespace tokens, one vector each."""
-    tokens = tokenize(text)
-    if not tokens:
-        raise InputError("text is empty after tokenization")
-    return embed_tokens(tokens, provider, config)
+    return np.stack([provider.text_vector(tok) for tok in tokens])
 
 
 def embed_image(image_key: str, provider, config: EncoderConfig) -> ImageFeatures:
@@ -441,17 +427,18 @@ def embed_image(image_key: str, provider, config: EncoderConfig) -> ImageFeature
     return ImageFeatures(global_vec, patches)
 
 
-def apply_ete(text: TextFeatures, span: Iterable[int], theta: np.ndarray) -> TextFeatures:
-    """Copy of `text` with `theta` added to the embeddings at `span` (0-based)."""
+def apply_ete(text: np.ndarray, span: Iterable[int], theta: np.ndarray) -> np.ndarray:
+    """Copy of the text features (N_t, text_dim) with `theta` added to the
+    rows at `span` (0-based)."""
     indices = sorted(set(int(i) for i in span))
-    n = text.embeddings.shape[0]
+    n = text.shape[0]
     for i in indices:
         if i < 0 or i >= n:
             raise SpanError(f"token index {i} outside range [0, {n})")
-    shifted = text.embeddings.copy()
+    shifted = text.copy()
     if indices:
         shifted[indices] += np.asarray(theta, dtype=np.float64)
-    return TextFeatures(text.tokens, shifted)
+    return shifted
 
 
 # ---------------------------------------------------------------------------
@@ -575,17 +562,6 @@ def cross_attend_forward(
     return h2, cache
 
 
-def cross_attend(
-    patches: np.ndarray, text: TextFeatures, params: EncoderParams, config: EncoderConfig
-) -> np.ndarray:
-    """Public fused-feature map; validates weight finiteness first."""
-    for name in _ATTN_FIELDS:
-        if not np.all(np.isfinite(getattr(params.xattn, name))):
-            raise NumericError(f"non-finite values in cross-attention tensor {name!r}")
-    out, _ = cross_attend_forward(patches, text.embeddings, params.xattn, config)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Feature-set assembly.
 #
@@ -677,31 +653,20 @@ def project_batch(
     return features, cache
 
 
-def _complete(item: dict, params: EncoderParams, config: EncoderConfig, defer_batch: bool):
-    """One item's batch step, unless the caller batches it."""
-    if defer_batch:
-        return item
-    (features,), cache = project_batch([item], params, config)
-    return features, cache
-
-
 def encode_query_forward(
     query: QueryInput,
     params: EncoderParams,
     config: EncoderConfig,
     provider,
     image_only: bool = False,
-    *,
-    defer_batch: bool = False,
-):
-    """Features and cache of `encode_query`.  defer_batch=True returns the
-    per-item step's source rows instead, for `project_batch` to project with
-    those of other items."""
+) -> dict:
+    """The per-item step of `encode_query`: its source rows, for
+    `project_batch` to project alone or with those of other items."""
     tokens = tokenize(query.text)
     if not tokens and not image_only:
         raise InputError("query text is empty; only image-only mode allows that")
     if tokens:
-        text_emb = embed_tokens(tokens, provider, config).embeddings
+        text_emb = embed_tokens(tokens, provider, config)
     else:
         text_emb = params.null_text[None, :]  # learned null-text token stands in for absent text
     text_rows = text_emb[:0] if image_only else text_emb
@@ -710,9 +675,8 @@ def encode_query_forward(
     order = np.concatenate([[n_text], np.arange(n_text),
                             n_text + 1 + np.arange(config.n_mm_tokens)])
     at = (np.zeros(int(not tokens), dtype=int),) * 2  # the null-text row, if used
-    item = _item(text_rows, [query.image_key], text_emb[None], order, at, "null_text",
+    return _item(text_rows, [query.image_key], text_emb[None], order, at, "null_text",
                  params, config, provider)
-    return _complete(item, params, config, defer_batch)
 
 
 def encode_query(
@@ -727,8 +691,8 @@ def encode_query(
     Standard mode yields 1 + N_t + n_mm_tokens members; image-only mode drops
     the projected text tokens (they still drive cross-attention keys/values).
     """
-    features, _ = encode_query_forward(query, params, config, provider, image_only)
-    return features
+    item = encode_query_forward(query, params, config, provider, image_only)
+    return project_batch([item], params, config)[0][0]
 
 
 def encode_document_forward(
@@ -737,11 +701,8 @@ def encode_document_forward(
     config: EncoderConfig,
     provider,
     flags: EncoderFlags,
-    *,
-    defer_batch: bool = False,
-):
-    """Features and cache of `encode_document`; defer_batch as in
-    `encode_query_forward`."""
+) -> dict:
+    """The per-item step of `encode_document`, as `encode_query_forward`."""
     if not doc.raw.main_image_key:
         raise DocumentError(f"document {doc.doc_id!r} has no main image")
     if not doc.text_tokens:
@@ -753,8 +714,7 @@ def encode_document_forward(
         images.extend((rel.image_key, rel.span) for rel in doc.related)
     spans = [span if flags.ete else () for _, span in images]
     # apply_ete range-checks every span, also those of images without fused tokens
-    texts = [apply_ete(text, span, params.ete).embeddings if span else text.embeddings
-             for span in spans]
+    texts = [apply_ete(text, span, params.ete) if span else text for span in spans]
     n_fused = len(images) if flags.mmf else 1  # the main image always gets fused tokens
 
     # rows: text, then per image its global vector followed by its fused tokens
@@ -766,9 +726,8 @@ def encode_document_forward(
             blocks.append(n_text + len(images) + r * n_mm + np.arange(n_mm))
     pairs = [(r, s) for r, span in enumerate(spans[:n_fused]) for s in sorted(set(span))]
     at = tuple(np.array(pairs, dtype=int).reshape(-1, 2).T)  # the ETE-shifted text rows
-    item = _item(text.embeddings, [key for key, _ in images], np.stack(texts[:n_fused]),
+    return _item(text, [key for key, _ in images], np.stack(texts[:n_fused]),
                  np.concatenate(blocks), at, "ete", params, config, provider)
-    return _complete(item, params, config, defer_batch)
 
 
 def encode_document(
@@ -785,8 +744,8 @@ def encode_document(
     image, so each related image contributes just its projected global
     feature; ete off (or a zero embedding) leaves the text unperturbed.
     """
-    features, _ = encode_document_forward(doc, params, config, provider, flags)
-    return features
+    item = encode_document_forward(doc, params, config, provider, flags)
+    return project_batch([item], params, config)[0][0]
 
 
 def encode_corpus(
@@ -807,8 +766,7 @@ def encode_corpus(
     chunk: dict[str, dict] = {}
     n_rows = 0
     for doc_id in sorted(kb):
-        item = encode_document_forward(kb[doc_id], params, config, provider, flags,
-                                       defer_batch=True)
+        item = encode_document_forward(kb[doc_id], params, config, provider, flags)
         del item["xattn"]  # the backward's activations
         chunk[doc_id] = item
         n_rows += len(item["fused"])

@@ -181,7 +181,6 @@ def evaluate_model(
     benchmark: str = "synthetic",
     image_only: bool = False,
     ks: Sequence[int] = DEFAULT_KS,
-    with_distractors: bool = True,
     *,
     index: RetrievalIndex | None = None,
     search_params: SearchParams | None = None,
@@ -205,15 +204,14 @@ def evaluate_model(
                 recall_at_k(rankings[s.sample_id], s.gt_doc_id, k) for s in group
             ) / len(group)
             report.add(benchmark, split, label, "recall", k, value)
-    if with_distractors:
-        dmap = build_distractor_map(kb_raw, test_samples)
-        for split, group in groups:
-            sub = {s.sample_id: rankings[s.sample_id] for s in group}
-            for k in ks:
-                report.add(
-                    benchmark, split, label, "distractor_recall", k,
-                    distractor_recall(sub, dmap, k),
-                )
+    dmap = build_distractor_map(kb_raw, test_samples)
+    for split, group in groups:
+        sub = {s.sample_id: rankings[s.sample_id] for s in group}
+        for k in ks:
+            report.add(
+                benchmark, split, label, "distractor_recall", k,
+                distractor_recall(sub, dmap, k),
+            )
     return report
 
 

@@ -68,7 +68,7 @@ class RetrievalIndex:
     codes: np.ndarray  # (N, dim) uint8, or float64 vectors when nbits == 0
     code_min: np.ndarray  # (dim,) per-dimension codebook scalars
     code_max: np.ndarray
-    doc_ids: list[str]
+    doc_ids: list[str]  # strictly ascending
     doc_sizes: np.ndarray  # (n_docs,) vector count per doc
     objective_trace: list[float] = field(default_factory=list)
     doc_offsets: np.ndarray = field(init=False)  # (n_docs + 1,) doc d: rows off[d]..off[d+1]
@@ -78,15 +78,14 @@ class RetrievalIndex:
     # centroid c's sorted doc indices: centroid_doc_ids[centroid_doc_offsets[c]:...[c + 1]]
     centroid_doc_ids: np.ndarray = field(init=False)
     centroid_doc_offsets: np.ndarray = field(init=False)  # (K + 1,)
-    doc_rank: np.ndarray = field(init=False)  # (n_docs,) position of each doc_id in sorted order
 
     def __post_init__(self):
         (self.doc_offsets, self.doc_centroid_ids, self.doc_centroid_offsets,
          self.centroid_doc_ids, self.centroid_doc_offsets) = _derive_layout(
             self.assignments, self.doc_sizes, self.centroids.shape[0])
-        by_id = sorted(range(len(self.doc_ids)), key=self.doc_ids.__getitem__)
-        self.doc_rank = np.empty(len(by_id), dtype=np.int64)
-        self.doc_rank[by_id] = np.arange(len(by_id))
+        for a, b in zip(self.doc_ids, self.doc_ids[1:]):
+            if a >= b:  # doc index order is doc_id order: search breaks ties by index
+                raise CorruptionError(f"document ids are not strictly ascending: {a!r}, {b!r}")
 
     @property
     def n_vectors(self) -> int:
@@ -347,7 +346,7 @@ def search(index: RetrievalIndex, query: FeatureSet, params: SearchParams) -> li
         sizes,
         lambda start: q @ reconstruct(index, ids[start:start + _SEARCH_BLOCK_COLS]).T,
         len(q))
-    top = np.lexsort((index.doc_rank[ordered], -scores))[:params.k]
+    top = np.lexsort((ordered, -scores))[:params.k]
     return [ScoredDoc(index.doc_ids[ordered[i]], float(scores[i])) for i in top]
 
 

@@ -16,19 +16,11 @@ class ScoredDoc:
     score: float
 
 
-def similarity_matrix(query_vecs: np.ndarray, doc_vecs: np.ndarray) -> np.ndarray:
-    """(m, n) matrix of dot products; cosine similarities for unit rows."""
-    if query_vecs.shape[1] != doc_vecs.shape[1]:
-        raise ShapeError(
-            f"dimension mismatch: query {query_vecs.shape[1]} vs document {doc_vecs.shape[1]}"
-        )
-    return query_vecs @ doc_vecs.T
-
-
 def late_interaction_score(query: FeatureSet, doc: FeatureSet) -> float:
     """Sum over query tokens of the maximum similarity to any document token."""
-    sims = similarity_matrix(query.vectors, doc.vectors)
-    return float(sims.max(axis=1).sum())
+    if query.dim != doc.dim:
+        raise ShapeError(f"dimension mismatch: query {query.dim} vs document {doc.dim}")
+    return float((query.vectors @ doc.vectors.T).max(axis=1).sum())
 
 
 def rank_exact(

@@ -52,8 +52,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.batch_size < 2:
             raise ConfigError("batch_size must be >= 2 for in-batch negatives")
-        if self.learning_rate <= 0:
-            raise ConfigError("learning_rate must be positive")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ConfigError("learning_rate must be positive and finite")
         if self.epochs < 0:
             raise ConfigError("epochs must be >= 0")
 
@@ -231,10 +231,8 @@ def loss_and_grads(
         raise ConfigError("queries and documents must be aligned")
     if len(queries) < 2:
         raise ConfigError("batch size must be >= 2")
-    items = ([encode_query_forward(q, params, config, provider, image_only, defer_batch=True)
-              for q in queries]
-             + [encode_document_forward(d, params, config, provider, flags, defer_batch=True)
-                for d in docs])
+    items = ([encode_query_forward(q, params, config, provider, image_only) for q in queries]
+             + [encode_document_forward(d, params, config, provider, flags) for d in docs])
     b = len(queries)
     features, cache = project_batch(items, params, config)
     q_feats, d_feats = features[:b], features[b:]

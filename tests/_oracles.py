@@ -287,3 +287,22 @@ def naive_search(index, query_rows: np.ndarray, k: int, nprobe: int, cap: int):
         scored.append((index.doc_ids[d], float((query_rows @ rows.T).max(axis=1).sum())))
     scored.sort(key=lambda t: (-t[1], t[0]))
     return sorted(index.doc_ids[d] for d in candidates), scored[:k]
+
+
+def naive_enumerate_target_subgraphs(graph, rng, limit: int):
+    """Up to `limit` distinct subgraphs from at most max(4 * limit, 8) uniform
+    draws, with no stop at the graph's pair count."""
+    from mvli.datagen import extract_target_subgraph
+
+    found, seen = [], set()
+    for attempt in range(max(4 * limit, 8)):
+        if len(found) >= limit:
+            break
+        sg = extract_target_subgraph(graph, rng.split(attempt))
+        if sg is None:
+            break
+        key = (sg.query_entity, sg.qualifying_entity)
+        if key not in seen:
+            seen.add(key)
+            found.append(sg)
+    return found

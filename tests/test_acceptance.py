@@ -32,8 +32,8 @@ from mvli.encoder import (
     EncoderFlags,
     QueryInput,
     SeededEmbeddingProvider,
-    encode_document_forward,
-    encode_query_forward,
+    encode_document,
+    encode_query,
     init_encoder_params,
     load_params,
     named_tensors,
@@ -165,9 +165,8 @@ class TestCriterion2GradientVerification:
         return queries, docs, params
 
     def _margin(self, queries, docs, params, provider, flags) -> float:
-        qf = [encode_query_forward(q, params, self.CONFIG, provider)[0] for q in queries]
-        df = [encode_document_forward(d, params, self.CONFIG, provider, flags)[0]
-              for d in docs]
+        qf = [encode_query(q, params, self.CONFIG, provider) for q in queries]
+        df = [encode_document(d, params, self.CONFIG, provider, flags) for d in docs]
         return maxsim_margin(qf, df)
 
     def test_analytic_matches_central_differences(self):
@@ -295,21 +294,21 @@ class TestCriterion5FeatureSetCardinality:
                 raw = RawDocument(f"d{g}.{i}", "Title", body, f"img::main{g}.{i}")
                 doc = AugmentedDocument(raw=raw, text_tokens=tuple(tokenize(body)),
                                         related=related)
-                all_on, _ = encode_document_forward(
+                all_on = encode_document(
                     doc, params, config, provider, EncoderFlags(True, True, True))
                 assert len(all_on) == n_t + (r + 1) * (1 + n_v)
 
                 # mi off == encoding the document with related images stripped
-                mi_off, _ = encode_document_forward(
+                mi_off = encode_document(
                     doc, params, config, provider, EncoderFlags(False, True, True))
                 stripped = AugmentedDocument(raw=raw, text_tokens=doc.text_tokens,
                                              related=())
-                stripped_on, _ = encode_document_forward(
+                stripped_on = encode_document(
                     stripped, params, config, provider, EncoderFlags(True, True, True))
                 assert mi_off.vectors.tobytes() == stripped_on.vectors.tobytes()
 
                 # mmf off == all-on rows minus related multimodal rows
-                mmf_off, _ = encode_document_forward(
+                mmf_off = encode_document(
                     doc, params, config, provider, EncoderFlags(True, False, True))
                 assert len(mmf_off) == n_t + (1 + n_v) + r
                 keep = [
@@ -320,9 +319,9 @@ class TestCriterion5FeatureSetCardinality:
                 assert mmf_off.vectors.tobytes() == all_on.vectors[keep].tobytes()
 
                 # ete zero == ete flag off, bit-exact
-                ete_on, _ = encode_document_forward(
+                ete_on = encode_document(
                     doc, zeroed, config, provider, EncoderFlags(True, True, True))
-                ete_off, _ = encode_document_forward(
+                ete_off = encode_document(
                     doc, zeroed, config, provider, EncoderFlags(True, True, False))
                 assert ete_on.vectors.tobytes() == ete_off.vectors.tobytes()
                 total += 1

@@ -3,36 +3,40 @@ import math
 import pytest
 
 from _oracles import naive_bm25
-from mvli.bm25 import Bm25Index, CorpusStats, bm25_score
-from mvli.core import InputError, Rng, StateError, tokenize
+from mvli.bm25 import Bm25Index
+from mvli.core import InputError, Rng, tokenize
+
+
+def all_scores(index: Bm25Index, query) -> dict[str, float]:
+    """Every doc's score for `query`; docs sharing no term with it are absent."""
+    return dict(index.top_k(query, index.doc_count))
 
 
 class TestBm25Score:
     def test_absent_term_contributes_zero(self):
-        stats = CorpusStats(doc_count=2, avgdl=3.0, df={"apple": 1})
-        doc = ["pear", "plum", "fig"]
-        assert bm25_score(["apple"], doc, stats) == 0.0
+        index = Bm25Index({"a": "pear plum fig", "b": "apple tart crust"})
+        assert "a" not in all_scores(index, ["apple"])
+        assert all_scores(index, ["apple", "pear"])["a"] == all_scores(index, ["pear"])["a"]
 
     def test_single_doc_hand_computed_okapi(self):
         # one document, term present once, dl == avgdl: the tf factor is
         # exactly 1 and the score reduces to the idf ln((N-df+0.5)/(df+0.5))
-        doc = ["velmo", "feeds", "tharn"]
-        stats = CorpusStats(doc_count=1, avgdl=3.0, df={"feeds": 1})
+        index = Bm25Index({"d": "velmo feeds tharn"})
         expected = math.log((1 - 1 + 0.5) / (1 + 0.5))
-        assert bm25_score(["feeds"], doc, stats) == pytest.approx(expected)
+        assert all_scores(index, ["feeds"])["d"] == pytest.approx(expected)
         assert expected == pytest.approx(math.log(1.0 / 3.0))
 
     def test_doc_length_equal_avgdl_normalization_is_one(self):
-        stats = CorpusStats(doc_count=10, avgdl=4.0, df={"term": 3})
-        doc = ["term", "filler", "filler", "filler"]
+        bodies = {f"t{i}": "term filler filler filler" for i in range(3)}
+        bodies.update({f"o{i}": "other filler filler filler" for i in range(7)})
         k1, b = 1.2, 0.75
+        index = Bm25Index(bodies, k1=k1, b=b)
         idf = math.log((10 - 3 + 0.5) / (3 + 0.5))
         expected = idf * (1 * (k1 + 1)) / (1 + k1)  # b-term collapses to 1
-        assert bm25_score(["term"], doc, stats, k1=k1, b=b) == pytest.approx(expected)
-
-    def test_empty_corpus_stats_rejected(self):
-        with pytest.raises(StateError):
-            bm25_score(["x"], ["x"], CorpusStats(doc_count=0, avgdl=0.0, df={}))
+        scores = all_scores(index, ["term"])
+        assert sorted(scores) == ["t0", "t1", "t2"]
+        for score in scores.values():
+            assert score == pytest.approx(expected)
 
 
 class TestBm25Index:
@@ -45,8 +49,9 @@ class TestBm25Index:
     def test_scores_match_direct_formula(self):
         index = Bm25Index(self.BODIES)
         all_terms = [tokenize(self.BODIES[d]) for d in sorted(self.BODIES)]
+        scores = all_scores(index, "koro velmo")
         for doc_id in sorted(self.BODIES):
-            got = index.score(tokenize("koro velmo"), doc_id)
+            got = scores.get(doc_id, 0.0)
             expected = naive_bm25(
                 tokenize("koro velmo"), tokenize(self.BODIES[doc_id]), all_terms
             )
@@ -55,8 +60,10 @@ class TestBm25Index:
     def test_top_k_matches_score_ranking(self):
         index = Bm25Index(self.BODIES)
         top = index.top_k("koro velmo", 3)
+        all_terms = [tokenize(self.BODIES[d]) for d in sorted(self.BODIES)]
         full = sorted(
-            ((d, index.score(tokenize("koro velmo"), d)) for d in self.BODIES),
+            ((d, naive_bm25(tokenize("koro velmo"), tokenize(self.BODIES[d]), all_terms))
+             for d in self.BODIES),
             key=lambda kv: (-kv[1], kv[0]),
         )
         expected = [(d, s) for d, s in full if s != 0.0][:3]
@@ -87,7 +94,8 @@ class TestBm25Index:
             index = Bm25Index(bodies)
             all_terms = [tokenize(bodies[d]) for d in sorted(bodies)]
             query = [vocab[int(gen.integers(len(vocab)))] for _ in range(3)]
+            scores = all_scores(index, query)
             for doc_id in bodies:
-                assert index.score(query, doc_id) == pytest.approx(
+                assert scores.get(doc_id, 0.0) == pytest.approx(
                     naive_bm25(query, tokenize(bodies[doc_id]), all_terms), abs=1e-12
                 )

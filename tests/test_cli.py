@@ -183,6 +183,15 @@ class TestExitCodes:
                        "synth", "--out-dir", str(out)) == 2
         assert not (out / "train.jsonl").exists()
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_learning_rate_is_config_error(self, workdir, tmp_path, value):
+        root, cfg, out = workdir
+        params = tmp_path / "p.mprm"
+        assert run_cli("--config", str(cfg), "--set", f"train.learning_rate={value}", "train",
+                       "--kb", str(out / "kb.jsonl"), "--samples", str(out / "train.jsonl"),
+                       "--out", str(params)) == 2
+        assert not params.exists()
+
     def test_negative_kmeans_iters_is_config_error(self, workdir, tmp_path):
         root, cfg, out = workdir
         params = tmp_path / "p.mprm"

@@ -7,63 +7,75 @@ from mvli.core import (
     ConfigError,
     DomainError,
     FeatureSet,
+    NumericError,
     Rng,
     ShapeError,
-    cosine,
-    l2_normalize,
     normalize_token,
     seeded_unit_vector,
     tokenize,
 )
+from mvli.encoder import rownorm_forward
+from mvli.scoring import late_interaction_score
+
+
+def one_token(v) -> FeatureSet:
+    return FeatureSet(np.asarray([v], dtype=np.float64), ("textual",))
 
 
 class TestCosine:
+    """MaxSim between one-token feature sets is the cosine of their vectors."""
+
     def test_identical_unit_vectors(self):
-        assert cosine(np.array([1.0, 0.0]), np.array([1.0, 0.0])) == 1.0
+        assert late_interaction_score(one_token([1.0, 0.0]), one_token([1.0, 0.0])) == 1.0
 
     def test_orthogonal(self):
-        assert cosine(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 0.0
+        assert late_interaction_score(one_token([1.0, 0.0]), one_token([0.0, 1.0])) == 0.0
 
     def test_hand_evaluated_dot(self):
-        assert cosine(np.array([1.0, 0.0]), np.array([0.6, 0.8])) == pytest.approx(0.6)
+        score = late_interaction_score(one_token([1.0, 0.0]), one_token([0.6, 0.8]))
+        assert score == pytest.approx(0.6)
 
     def test_non_unit_inputs_are_normalized(self):
-        assert cosine(np.array([2.0, 0.0]), np.array([3.0, 4.0])) == pytest.approx(0.6)
+        (a, b), _ = rownorm_forward(np.array([[2.0, 0.0], [3.0, 4.0]]))
+        assert late_interaction_score(one_token(a), one_token(b)) == pytest.approx(0.6)
 
     def test_zero_vector_rejected(self):
         with pytest.raises(DomainError):
-            cosine(np.zeros(3), np.ones(3))
+            one_token(np.zeros(3))
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ShapeError):
-            cosine(np.ones(3), np.ones(4))
+            late_interaction_score(one_token(np.ones(3) / np.sqrt(3)), one_token(np.ones(4) / 2))
 
     @given(st.integers(0, 10_000), st.integers(0, 10_000))
     @settings(max_examples=60, deadline=None)
     def test_symmetry(self, i, j):
-        a = seeded_unit_vector(f"a{i}", 8, "t")
-        b = seeded_unit_vector(f"b{j}", 8, "t")
-        assert cosine(a, b) == pytest.approx(cosine(b, a), abs=1e-15)
+        a = one_token(seeded_unit_vector(f"a{i}", 8, "t"))
+        b = one_token(seeded_unit_vector(f"b{j}", 8, "t"))
+        assert late_interaction_score(a, b) == pytest.approx(late_interaction_score(b, a),
+                                                             abs=1e-15)
 
 
 class TestNormalize:
+    """The row normalization every projection ends in."""
+
     def test_three_four_five(self):
-        np.testing.assert_allclose(l2_normalize(np.array([3.0, 4.0])), [0.6, 0.8])
+        np.testing.assert_allclose(rownorm_forward(np.array([[3.0, 4.0]]))[0], [[0.6, 0.8]])
 
     def test_unit_input_unchanged(self):
-        v = np.array([0.6, 0.8])
-        np.testing.assert_allclose(l2_normalize(v), v, atol=1e-15)
+        v = np.array([[0.6, 0.8]])
+        np.testing.assert_allclose(rownorm_forward(v)[0], v, atol=1e-15)
 
     def test_zero_vector_rejected(self):
-        with pytest.raises(DomainError):
-            l2_normalize(np.zeros(4))
+        with pytest.raises(NumericError):
+            rownorm_forward(np.zeros((1, 4)))
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=60, deadline=None)
     def test_idempotent(self, i):
-        v = seeded_unit_vector(f"v{i}", 12, "t") * 3.7
-        once = l2_normalize(v)
-        np.testing.assert_allclose(l2_normalize(once), once, atol=1e-12)
+        v = seeded_unit_vector(f"v{i}", 12, "t")[None] * 3.7
+        once, _ = rownorm_forward(v)
+        np.testing.assert_allclose(rownorm_forward(once)[0], once, atol=1e-12)
 
 
 class TestSeededUnitVector:
@@ -75,12 +87,12 @@ class TestSeededUnitVector:
     def test_distinct_keys_differ(self):
         a = seeded_unit_vector("a", 16, "text")
         b = seeded_unit_vector("b", 16, "text")
-        assert cosine(a, b) != pytest.approx(1.0)
+        assert float(a @ b) != pytest.approx(1.0)
 
     def test_domains_are_independent(self):
         a = seeded_unit_vector("k", 16, "text")
         b = seeded_unit_vector("k", 16, "img-g")
-        assert abs(cosine(a, b)) < 0.99
+        assert abs(float(a @ b)) < 0.99
 
     def test_unit_norm(self):
         for i in range(50):

@@ -1,11 +1,15 @@
 import pytest
 
-from mvli.augment import RawDocument, augment_kb
+import mvli.datagen as datagen_mod
+from _oracles import naive_enumerate_target_subgraphs
+from mvli.augment import RawDocument, augment_kb, entity_from_image_key
 from mvli.bm25 import Bm25Index
 from mvli.core import ConfigError, GenerationError, Rng
 from mvli.datagen import (
     DEFAULT_SYNONYMS,
     REJECT_STRIP,
+    Neighbor,
+    OneHopGraph,
     QaSample,
     RuleParaphraser,
     TargetSubgraph,
@@ -14,10 +18,8 @@ from mvli.datagen import (
     enforce_unique_gt,
     enumerate_target_subgraphs,
     extract_target_subgraph,
-    generate_question,
     generate_samples,
     load_samples,
-    paraphrase,
     render_question,
     save_samples,
     split_seen_unseen,
@@ -37,6 +39,28 @@ def _graph_kb():
         RawDocument("d", "Delta Bay", "Delta Bay stores salt.", "img::Delta Bay"),
     ]
     return {doc.doc_id: doc for doc in docs}
+
+
+def _seeded_graphs(seed=1, n=12):
+    """Graphs of 0 to 5 neighbors, 70% of them with an image, plus one with a
+    single neighbor and one with no neighbor image."""
+    graphs = [
+        OneHopGraph("one", "M", (Neighbor("E", "s", True, "d"),)),
+        OneHopGraph("blind", "M",
+                    tuple(Neighbor(f"E{i}", "s", False, f"d{i}") for i in range(3))),
+    ]
+    rng = Rng(seed)
+    for g in range(n):
+        gen = rng.split(g).generator()
+        neighbors = tuple(Neighbor(f"E{g}.{i}", f"s{i}", bool(gen.random() < 0.7), f"d{i}")
+                          for i in range(int(gen.integers(0, 6))))
+        graphs.append(OneHopGraph(f"g{g}", f"M{g}", neighbors))
+    return graphs
+
+
+def _pair_count(graph) -> int:
+    return len({(q.entity, n.entity) for q in graph.neighbors if q.has_image
+                for n in graph.neighbors if n is not q})
 
 
 class TestOneHopGraph:
@@ -132,6 +156,43 @@ class TestExtractTargetSubgraph:
         assert len(pairs) == len(set(pairs))
         assert 1 <= len(pairs) <= 6
 
+    def test_enumerate_matches_unbounded_draws(self):
+        for graph in _seeded_graphs():
+            rng = Rng(7).split(graph.doc_id)
+            for limit in range(1, _pair_count(graph) + 4):
+                assert (enumerate_target_subgraphs(graph, rng, limit)
+                        == naive_enumerate_target_subgraphs(graph, rng, limit)), (graph, limit)
+
+    def test_enumerate_draws_stop_at_pair_count(self, monkeypatch):
+        extract = extract_target_subgraph
+        calls = []
+
+        def counted(graph, rng):
+            calls.append(1)
+            assert len(calls) <= 10_000, "enumeration did not stop"
+            return extract(graph, rng)
+
+        monkeypatch.setattr(datagen_mod, "extract_target_subgraph", counted)
+
+        def draws(graph, rng, limit):
+            calls.clear()
+            return len(enumerate_target_subgraphs(graph, rng, limit)), len(calls)
+
+        for graph in _seeded_graphs():
+            rng, n_pairs = Rng(7).split(graph.doc_id), _pair_count(graph)
+            # the first draws that cover every pair, counted outside the engine
+            seen, cover = set(), 0
+            while len(seen) < n_pairs:
+                sg = extract(graph, rng.split(cover))
+                seen.add((sg.query_entity, sg.qualifying_entity))
+                cover += 1
+            assert draws(graph, rng, 10**9) == (n_pairs, cover)
+            found, spent = draws(graph, rng, n_pairs)
+            if found == n_pairs:
+                assert spent == cover
+            else:  # max(4 * limit, 8) draws ran out before every pair was found
+                assert spent == max(4 * n_pairs, 8) < cover
+
 
 class TestQuestionTemplate:
     BEETLE = TargetSubgraph(
@@ -190,12 +251,21 @@ class TestQuestionTemplate:
         assert zero == "surface_violation" and two == "surface_violation"
 
     def test_pluggable_generator_is_used(self):
-        def fake_generator(sg, typemap):
-            return "What is this plant?", sg.answer_entity
+        calls = []
 
-        question, answer = generate_question(self.BEETLE, self.TYPES, fake_generator)
-        assert question == "What is this plant?"
-        assert answer == "Lema daturaphila"
+        def fake_generator(sg, typemap):
+            calls.append(sg)
+            return f"What is this {typemap[sg.query_entity]}?", sg.answer_entity
+
+        kb_aug, typemap = TestPipeline()._world()
+        samples, _ = generate_samples(kb_aug, typemap, seed=5, samples_per_doc=3,
+                                      paraphraser=lambda q: q,
+                                      question_generator=fake_generator)
+        assert samples and len(samples) == len(calls)
+        for s in samples:
+            noun = typemap[entity_from_image_key(s.query_image_key)]
+            assert s.question == f"What is this {noun}?"
+            assert s.answer == kb_aug[s.gt_doc_id].raw.title
 
 
 class TestParaphrase:
@@ -226,12 +296,6 @@ class TestParaphrase:
     def test_default_table_is_50_words_and_acyclic(self):
         assert len(DEFAULT_SYNONYMS) == 50
         assert not (set(DEFAULT_SYNONYMS) & set(DEFAULT_SYNONYMS.values()))
-
-    def test_paraphrase_empty_rejected(self):
-        import mvli.core as core
-
-        with pytest.raises(core.InputError):
-            paraphrase("")
 
     def test_no_reorder_without_clause(self):
         q = "Name the plant that this creature dines on."

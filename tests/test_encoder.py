@@ -18,6 +18,7 @@ from mvli.core import (
     Rng,
     SpanError,
     UnsupportedVersionError,
+    tokenize,
 )
 from mvli.encoder import (
     ABLATION_ROWS,
@@ -28,10 +29,9 @@ from mvli.encoder import (
     QueryInput,
     SeededEmbeddingProvider,
     apply_ete,
-    cross_attend,
+    check_params_finite,
     cross_attend_forward,
     embed_image,
-    embed_text,
     embed_tokens,
     encode_corpus,
     encode_document,
@@ -51,29 +51,30 @@ from mvli.synth import SynthConfig, generate_kb
 def make_augmented(doc_id, title, body, related, image_key=None):
     raw = RawDocument(doc_id, title, body,
                       f"img::{title}" if image_key is None else image_key)
-    from mvli.core import tokenize
-
     return AugmentedDocument(raw=raw, text_tokens=tuple(tokenize(body)), related=tuple(related))
+
+
+def text_features(text, provider, config):
+    return embed_tokens(tokenize(text), provider, config)
 
 
 class TestEmbedText:
     def test_token_count(self, tiny_provider, tiny_config):
-        feats = embed_text("Lema daturaphila", tiny_provider, tiny_config)
-        assert len(feats.tokens) == 2
-        assert feats.embeddings.shape == (2, tiny_config.text_dim)
+        feats = text_features("Lema daturaphila", tiny_provider, tiny_config)
+        assert feats.shape == (2, tiny_config.text_dim)
 
     def test_deterministic(self, tiny_provider, tiny_config):
-        a = embed_text("feeds upon potato", tiny_provider, tiny_config)
-        b = embed_text("feeds upon potato", tiny_provider, tiny_config)
-        np.testing.assert_array_equal(a.embeddings, b.embeddings)
+        a = text_features("feeds upon potato", tiny_provider, tiny_config)
+        b = text_features("feeds upon potato", tiny_provider, tiny_config)
+        np.testing.assert_array_equal(a, b)
 
     def test_case_folded_tokens_share_embeddings(self, tiny_provider, tiny_config):
-        feats = embed_text("a A", tiny_provider, tiny_config)
-        np.testing.assert_array_equal(feats.embeddings[0], feats.embeddings[1])
+        feats = text_features("a A", tiny_provider, tiny_config)
+        np.testing.assert_array_equal(feats[0], feats[1])
 
     def test_empty_text_rejected(self, tiny_provider, tiny_config):
         with pytest.raises(InputError):
-            embed_text("   ", tiny_provider, tiny_config)
+            text_features("   ", tiny_provider, tiny_config)
 
 
 class TestEmbedImage:
@@ -129,7 +130,7 @@ class TestCrossAttend:
     def test_single_key_gives_identical_pre_residual_outputs(self, tiny_params, tiny_config, tiny_provider):
         patches = embed_image("img::p", tiny_provider, tiny_config).patches
         text = embed_tokens(["one"], tiny_provider, tiny_config)
-        _, cache = cross_attend_forward(patches, text.embeddings, tiny_params.xattn, tiny_config)
+        _, cache = cross_attend_forward(patches, text, tiny_params.xattn, tiny_config)
         attn_out = cache["h1"] - cache["x"]  # pre-residual attention output
         for row in attn_out:
             np.testing.assert_allclose(row, attn_out[0], atol=1e-12)
@@ -137,9 +138,9 @@ class TestCrossAttend:
     def test_text_permutation_invariance(self, tiny_params, tiny_config, tiny_provider):
         patches = embed_image("img::p", tiny_provider, tiny_config).patches
         text = embed_tokens(["alpha", "beta", "gamma"], tiny_provider, tiny_config)
-        base = cross_attend(patches, text, tiny_params, tiny_config)
+        base, _ = cross_attend_forward(patches, text, tiny_params.xattn, tiny_config)
         permuted = embed_tokens(["gamma", "alpha", "beta"], tiny_provider, tiny_config)
-        swapped = cross_attend(patches, permuted, tiny_params, tiny_config)
+        swapped, _ = cross_attend_forward(patches, permuted, tiny_params.xattn, tiny_config)
         np.testing.assert_allclose(base, swapped, atol=1e-12)
 
     def test_zero_feedforward_is_identity_on_attention_sublayer(self, tiny_config, tiny_provider):
@@ -150,7 +151,7 @@ class TestCrossAttend:
         params.xattn.f2b[...] = 0.0
         patches = embed_image("img::p", tiny_provider, tiny_config).patches
         text = embed_tokens(["alpha", "beta"], tiny_provider, tiny_config)
-        out, cache = cross_attend_forward(patches, text.embeddings, params.xattn, tiny_config)
+        out, cache = cross_attend_forward(patches, text, params.xattn, tiny_config)
         np.testing.assert_allclose(out, cache["h1"], atol=1e-15)
 
     def test_matches_naive_reference(self, tiny_params, tiny_config, tiny_provider):
@@ -168,37 +169,35 @@ class TestCrossAttend:
     def test_nonfinite_weights_rejected(self, tiny_config, tiny_provider):
         params = init_encoder_params(tiny_config, seed=2)
         params.xattn.wq[0, 0] = np.nan
-        patches = embed_image("img::p", tiny_provider, tiny_config).patches
-        text = embed_tokens(["alpha"], tiny_provider, tiny_config)
-        with pytest.raises(NumericError):
-            cross_attend(patches, text, params, tiny_config)
+        with pytest.raises(NumericError, match="xattn.wq"):
+            check_params_finite(params)
 
 
 class TestApplyEte:
     def test_zero_theta_identity(self, tiny_provider, tiny_config):
         text = embed_tokens(["a", "b", "c"], tiny_provider, tiny_config)
         out = apply_ete(text, {0, 2}, np.zeros(tiny_config.text_dim))
-        np.testing.assert_array_equal(out.embeddings, text.embeddings)
+        np.testing.assert_array_equal(out, text)
 
     def test_empty_span_identity(self, tiny_provider, tiny_config):
         text = embed_tokens(["a", "b"], tiny_provider, tiny_config)
         theta = np.ones(tiny_config.text_dim)
         out = apply_ete(text, set(), theta)
-        np.testing.assert_array_equal(out.embeddings, text.embeddings)
+        np.testing.assert_array_equal(out, text)
 
     def test_additive_on_span_only(self, tiny_provider, tiny_config):
         text = embed_tokens(["a", "b"], tiny_provider, tiny_config)
         theta = np.zeros(tiny_config.text_dim)
         theta[0] = 1.0
         out = apply_ete(text, {0}, theta)
-        np.testing.assert_allclose(out.embeddings[0], text.embeddings[0] + theta)
-        np.testing.assert_array_equal(out.embeddings[1], text.embeddings[1])
+        np.testing.assert_allclose(out[0], text[0] + theta)
+        np.testing.assert_array_equal(out[1], text[1])
 
     def test_input_unmodified(self, tiny_provider, tiny_config):
         text = embed_tokens(["a"], tiny_provider, tiny_config)
-        before = text.embeddings.copy()
+        before = text.copy()
         apply_ete(text, {0}, np.ones(tiny_config.text_dim))
-        np.testing.assert_array_equal(text.embeddings, before)
+        np.testing.assert_array_equal(text, before)
 
     def test_out_of_range_rejected(self, tiny_provider, tiny_config):
         text = embed_tokens(["a", "b"], tiny_provider, tiny_config)

@@ -508,6 +508,8 @@ MUTATIONS = {
     "inf_codebook": (8, CorruptionError, "non-finite"),
     "nan_lossless_vector": (0, CorruptionError, "non-finite"),
     "doc_id_not_utf8": (8, CorruptionError, "utf-8"),
+    "duplicate_doc_id": (8, CorruptionError, "strictly ascending"),
+    "doc_ids_unsorted": (8, CorruptionError, "strictly ascending"),
 }
 
 
@@ -540,6 +542,10 @@ def _mutate(case: str, data: bytearray, index) -> None:
         struct.pack_into("<d", data, at["codes"], np.nan)
     elif case == "doc_id_not_utf8":
         data[at["doc_ids"] + 2] = 0xFF
+    elif case == "duplicate_doc_id":  # doc002 -> doc001; each id is u16 length + 6 bytes
+        data[at["doc_ids"] + 2 * 8 + 7] = ord("1")
+    elif case == "doc_ids_unsorted":  # doc000 -> doc009
+        data[at["doc_ids"] + 7] = ord("9")
     else:
         raise AssertionError(case)
 

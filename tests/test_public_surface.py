@@ -1,0 +1,58 @@
+"""Every name the package re-exports has a caller outside the package root.
+
+A name passes when the engine itself uses it (an identifier in a `src/mvli`
+module other than `__init__`), when the benchmark harness under `perfbench/`
+uses it, or when the README documents it (in backticks or in its import
+block).  Identifiers are found with `ast`, so a word in a docstring or a
+comment does not count, and neither does the name's own definition.
+"""
+
+import ast
+import re
+from pathlib import Path
+
+import mvli
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "mvli"
+
+
+def referenced_identifiers(paths) -> set[str]:
+    """Names read, attributes accessed and names imported in the given files."""
+    names: set[str] = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.alias):
+                names.add(node.asname or node.name.split(".")[-1])
+    return names
+
+
+def readme_names() -> set[str]:
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    spans = re.findall(r"`([^`\n]+)`", text)
+    spans += re.findall(r"^from mvli import \((.*?)\)", text, re.S | re.M)
+    return {word for span in spans for word in re.findall(r"[A-Za-z_]\w*", span)}
+
+
+def reexported() -> list[str]:
+    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    return sorted(alias.asname or alias.name for node in tree.body
+                  if isinstance(node, ast.ImportFrom) for alias in node.names)
+
+
+def test_every_reexport_has_a_caller():
+    engine = referenced_identifiers(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+    bench = referenced_identifiers((ROOT / "perfbench").rglob("*.py"))
+    documented = readme_names()
+    uncalled = [name for name in reexported()
+                if name not in engine and name not in bench and name not in documented]
+    assert uncalled == []
+
+
+def test_reexports_resolve():
+    names = reexported()
+    assert names and all(hasattr(mvli, name) for name in names)

@@ -124,12 +124,10 @@ class TestGradients:
 
         # central differences are only meaningful away from MaxSim kinks:
         # require every top-2 similarity margin to exceed the step size
-        from mvli.encoder import encode_document_forward, encode_query_forward
+        from mvli.encoder import encode_document, encode_query
 
-        qf = [encode_query_forward(q, params, GRAD_CONFIG, provider, image_only)[0]
-              for q in queries]
-        df = [encode_document_forward(d, params, GRAD_CONFIG, provider, flags)[0]
-              for d in docs]
+        qf = [encode_query(q, params, GRAD_CONFIG, provider, image_only) for q in queries]
+        df = [encode_document(d, params, GRAD_CONFIG, provider, flags) for d in docs]
         assert maxsim_margin(qf, df) > 1e-3, "pick a kink-free seed for this check"
 
         _, grads = loss_and_grads(params, queries, docs, GRAD_CONFIG, provider,
@@ -306,5 +304,6 @@ class TestTrainLoop:
     def test_config_validation(self):
         with pytest.raises(ConfigError):
             TrainConfig(batch_size=1)
-        with pytest.raises(ConfigError):
-            TrainConfig(learning_rate=0.0)
+        for rate in (0.0, float("nan"), float("inf")):
+            with pytest.raises(ConfigError):
+                TrainConfig(learning_rate=rate)
