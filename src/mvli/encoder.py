@@ -41,6 +41,10 @@ from .core import (
 # Configuration and parameters.
 # ---------------------------------------------------------------------------
 
+# Trainable scalars an EncoderConfig may ask for: 2 GiB of float64 weights,
+# about 7x the dim-128 full-size set-up (38.4M) and 233x the default (1.15M).
+_MAX_PARAMETERS = 2**28
+
 
 @dataclass(frozen=True)
 class EncoderConfig:
@@ -70,6 +74,10 @@ class EncoderConfig:
             raise ConfigError("attn_dim must be divisible by n_heads")
         if self.ff_dim is not None and self.ff_dim < 1:
             raise ConfigError("ff_dim must be >= 1")
+        total = sum(math.prod(shape) for shape in param_shapes(self).values())
+        if total > _MAX_PARAMETERS:
+            raise ConfigError(f"encoder shape needs {total} parameters, "
+                              f"more than the {_MAX_PARAMETERS} allowed")
 
     @property
     def ffn_dim(self) -> int:

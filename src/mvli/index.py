@@ -56,9 +56,9 @@ class RetrievalIndex:
     """Compressed vectors of a corpus, each document a contiguous run of rows.
 
     Only assignments and doc_sizes describe the layout; the per-doc vector
-    ranges, per-doc centroid sets and per-centroid doc lists are derived from
-    them on construction; the sets and lists are each one flat array in
-    CSR form (values plus n + 1 offsets).
+    ranges and the per-centroid doc lists are derived from them on
+    construction, the lists as one flat array in CSR form (values plus K + 1
+    offsets).
     """
 
     dim: int
@@ -72,16 +72,12 @@ class RetrievalIndex:
     doc_sizes: np.ndarray  # (n_docs,) vector count per doc
     objective_trace: list[float] = field(default_factory=list)
     doc_offsets: np.ndarray = field(init=False)  # (n_docs + 1,) doc d: rows off[d]..off[d+1]
-    # doc d's sorted centroid set: doc_centroid_ids[doc_centroid_offsets[d]:...[d + 1]]
-    doc_centroid_ids: np.ndarray = field(init=False)
-    doc_centroid_offsets: np.ndarray = field(init=False)  # (n_docs + 1,)
     # centroid c's sorted doc indices: centroid_doc_ids[centroid_doc_offsets[c]:...[c + 1]]
     centroid_doc_ids: np.ndarray = field(init=False)
     centroid_doc_offsets: np.ndarray = field(init=False)  # (K + 1,)
 
     def __post_init__(self):
-        (self.doc_offsets, self.doc_centroid_ids, self.doc_centroid_offsets,
-         self.centroid_doc_ids, self.centroid_doc_offsets) = _derive_layout(
+        self.doc_offsets, self.centroid_doc_ids, self.centroid_doc_offsets = _derive_layout(
             self.assignments, self.doc_sizes, self.centroids.shape[0])
         for a, b in zip(self.doc_ids, self.doc_ids[1:]):
             if a >= b:  # doc index order is doc_id order: search breaks ties by index
@@ -94,10 +90,9 @@ class RetrievalIndex:
 
 def _derive_layout(
     assignments: np.ndarray, doc_sizes: np.ndarray, k: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Doc offsets, then each doc's sorted centroid set and each centroid's
-    sorted doc list in CSR form (values, offsets), for docs stored as
-    contiguous runs of `doc_sizes` vectors."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Doc offsets, then each centroid's sorted doc list in CSR form (values,
+    offsets), for docs stored as contiguous runs of `doc_sizes` vectors."""
     n = assignments.shape[0]
     n_docs = doc_sizes.shape[0]
     if k < 1 or n_docs < 1:
@@ -110,11 +105,10 @@ def _derive_layout(
     if assignments.min() < 0 or assignments.max() >= k:
         raise CorruptionError("index assignment references a missing centroid")
     owners = np.repeat(np.arange(n_docs, dtype=np.int64), doc_sizes)
-    docs, cents = np.divmod(np.unique(owners * k + assignments), k)  # doc-major pairs
-    doc_cent_offsets = np.concatenate(([0], np.cumsum(np.bincount(docs, minlength=n_docs))))
-    by_centroid = np.argsort(cents, kind="stable")  # docs stay ascending per centroid
+    # centroid-major pairs, so each centroid's docs come out ascending
+    cents, docs = np.divmod(np.unique(assignments * n_docs + owners), n_docs)
     cent_doc_offsets = np.concatenate(([0], np.cumsum(np.bincount(cents, minlength=k))))
-    return offsets, cents, doc_cent_offsets, docs[by_centroid], cent_doc_offsets
+    return offsets, docs, cent_doc_offsets
 
 
 # Bytes of one block of the assign step's similarity matrix; the build's
@@ -249,7 +243,7 @@ def reconstruct(index: RetrievalIndex, vec_ids: np.ndarray) -> np.ndarray:
 
 
 # Columns of one block of search's similarity matrices (query rows x
-# candidate vectors in the re-rank, x candidate doc centroids in the
+# candidate vectors in the re-rank, x probed (centroid, doc) pairs in the
 # prefilter); a query's working memory is a few such blocks plus one int64
 # row id per candidate vector, whatever the corpus size.
 _SEARCH_BLOCK_COLS = 2048
@@ -304,12 +298,12 @@ def search(index: RetrievalIndex, query: FeatureSet, params: SearchParams) -> li
     Stage 1 probes the nprobe nearest centroids per query token, pools the
     documents holding a vector in any of them, and keeps at most
     candidate_doc_cap of them by a centroid-level approximation of the
-    late-interaction score: each doc's score over its centroid set.  Stage 2
-    re-scores candidates exactly on dequantized vectors; ties break by
-    doc_id.
+    late-interaction score: each doc's score over its probed centroids.
+    Stage 2 re-scores candidates exactly on dequantized vectors; ties break
+    by doc_id.
 
     Neither stage loops over documents: each walks the candidates'
-    concatenated columns (their centroid sets, then their vectors) in blocks
+    concatenated columns (their probed centroids, then their vectors) in blocks
     of _SEARCH_BLOCK_COLS and reduces each block at the doc edges with
     _maxsim_sums, so a query holds a few blocks of similarities rather than
     all candidates' at once.  The re-rank pads the candidates' row ids to
@@ -328,14 +322,14 @@ def search(index: RetrievalIndex, query: FeatureSet, params: SearchParams) -> li
     sizes = offsets[probed + 1] - offsets[probed]
     if not sizes.any():  # every probed centroid is empty
         return []
-    ordered = np.unique(index.centroid_doc_ids[_run_positions(offsets[probed], sizes)])
+    docs = index.centroid_doc_ids[_run_positions(offsets[probed], sizes)]
+    ordered, counts = np.unique(docs, return_counts=True)
 
     if ordered.size > params.candidate_doc_cap:
-        offsets = index.doc_centroid_offsets
-        sizes = offsets[ordered + 1] - offsets[ordered]
-        cents = index.doc_centroid_ids[_run_positions(offsets[ordered], sizes)]
+        # each doc's probed centroids, docs in index order
+        cents = np.repeat(probed, sizes)[np.argsort(docs, kind="stable")]
         approx = _maxsim_sums(
-            sizes,
+            counts,
             lambda start: cent_sims.take(cents[start:start + _SEARCH_BLOCK_COLS], axis=1),
             len(q))
         ordered = np.sort(ordered[np.lexsort((ordered, -approx))[:params.candidate_doc_cap]])
@@ -362,6 +356,11 @@ _HEADER = struct.Struct("<IIQIB")
 
 
 def save_index(index: RetrievalIndex, path: str | Path) -> None:
+    names = [doc_id.encode("utf-8") for doc_id in index.doc_ids]
+    for doc_id, name in zip(index.doc_ids, names):  # checked before the file is opened
+        if len(name) > 0xFFFF:
+            raise InputError(f"document id {doc_id[:40]!r}... is {len(name)} UTF-8 bytes; "
+                             "an index stores at most 65535")
     with open(path, "wb") as fh:
         fh.write(INDEX_MAGIC)
         fh.write(struct.pack("<I", INDEX_VERSION))
@@ -376,10 +375,9 @@ def save_index(index: RetrievalIndex, path: str | Path) -> None:
         fh.write(np.ascontiguousarray(index.codes, dtype=code_dtype).tobytes())
         fh.write(np.ascontiguousarray(index.assignments, dtype="<u4").tobytes())
         fh.write(np.ascontiguousarray(index.doc_sizes, dtype="<u8").tobytes())
-        for doc_id in index.doc_ids:
-            encoded = doc_id.encode("utf-8")
-            fh.write(struct.pack("<H", len(encoded)))
-            fh.write(encoded)
+        for name in names:
+            fh.write(struct.pack("<H", len(name)))
+            fh.write(name)
 
 
 def load_index(path: str | Path) -> RetrievalIndex:

@@ -260,10 +260,12 @@ def naive_search(index, query_rows: np.ndarray, k: int, nprobe: int, cap: int):
     Each query row probes its nprobe most similar centroids; a doc is a
     candidate if any of its vectors sits in a probed centroid.  Past `cap`
     candidates, each doc's centroid-level score (sum over query rows of the
-    max over the doc's distinct centroids) picks the cap best, ties to the
-    lower doc index.  Each candidate is then dequantized and scored exactly
-    on its own.  Returns the sorted candidate doc ids and the top k
-    (doc_id, score) pairs, ties broken by doc_id.
+    max over the probed centroids among the doc's distinct centroids) picks
+    the cap best, ties to the lower doc index; with every centroid probed
+    that is the max over all the doc's centroids, which is asserted.  Each
+    candidate is then dequantized and scored exactly on its own.  Returns
+    the sorted candidate doc ids and the top k (doc_id, score) pairs, ties
+    broken by doc_id.
     """
     n_docs = len(index.doc_ids)
     nprobe = min(nprobe, index.centroids.shape[0])
@@ -278,7 +280,12 @@ def naive_search(index, query_rows: np.ndarray, k: int, nprobe: int, cap: int):
              for d in range(n_docs)]
     candidates = [d for d in range(n_docs) if probed & set(cents[d])]
     if len(candidates) > cap:
-        approx = [float(cent_sims[:, cents[d]].max(axis=1).sum()) for d in candidates]
+        approx = []
+        for d in candidates:
+            score = float(cent_sims[:, sorted(probed & set(cents[d]))].max(axis=1).sum())
+            if nprobe == index.centroids.shape[0]:
+                assert score == float(cent_sims[:, cents[d]].max(axis=1).sum())
+            approx.append(score)
         ranked = sorted(zip(candidates, approx), key=lambda t: (-t[1], t[0]))
         candidates = sorted(d for d, _ in ranked[:cap])
     scored = []

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import run_cli_capped
 from mvli.cli import build_parser, main
 from mvli.encoder import EncoderConfig, init_encoder_params, save_params
 
@@ -202,6 +203,35 @@ class TestExitCodes:
         assert run_cli("--config", str(cfg), "--set", "index.kmeans_iters=-5", "index",
                        "--kb", str(out / "kb.jsonl"), "--params", str(params),
                        "--out", str(index)) == 2
+        assert not index.exists()
+
+    @pytest.mark.parametrize("override", ["engine.dim=100000000",
+                                          "engine.n_mm_tokens=100000000"])
+    def test_oversized_encoder_is_config_error(self, workdir, tmp_path, override):
+        root, cfg, out = workdir
+        params = tmp_path / "p.mprm"
+        proc = run_cli_capped(["--config", str(cfg), "--set", override, "train",
+                               "--kb", str(out / "kb.jsonl"),
+                               "--samples", str(out / "train.jsonl"), "--out", str(params)])
+        assert proc.returncode == 2, proc.stderr
+        assert "parameters" in proc.stderr
+        assert not params.exists()
+
+    def test_overlong_doc_id_is_data_error(self, workdir, tmp_path, capsys):
+        root, cfg, out = workdir
+        lines = (out / "kb.jsonl").read_text(encoding="utf-8").splitlines(True)
+        record = json.loads(lines[-1])
+        record["doc_id"] = "d" * 65536
+        kb = tmp_path / "kb.jsonl"
+        kb.write_text("".join(lines[:-1]) + json.dumps(record) + "\n", encoding="utf-8")
+        params = tmp_path / "p.mprm"
+        config = EncoderConfig(dim=8, text_dim=12, image_dim=12, n_patches=2,
+                               n_heads=2, attn_dim=8, n_mm_tokens=2)
+        save_params(init_encoder_params(config, seed=0), config, params)
+        index = tmp_path / "kb.mvli"
+        assert run_cli("--config", str(cfg), "index", "--kb", str(kb), "--params", str(params),
+                       "--out", str(index)) == 3
+        assert "document id 'dddd" in capsys.readouterr().err
         assert not index.exists()
 
     def test_config_without_section_is_config_error(self, tmp_path):

@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -417,6 +418,29 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             EncoderConfig(attn_dim=10, n_heads=4)
 
+    @pytest.mark.parametrize("field", ["dim", "text_dim", "attn_dim", "n_mm_tokens"])
+    def test_oversized_shape_rejected_before_allocating(self, capped_address_space, field):
+        """10^8 in one field asks for 10^9 to 10^19 parameters; the count comes
+        from the shape table, so the error costs no tensor memory."""
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigError, match="parameters"):
+                EncoderConfig(**{field: 100_000_000})
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
+    def test_parameter_budget_boundary(self, monkeypatch):
+        """The budget is inclusive; the default shape has 1,154,208 parameters
+        and the dim-128 full-size shape 38,417,728, both inside it."""
+        assert EncoderConfig(dim=128).dim == 128
+        monkeypatch.setattr(encoder_mod, "_MAX_PARAMETERS", 1_154_208)
+        EncoderConfig()
+        monkeypatch.setattr(encoder_mod, "_MAX_PARAMETERS", 1_154_207)
+        with pytest.raises(ConfigError, match="1154208 parameters"):
+            EncoderConfig()
+
     def test_flags_parse(self):
         assert EncoderFlags.parse("MI,MMF").label() == "MI+MMF"
         assert EncoderFlags.parse("none") == EncoderFlags(False, False, False)
@@ -480,9 +504,12 @@ CHECKPOINT_MUTATIONS = {
     "tensor_name_not_utf8": (CorruptionError, "utf-8", 3, lambda d: d.__setitem__(46, 0xFF)),
     "heads_not_dividing_attn_dim": (CorruptionError, "shape header", 3,
                                     lambda d: struct.pack_into("<I", d, 24, 3)),
-    # a valid header whose shapes would need 128 GiB; no tensor in the file has them
-    "header_text_dim_huge": (CorruptionError, "does not match the shape header", 3,
+    # a header whose shapes would need 128 GiB: past the parameter budget
+    "header_text_dim_huge": (CorruptionError, "parameters, more than", 3,
                              lambda d: struct.pack_into("<I", d, 12, 2**31)),
+    # a header inside the budget whose shapes no tensor in the file has
+    "header_text_dim_large": (CorruptionError, "does not match the shape header", 3,
+                              lambda d: struct.pack_into("<I", d, 12, 2**20)),
     # non-finite parameters are a numeric error wherever they are found
     "nan_first_tensor": (NumericError, "non-finite", 4,
                          lambda d: struct.pack_into("<d", d, 54, np.nan)),

@@ -162,7 +162,7 @@ class TestKmeansSteps:
 
 
 class TestDerivedLayout:
-    """Doc ranges, doc centroid sets and centroid doc lists against brute force."""
+    """Doc ranges and centroid doc lists against brute force."""
 
     @staticmethod
     def assert_matches_brute_force(index):
@@ -171,9 +171,6 @@ class TestDerivedLayout:
         for d in range(n_docs):
             rows = np.arange(index.doc_offsets[d], index.doc_offsets[d + 1])
             np.testing.assert_array_equal(rows, np.flatnonzero(owners == d))
-            cents = slice(index.doc_centroid_offsets[d], index.doc_centroid_offsets[d + 1])
-            np.testing.assert_array_equal(
-                index.doc_centroid_ids[cents], np.unique(index.assignments[owners == d]))
         assert len(index.centroid_doc_offsets) == index.centroids.shape[0] + 1
         for c in range(index.centroids.shape[0]):
             docs = slice(index.centroid_doc_offsets[c], index.centroid_doc_offsets[c + 1])
@@ -190,7 +187,7 @@ class TestDerivedLayout:
         for k in (1, 3, None, n_vec):
             index = build_index(corpus, k_centroids=k, kmeans_iters=3, seed=seed)
             self.assert_matches_brute_force(index)
-            assert np.diff(index.doc_centroid_offsets)[4] == 1
+            assert np.count_nonzero(index.centroid_doc_ids == 4) == 1
 
 
 class TestSearch:
@@ -336,6 +333,34 @@ class TestBlockedSearch:
             assert sorted(s.doc_id for s in got) == want_cands
             assert [s.doc_id for s in got[:2]] == [d for d, _ in want_top]
 
+    def test_prefilter_scores_only_probed_centroids(self, monkeypatch):
+        """In a pruning search the prefilter's doc runs hold, per candidate
+        doc d in index order, |C(d) & probed| columns: its probed centroids,
+        not its whole centroid set C(d)."""
+        corpus = make_corpus(seed=31, n_docs=40)
+        index = build_index(corpus, k_centroids=24, kmeans_iters=5, seed=3)
+        owners = np.repeat(np.arange(len(corpus)), index.doc_sizes)
+        sets = [set(index.assignments[owners == d].tolist()) for d in range(len(corpus))]
+        recorded = []
+        real = index_mod._maxsim_sums
+
+        def recording(sizes, block_sims, n_rows):
+            recorded.append(sizes.copy())
+            return real(sizes, block_sims, n_rows)
+
+        monkeypatch.setattr(index_mod, "_maxsim_sums", recording)
+        for i in range(8):
+            q = random_feature_set(Rng(300 + i), 3 + i % 4, 8)
+            probed = set()
+            for row in q.vectors @ index.centroids.T:
+                probed.update(np.argsort(-row, kind="stable")[:2].tolist())
+            want = [len(probed & c) for c in sets if probed & c]
+            assert len(want) > 3 and want != [len(c) for c in sets if probed & c]
+            recorded.clear()
+            search(index, q, SearchParams(k=3, nprobe=2, candidate_doc_cap=3))
+            assert len(recorded) == 2  # prefilter, then re-rank
+            np.testing.assert_array_equal(recorded[0], want)
+
     def test_reconstruct_bits_equal_formula(self):
         corpus = make_corpus(seed=8, n_docs=20)
         index = build_index(corpus, seed=2)
@@ -440,6 +465,21 @@ class TestPersistence:
         loaded = load_index(path)
         assert loaded.nbits == 0
         np.testing.assert_array_equal(loaded.codes, index.codes)
+
+    def test_doc_id_length_limit(self, tmp_path):
+        """A doc id is stored after a u16 byte count: 65,535 UTF-8 bytes
+        round-trip, one more is an InputError raised before the file opens."""
+        corpus = make_corpus(n_docs=3)
+        longest = "\u00e9" * 32767 + "x"  # 65,535 bytes, 32,768 characters
+        corpus[longest] = corpus.pop("doc002")
+        path = tmp_path / "x.mvli"
+        save_index(build_index(corpus, seed=1), path)
+        assert load_index(path).doc_ids[-1] == longest
+        corpus["\u00e9" * 32768] = corpus.pop(longest)
+        path = tmp_path / "y.mvli"
+        with pytest.raises(InputError, match="is 65536 UTF-8 bytes"):
+            save_index(build_index(corpus, seed=1), path)
+        assert not path.exists()
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.mvli"
