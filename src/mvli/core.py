@@ -99,7 +99,8 @@ def read_exact(fh, n: int, kind: str) -> bytes:
 def iter_jsonl(path: str | Path, kind: str) -> Iterator[tuple[str, dict]]:
     """("path:line", record) for every non-blank line of a JSON-lines file.
 
-    A line that is not UTF-8, not JSON, or not a JSON object is a FormatError.
+    A line that is not UTF-8, not JSON, or not a JSON object, or a string in
+    it that does not encode back to UTF-8, is a FormatError.
     """
     with open(path, "rb") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -109,6 +110,8 @@ def iter_jsonl(path: str | Path, kind: str) -> Iterator[tuple[str, dict]]:
                 if not line:
                     continue
                 rec = json.loads(line)
+                # a lone surrogate escape ("\ud800") is valid JSON but not text
+                json.dumps(rec, ensure_ascii=False).encode("utf-8")
             except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON; deep nesting
                 raise FormatError(f"{where}: bad {kind} record ({exc})") from exc
             if not isinstance(rec, dict):

@@ -10,9 +10,11 @@ module can run reverse-mode differentiation through the exact same code path.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 import struct
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -623,6 +625,16 @@ def _item(
             "xattn": x_cache, "at": at, "target": target}
 
 
+@functools.lru_cache(maxsize=1024)
+def _image_tags(n_globals: int, n_fused: int, n_mm: int) -> tuple[str, ...]:
+    """The provenance tags of an item's global rows, then its fused rows:
+    one cached tuple per shape, of interned strings, so every feature set
+    shares one string object per tag value."""
+    return tuple(sys.intern(tag) for tag in (
+        [f"global-image:{r}" for r in range(n_globals)]
+        + [f"multimodal:{r},{j}" for r in range(n_fused) for j in range(n_mm)]))
+
+
 def project_batch(
     items: Sequence[dict], params: EncoderParams, config: EncoderConfig
 ) -> tuple[list[FeatureSet], dict]:
@@ -652,10 +664,8 @@ def project_batch(
     for item, first, size in zip(items, starts.T, sizes.T):
         order = item["order"]
         index = np.concatenate([np.arange(a, a + n) for a, n in zip(first, size)])[order]
-        tags = (["textual"] * len(item["text"])
-                + [f"global-image:{r}" for r in range(len(item["globals"]))]
-                + [f"multimodal:{r},{j}" for r in range(len(item["fused"]))
-                   for j in range(n_mm)])
+        tags = (("textual",) * len(item["text"])
+                + _image_tags(len(item["globals"]), len(item["fused"]), n_mm))
         features.append(FeatureSet(stacked[index], tuple(tags[k] for k in order.tolist())))
         cache["index"].append(index)
     return features, cache

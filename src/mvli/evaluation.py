@@ -27,7 +27,7 @@ from .encoder import (
     init_encoder_params,
 )
 from .index import RetrievalIndex, SearchParams, search
-from .scoring import rank_exact
+from .scoring import StackedCorpus, rank_exact
 from .train import TrainConfig, train
 
 
@@ -145,6 +145,8 @@ def rank_samples(
 ) -> dict[str, list[str]]:
     """One ranking pass per sample, reused by every downstream metric."""
     check_params_finite(params)  # once here, not once per encoded query
+    if index is None:
+        corpus = StackedCorpus(corpus)  # stacked once, screened by every query
     rankings: dict[str, list[str]] = {}
     for sample in samples:
         query = encode_query(

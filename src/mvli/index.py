@@ -30,7 +30,7 @@ from .core import (
     UnsupportedVersionError,
     read_exact,
 )
-from .scoring import ScoredDoc
+from .scoring import ScoredDoc, _maxsim_sums
 
 INDEX_MAGIC = b"MVLI"
 INDEX_VERSION = 2
@@ -264,34 +264,6 @@ def _run_positions(starts: np.ndarray, sizes: np.ndarray, pad_to: int = 1) -> np
     return np.cumsum(steps, out=steps)
 
 
-def _maxsim_sums(sizes: np.ndarray, block_sims, n_rows: int) -> np.ndarray:
-    """Late-interaction sums of docs whose columns are consecutive runs of
-    `sizes` columns: per doc, the sum over the n_rows query rows of the max
-    over its columns.
-
-    block_sims(start) returns the similarities of columns start onwards, at
-    least up to the block's end or the last column; columns beyond are
-    ignored.  One maximum.reduceat per block cuts it at the doc starts inside
-    it, and a second joins the pieces of docs that cross a block edge.  Each
-    doc's sum runs over one contiguous row, so its bits equal
-    sims[:, doc].max(axis=1).sum().
-    """
-    width = _SEARCH_BLOCK_COLS
-    ends = np.cumsum(sizes)
-    starts = ends - sizes
-    total = int(ends[-1])
-    block_starts = np.arange(0, total, width)
-    cuts = np.union1d(starts, block_starts)  # each piece starts at a cut
-    edges = np.append(np.searchsorted(cuts, block_starts), cuts.size)
-    pieces = np.empty((n_rows, cuts.size))
-    for b, start in enumerate(block_starts):
-        sims = block_sims(start)[:, :min(width, total - start)]
-        first, last = edges[b], edges[b + 1]
-        pieces[:, first:last] = np.maximum.reduceat(sims, cuts[first:last] - start, axis=1)
-    maxima = np.maximum.reduceat(pieces, np.searchsorted(cuts, starts), axis=1)
-    return np.ascontiguousarray(maxima.T).sum(axis=1)
-
-
 def search(index: RetrievalIndex, query: FeatureSet, params: SearchParams) -> list[ScoredDoc]:
     """Two-stage search: centroid-probed candidates, then exact re-ranking.
 
@@ -331,7 +303,7 @@ def search(index: RetrievalIndex, query: FeatureSet, params: SearchParams) -> li
         approx = _maxsim_sums(
             counts,
             lambda start: cent_sims.take(cents[start:start + _SEARCH_BLOCK_COLS], axis=1),
-            len(q))
+            len(q), _SEARCH_BLOCK_COLS)
         ordered = np.sort(ordered[np.lexsort((ordered, -approx))[:params.candidate_doc_cap]])
 
     sizes = index.doc_sizes[ordered]
@@ -339,7 +311,7 @@ def search(index: RetrievalIndex, query: FeatureSet, params: SearchParams) -> li
     scores = _maxsim_sums(
         sizes,
         lambda start: q @ reconstruct(index, ids[start:start + _SEARCH_BLOCK_COLS]).T,
-        len(q))
+        len(q), _SEARCH_BLOCK_COLS)
     top = np.lexsort((ordered, -scores))[:params.k]
     return [ScoredDoc(index.doc_ids[ordered[i]], float(scores[i])) for i in top]
 

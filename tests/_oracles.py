@@ -10,6 +10,8 @@ import math
 
 import numpy as np
 
+from mvli.scoring import ScoredDoc, late_interaction_score
+
 
 def naive_late_interaction(query_rows: np.ndarray, doc_rows: np.ndarray) -> float:
     """Exhaustive pairwise cosine + max + sum over unit vectors."""
@@ -27,6 +29,15 @@ def naive_rank(query_rows: np.ndarray, corpus: dict[str, np.ndarray], k: int):
         (doc_id, naive_late_interaction(query_rows, rows)) for doc_id, rows in corpus.items()
     ]
     scored.sort(key=lambda t: (-t[1], t[0]))
+    return scored[:k]
+
+
+def per_doc_rank(query, corpus, k: int) -> list[ScoredDoc]:
+    """The exact ranking as a per-doc loop: one late_interaction_score call
+    per document, sorted by (-score, doc_id), the first k kept."""
+    scored = [ScoredDoc(doc_id, late_interaction_score(query, doc))
+              for doc_id, doc in corpus.items()]
+    scored.sort(key=lambda s: (-s.score, s.doc_id))
     return scored[:k]
 
 

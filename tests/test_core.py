@@ -7,11 +7,13 @@ from mvli.core import (
     ConfigError,
     DomainError,
     FeatureSet,
+    FormatError,
     NumericError,
     Rng,
     ShapeError,
     normalize_token,
     seeded_unit_vector,
+    iter_jsonl,
     tokenize,
 )
 from mvli.encoder import rownorm_forward
@@ -170,3 +172,22 @@ class TestTokenize:
     def test_normalize_token(self):
         assert normalize_token("Potato.") == "Potato"
         assert normalize_token("--") == "--"
+
+
+class TestIterJsonl:
+    @pytest.mark.parametrize("line", [
+        r'{"doc_id": "\ud800x"}',
+        r'{"doc_id": "d1", "body": ["fine", {"deep": "\udfff"}]}',
+        r'{"\udc00": "key"}',
+    ])
+    def test_lone_surrogate_is_format_error(self, tmp_path, line):
+        path = tmp_path / "kb.jsonl"
+        path.write_text('{"doc_id": "d0"}\n' + line + "\n", encoding="ascii")
+        with pytest.raises(FormatError, match=r"kb.jsonl:2: bad KB record"):
+            list(iter_jsonl(path, "KB"))
+
+    def test_surrogate_pair_escape_is_text(self, tmp_path):
+        path = tmp_path / "kb.jsonl"
+        path.write_text(r'{"doc_id": "\ud83d\ude00 x"}' + "\n", encoding="ascii")
+        ((_, rec),) = list(iter_jsonl(path, "KB"))
+        assert rec["doc_id"] == "\U0001f600 x"

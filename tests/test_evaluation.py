@@ -161,6 +161,33 @@ class TestHarness:
         ) / len(test)
         assert report.value("recall", 5, "all") == pytest.approx(expected)
 
+    def test_rank_samples_stacks_the_corpus_once(self, monkeypatch):
+        """One StackedCorpus per call, and each ranking is the per-doc
+        oracle's."""
+        import mvli.evaluation as evaluation_mod
+        from _oracles import per_doc_rank
+        from mvli.encoder import QueryInput, encode_corpus, encode_query, init_encoder_params
+        from mvli.evaluation import rank_samples
+
+        kb, kb_aug, splits = _world()
+        test = list(splits.test_seen) + list(splits.test_unseen)
+        provider = SeededEmbeddingProvider(SMALL)
+        params = init_encoder_params(SMALL, seed=3)
+        corpus = encode_corpus(kb_aug, params, SMALL, provider, EncoderFlags(True, True, True))
+        built = []
+        real = evaluation_mod.StackedCorpus
+
+        def counting(c):
+            built.append(c)
+            return real(c)
+
+        monkeypatch.setattr(evaluation_mod, "StackedCorpus", counting)
+        rankings = rank_samples(test, corpus, params, SMALL, provider, depth=10)
+        assert built == [corpus]
+        for s in test:
+            q = encode_query(QueryInput(s.question, s.query_image_key), params, SMALL, provider)
+            assert rankings[s.sample_id] == [r.doc_id for r in per_doc_rank(q, corpus, 10)]
+
     def test_ablation_rows_and_determinism(self):
         kb, kb_aug, splits = _world()
         test = list(splits.test_seen) + list(splits.test_unseen)

@@ -344,9 +344,9 @@ class TestBlockedSearch:
         recorded = []
         real = index_mod._maxsim_sums
 
-        def recording(sizes, block_sims, n_rows):
+        def recording(sizes, block_sims, n_rows, width):
             recorded.append(sizes.copy())
-            return real(sizes, block_sims, n_rows)
+            return real(sizes, block_sims, n_rows, width)
 
         monkeypatch.setattr(index_mod, "_maxsim_sums", recording)
         for i in range(8):

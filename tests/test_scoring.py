@@ -1,11 +1,21 @@
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import naive_late_interaction, naive_rank
-from mvli.core import FeatureSet, InputError, Rng, ShapeError
-from mvli.scoring import late_interaction_score, rank_exact
+import mvli.scoring as scoring_mod
+from _oracles import naive_late_interaction, naive_rank, per_doc_rank
+from mvli.augment import augment_kb
+from mvli.core import ConfigError, FeatureSet, InputError, Rng, ShapeError
+from mvli.encoder import EncoderFlags, encode_corpus
+from mvli.scoring import StackedCorpus, late_interaction_score, rank_exact
+from mvli.synth import SynthConfig, generate_kb
 
 from conftest import random_feature_set
 
@@ -126,3 +136,181 @@ class TestRankExact:
     def test_empty_corpus_rejected(self):
         with pytest.raises(InputError):
             rank_exact(random_feature_set(Rng(1), 2, 6), {}, 1)
+
+
+def _ranked_bits(ranked) -> list[tuple[str, str]]:
+    return [(s.doc_id, float.hex(s.score)) for s in ranked]
+
+
+def _seeded_corpus(seed: int, n_docs: int, dim: int, max_rows: int = 40) -> dict[str, FeatureSet]:
+    rng = Rng(seed)
+    sizes = rng.split("sizes").generator().integers(1, max_rows + 1, size=n_docs)
+    return {f"doc{i:04d}": random_feature_set(rng.split(i), int(n), dim)
+            for i, n in enumerate(sizes)}
+
+
+def _queries(seed: int, count: int, dim: int) -> list[FeatureSet]:
+    rng = Rng(seed)
+    sizes = rng.split("sizes").generator().integers(1, 30, size=count)
+    return [random_feature_set(rng.split(i), int(n), dim) for i, n in enumerate(sizes)]
+
+
+class TestTwoPassRanking:
+    """rank_exact screens in float32 and rescores in float64; the per-doc
+    float64 loop is the oracle, compared in ids, order and score bits."""
+
+    @pytest.mark.parametrize("n_docs,dim,seed", [(1, 6, 0), (7, 4, 1), (60, 16, 2),
+                                                 (300, 8, 3), (250, 16, 4)])
+    def test_matches_per_doc_oracle_to_the_bit(self, n_docs, dim, seed):
+        corpus = _seeded_corpus(seed, n_docs, dim)
+        stacked = StackedCorpus(corpus)
+        for q in _queries(seed + 100, 6, dim):
+            for k in (1, 3, 10, n_docs):
+                want = _ranked_bits(per_doc_rank(q, corpus, k))
+                assert _ranked_bits(rank_exact(q, corpus, k)) == want
+                assert _ranked_bits(rank_exact(q, stacked, k)) == want
+
+    def test_corpus_spans_several_screen_blocks(self):
+        corpus = _seeded_corpus(3, 300, 8)
+        assert StackedCorpus(corpus).rows.shape[0] > 2 * scoring_mod._SCREEN_BLOCK_ROWS
+
+    def test_near_ties_inside_the_bound(self):
+        """Copies of the best doc tie with it exactly; a copy whose row that
+        query row 0 matches best is moved by 1e-9 differs from it by far less
+        than the screen's error bound.  All four straddle every k below 4."""
+        rng = Rng(21)
+        corpus = _seeded_corpus(21, 40, 16)
+        q = random_feature_set(rng.split("q"), 12, 16)
+        best = per_doc_rank(q, corpus, 1)[0].doc_id
+        rows = corpus[best].vectors.copy()
+        j = int(np.argmax(rows @ q.vectors[0]))
+        rows[j] += 1e-9 * rng.split("nudge").generator().standard_normal(16)
+        rows[j] /= np.linalg.norm(rows[j])
+        corpus["copy-a"] = corpus[best]
+        corpus["copy-b"] = FeatureSet(corpus[best].vectors.copy(), corpus[best].provenance)
+        corpus["nudged"] = FeatureSet(rows, corpus[best].provenance)
+        gap = abs(late_interaction_score(q, corpus[best])
+                  - late_interaction_score(q, corpus["nudged"]))
+        assert 0 < gap < StackedCorpus(corpus).error_bound(len(q)) / 1000
+        for k in range(1, 7):
+            assert _ranked_bits(rank_exact(q, corpus, k)) == _ranked_bits(
+                per_doc_rank(q, corpus, k))
+        assert {s.doc_id for s in rank_exact(q, corpus, 4)} == {
+            best, "copy-a", "copy-b", "nudged"}
+
+    def test_screen_inversion_is_rescored(self):
+        """Two docs whose float32 screen order is the reverse of their
+        float64 order: at k = 1 the screen's winner is not the top doc, and
+        only the margin keeps the true one among those rescored."""
+        for seed in range(200):
+            gen = Rng(seed).generator()
+            q = random_feature_set(Rng(seed).split("q"), 6, 16)
+            rows = q.vectors + 1e-7 * gen.standard_normal(q.vectors.shape)
+            rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+            corpus = {"a": FeatureSet(rows, q.provenance),
+                      "b": FeatureSet(q.vectors.copy(), q.provenance)}
+            exact = [late_interaction_score(q, corpus[d]) for d in "ab"]
+            screened = StackedCorpus(corpus).screen(q)
+            if (exact[0] - exact[1]) * (screened[0] - screened[1]) < 0:
+                break
+        else:
+            pytest.fail("no seed gives a screen inversion")
+        assert _ranked_bits(rank_exact(q, corpus, 1)) == _ranked_bits(per_doc_rank(q, corpus, 1))
+
+    def test_exact_ties_break_by_doc_id(self):
+        doc = random_feature_set(Rng(5), 4, 6)
+        corpus = {name: doc for name in ("m", "c", "x", "a")}
+        corpus["far"] = random_feature_set(Rng(6), 4, 6)
+        q = FeatureSet(doc.vectors[:3], doc.provenance[:3])  # each row's best match is itself
+        assert [s.doc_id for s in rank_exact(q, corpus, 2)] == ["a", "c"]
+
+    def test_k_at_or_above_corpus_size(self):
+        corpus = _seeded_corpus(8, 9, 6)
+        q = _queries(9, 1, 6)[0]
+        want = _ranked_bits(per_doc_rank(q, corpus, len(corpus)))
+        for k in (len(corpus), len(corpus) + 5):
+            assert _ranked_bits(rank_exact(q, corpus, k)) == want
+
+    def test_query_dim_mismatch_is_shape_error(self):
+        corpus = _seeded_corpus(10, 5, 6)
+        with pytest.raises(ShapeError):
+            rank_exact(random_feature_set(Rng(1), 2, 8), corpus, 3)
+        with pytest.raises(ShapeError):
+            rank_exact(random_feature_set(Rng(1), 2, 8), StackedCorpus(corpus), 3)
+
+    def test_mixed_dim_corpus_is_shape_error(self):
+        corpus = _seeded_corpus(11, 5, 6)
+        corpus["wide"] = random_feature_set(Rng(2), 3, 8)
+        with pytest.raises(ShapeError):
+            rank_exact(random_feature_set(Rng(1), 2, 6), corpus, 3)
+        with pytest.raises(ShapeError):
+            StackedCorpus(corpus)
+
+    def test_k_below_one_is_config_error(self):
+        with pytest.raises(ConfigError):
+            rank_exact(random_feature_set(Rng(1), 2, 6), _seeded_corpus(12, 3, 6), 0)
+
+    def test_stacked_corpus_reads_as_its_mapping(self):
+        corpus = _seeded_corpus(13, 6, 6)
+        stacked = StackedCorpus(corpus)
+        assert len(stacked) == len(corpus) and dict(stacked) == corpus
+        with pytest.raises(InputError):
+            StackedCorpus({})
+
+    @pytest.mark.parametrize("dim,seed", [(4, 0), (16, 1), (64, 2)])
+    def test_screen_error_is_well_inside_its_bound(self, dim, seed):
+        """|screen - late_interaction_score| <= E / 10 on random unit data."""
+        corpus = _seeded_corpus(seed, 80, dim, max_rows=60)
+        stacked = StackedCorpus(corpus)
+        for q in _queries(seed + 50, 8, dim):
+            exact = np.array([late_interaction_score(q, corpus[d]) for d in stacked.doc_ids])
+            error = np.abs(stacked.screen(q) - exact)
+            assert error.max() <= stacked.error_bound(len(q)) / 10
+
+
+def two_pass_digest(seed: int = 0) -> str:
+    """Ids and score bits of rank_exact over a corpus of three screen blocks."""
+    corpus = _seeded_corpus(seed, 300, 16)
+    stacked = StackedCorpus(corpus)
+    return " ".join(f"{d}:{h}" for q in _queries(seed + 1, 5, 16)
+                    for d, h in _ranked_bits(rank_exact(q, stacked, 10)))
+
+
+def test_rank_exact_bits_equal_at_four_threads():
+    """A child process whose BLAS runs 4 threads ranks with this process's
+    ids, order and score bits."""
+    tests = Path(__file__).resolve().parent
+    src = Path(scoring_mod.__file__).resolve().parents[1]
+    code = "import test_scoring as t; print(t.two_pass_digest())"
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="4", OMP_NUM_THREADS="4",
+               MKL_NUM_THREADS="4", PYTHONPATH=os.pathsep.join([str(src), str(tests)]))
+    proc = subprocess.run([sys.executable, "-c", code], cwd=tests, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == two_pass_digest()
+
+
+class TestMemory:
+    def test_encoded_corpus_shares_provenance_strings(self, tiny_config, tiny_params,
+                                                      tiny_provider):
+        kb = augment_kb(generate_kb(SynthConfig(n_docs=30, entities_per_doc=4.0, seed=6)))
+        corpus = encode_corpus(kb, tiny_params, tiny_config, tiny_provider,
+                               EncoderFlags(True, True, True))
+        tags = [tag for fs in corpus.values() for tag in fs.provenance]
+        assert len({id(tag) for tag in tags}) <= len(set(tags)) + len(corpus)
+        assert len(set(tags)) > 10
+
+    def test_stacking_allocates_one_float32_copy(self):
+        corpus = _seeded_corpus(14, 400, 16, max_rows=60)
+        n_rows = sum(len(fs) for fs in corpus.values())
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            stacked = StackedCorpus(corpus)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        copy_bytes = n_rows * 16 * 4
+        assert stacked.rows.nbytes == copy_bytes
+        block_bytes = scoring_mod._SCREEN_BLOCK_ROWS * 16 * 8
+        assert peak <= copy_bytes + block_bytes, (peak, copy_bytes)
