@@ -96,6 +96,15 @@ def read_exact(fh, n: int, kind: str) -> bytes:
     return data
 
 
+def encode_utf8(name: str, kind: str) -> bytes:
+    """A name's UTF-8 bytes for a binary file; a string with no UTF-8 form
+    (a lone surrogate such as "\ud800") is an InputError naming its repr."""
+    try:
+        return name.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise InputError(f"{kind} {name!r} cannot be encoded as UTF-8: {exc.reason}") from exc
+
+
 def iter_jsonl(path: str | Path, kind: str) -> Iterator[tuple[str, dict]]:
     """("path:line", record) for every non-blank line of a JSON-lines file.
 

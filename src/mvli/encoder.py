@@ -34,6 +34,7 @@ from .core import (
     Rng,
     SpanError,
     UnsupportedVersionError,
+    encode_utf8,
     read_exact,
     seeded_unit_vector,
     tokenize,
@@ -391,9 +392,10 @@ class FileEmbeddingProvider:
 
 
 def write_embedding_file(records: Mapping[str, np.ndarray], path: str | Path) -> None:
+    keys = sorted(records)
+    names = [encode_utf8(key, "embedding key") for key in keys]  # before the file is opened
     with open(path, "wb") as fh:
-        for key in sorted(records):
-            encoded = key.encode("utf-8")
+        for key, encoded in zip(keys, names):
             values = np.ascontiguousarray(records[key], dtype="<f4")
             fh.write(struct.pack("<I", len(encoded)))
             fh.write(encoded)

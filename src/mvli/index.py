@@ -6,7 +6,8 @@ its centroid id plus a per-dimension 8-bit uniform quantization of the
 residual; nbits=0 selects the lossless mode that stores raw float64 vectors.
 Search runs centroid-probing candidate generation followed by exact
 late-interaction re-ranking on reconstructed vectors, both over fixed-width
-column blocks.
+column blocks; the re-rank screens every candidate in float32 first and
+rescores in float64 only the docs a proven error bound cannot rule out.
 """
 
 from __future__ import annotations
@@ -27,10 +28,12 @@ from .core import (
     InputError,
     Rng,
     ShapeError,
+    UNIT_ATOL,
     UnsupportedVersionError,
+    encode_utf8,
     read_exact,
 )
-from .scoring import ScoredDoc, _maxsim_sums
+from .scoring import ScoredDoc, _maxsim_sums, _survivors
 
 INDEX_MAGIC = b"MVLI"
 INDEX_VERSION = 2
@@ -58,7 +61,8 @@ class RetrievalIndex:
     Only assignments and doc_sizes describe the layout; the per-doc vector
     ranges and the per-centroid doc lists are derived from them on
     construction, the lists as one flat array in CSR form (values plus K + 1
-    offsets).
+    offsets), and so are the float32 tables of search's screen; the stored
+    arrays must not change afterwards.
     """
 
     dim: int
@@ -75,6 +79,10 @@ class RetrievalIndex:
     # centroid c's sorted doc indices: centroid_doc_ids[centroid_doc_offsets[c]:...[c + 1]]
     centroid_doc_ids: np.ndarray = field(init=False)
     centroid_doc_offsets: np.ndarray = field(init=False)  # (K + 1,)
+    # the screen dequantizes code c of dimension d to step32[d] * c + base32[a, d]
+    step32: np.ndarray = field(init=False)  # (dim,) float32 of _codebook_step
+    base32: np.ndarray = field(init=False)  # (K, dim) centroids + code_min in float64, cast
+    magnitude: float = field(init=False)  # bound on any dequantized vector's terms, see error_bound
 
     def __post_init__(self):
         self.doc_offsets, self.centroid_doc_ids, self.centroid_doc_offsets = _derive_layout(
@@ -82,10 +90,46 @@ class RetrievalIndex:
         for a, b in zip(self.doc_ids, self.doc_ids[1:]):
             if a >= b:  # doc index order is doc_id order: search breaks ties by index
                 raise CorruptionError(f"document ids are not strictly ascending: {a!r}, {b!r}")
+        step = _codebook_step(self.code_min, self.code_max)
+        self.step32 = step.astype(np.float32)
+        self.base32 = (self.centroids + self.code_min).astype(np.float32)
+        if self.nbits == 0:
+            self.magnitude = float(np.sqrt(np.einsum("ij,ij->i", self.codes, self.codes).max()))
+        else:
+            self.magnitude = float(np.linalg.norm(self.centroids, axis=1).max()
+                                   + np.linalg.norm(np.abs(self.code_min) + 255.0 * step))
 
     @property
     def n_vectors(self) -> int:
         return self.assignments.shape[0]
+
+    def error_bound(self, n_query_rows: int) -> float:
+        """E, with |screen - re-rank score| <= E for every doc a search with
+        n_query_rows query rows screens, whatever the BLAS summation order.
+
+        With u = 2**-24, let v = c + code_min + code * step be a stored
+        vector in exact arithmetic (the stored row when nbits == 0), s[d] =
+        |code_min[d]| + 255 * step[d], and a[d] = |c[d]| + s[d], which bounds
+        v's terms in dimension d.  To first order in u, a query row q and a
+        doc row have these errors:
+        - the screen's dequantization rounds step, the float64 c + code_min,
+          their product with code and the sum to float32: 3u * a[d] per
+          element;
+        - rounding q to float32: u * |q[d]| * a[d] per element;
+        - the float32 dot product: dim * u * sum |q[d]| * a[d];
+        - the float64 re-rank's reconstruct and product, (dim + 3) * 2**-53
+          of the same sum, and the float64 sums of the row maxima on both
+          sides, 2 * 2**-53 per row: below u together.
+        So a pair errs by at most (dim + 5) * u * sum |q[d]| * a[d], and by
+        Cauchy-Schwarz sum |q[d]| * a[d] <= |q| * (|c| + |s|) <= |q| *
+        magnitude, the largest centroid norm plus |s|.  A max over a doc's
+        rows errs no more than its worst row, and m query rows add m such
+        errors.  The factor 2 covers the second-order terms, query norms
+        within UNIT_ATOL of 1 and the float64 rounding of magnitude.  No
+        unit centroid or row is assumed: magnitude is read off the stored
+        arrays.
+        """
+        return 2.0 * n_query_rows * (self.dim + 5) * 2.0 ** -24 * self.magnitude
 
 
 def _derive_layout(
@@ -228,15 +272,19 @@ def build_index(
     )
 
 
+def _codebook_step(code_min: np.ndarray, code_max: np.ndarray) -> np.ndarray:
+    """Per-dimension width of one of the 255 quantization steps."""
+    spread = code_max - code_min
+    return np.where(spread > 0, spread / 255.0, 0.0)
+
+
 def reconstruct(index: RetrievalIndex, vec_ids: np.ndarray) -> np.ndarray:
     """Dequantized vectors for the given vector ids: centroid plus residual,
     centroids[a] + (code_min + codes * step), accumulated in place."""
     if index.nbits == 0:
         return index.codes[vec_ids]
-    spread = index.code_max - index.code_min
-    step = np.where(spread > 0, spread / 255.0, 0.0)
     rows = index.codes.take(vec_ids, axis=0).astype(np.float64)
-    rows *= step
+    rows *= _codebook_step(index.code_min, index.code_max)
     rows += index.code_min
     rows += index.centroids.take(index.assignments.take(vec_ids), axis=0)
     return rows
@@ -264,6 +312,30 @@ def _run_positions(starts: np.ndarray, sizes: np.ndarray, pad_to: int = 1) -> np
     return np.cumsum(steps, out=steps)
 
 
+def _screen(index: RetrievalIndex, q: np.ndarray, docs: np.ndarray,
+            sizes: np.ndarray) -> np.ndarray:
+    """Late-interaction scores of the given docs from their rows dequantized
+    in float32 (the stored rows cast when nbits == 0) and one float32
+    product per block of _SEARCH_BLOCK_COLS rows, maxima summed in float64;
+    within index.error_bound of the re-rank's scores."""
+    ids = _run_positions(index.doc_offsets[docs], sizes)
+    q32 = q.astype(np.float32)
+    width = _SEARCH_BLOCK_COLS
+    # step32 repeated per row: a same-shape product is faster than a broadcast
+    # along rows only dim long
+    steps = np.tile(index.step32, (min(width, len(ids)), 1))
+
+    def block_sims(start: int) -> np.ndarray:
+        rows = ids[start:start + width]
+        vecs = index.codes.take(rows, axis=0).astype(np.float32)
+        if index.nbits != 0:
+            vecs *= steps[:len(rows)]
+            vecs += index.base32.take(index.assignments.take(rows), axis=0)
+        return q32 @ vecs.T
+
+    return _maxsim_sums(sizes, block_sims, len(q), width)
+
+
 def search(index: RetrievalIndex, query: FeatureSet, params: SearchParams) -> list[ScoredDoc]:
     """Two-stage search: centroid-probed candidates, then exact re-ranking.
 
@@ -272,17 +344,21 @@ def search(index: RetrievalIndex, query: FeatureSet, params: SearchParams) -> li
     candidate_doc_cap of them by a centroid-level approximation of the
     late-interaction score: each doc's score over its probed centroids.
     Stage 2 re-scores candidates exactly on dequantized vectors; ties break
-    by doc_id.
+    by doc_id.  It runs in two passes: a float32 `_screen` of every
+    candidate, then the float64 re-rank of the `_survivors`, the docs whose
+    screen score is within 2 * index.error_bound of the k-th best, among
+    which the true top k provably lies.
 
     Neither stage loops over documents: each walks the candidates'
     concatenated columns (their probed centroids, then their vectors) in blocks
     of _SEARCH_BLOCK_COLS and reduces each block at the doc edges with
     _maxsim_sums, so a query holds a few blocks of similarities rather than
-    all candidates' at once.  The re-rank pads the candidates' row ids to
-    whole blocks and runs one reconstruct and one product of the same shape
-    per block, so a doc's score does not depend on the other candidates.
-    The prefilter keeps the same docs, ties to the lower doc index, as a
-    per-doc loop would.
+    all candidates' at once.  The float64 pass pads the survivors' row ids
+    to whole blocks and runs one reconstruct and one product of the same
+    shape per block, so a doc's score does not depend on the other
+    candidates: ids, order and score bits equal a float64 re-rank of every
+    candidate.  The prefilter keeps the same docs, ties to the lower doc
+    index, as a per-doc loop would.
     """
     if query.dim != index.dim:
         raise ShapeError(f"query dim {query.dim} does not match index dim {index.dim}")
@@ -306,6 +382,8 @@ def search(index: RetrievalIndex, query: FeatureSet, params: SearchParams) -> li
             len(q), _SEARCH_BLOCK_COLS)
         ordered = np.sort(ordered[np.lexsort((ordered, -approx))[:params.candidate_doc_cap]])
 
+    screened = _screen(index, q, ordered, index.doc_sizes[ordered])
+    ordered = ordered[_survivors(screened, params.k, index.error_bound(len(q)))]
     sizes = index.doc_sizes[ordered]
     ids = _run_positions(index.doc_offsets[ordered], sizes, _SEARCH_BLOCK_COLS)
     scores = _maxsim_sums(
@@ -328,7 +406,7 @@ _HEADER = struct.Struct("<IIQIB")
 
 
 def save_index(index: RetrievalIndex, path: str | Path) -> None:
-    names = [doc_id.encode("utf-8") for doc_id in index.doc_ids]
+    names = [encode_utf8(doc_id, "document id") for doc_id in index.doc_ids]
     for doc_id, name in zip(index.doc_ids, names):  # checked before the file is opened
         if len(name) > 0xFFFF:
             raise InputError(f"document id {doc_id[:40]!r}... is {len(name)} UTF-8 bytes; "
@@ -350,6 +428,25 @@ def save_index(index: RetrievalIndex, path: str | Path) -> None:
         for name in names:
             fh.write(struct.pack("<H", len(name)))
             fh.write(name)
+
+
+def _check_values(path, centroids: np.ndarray, code_min: np.ndarray, code_max: np.ndarray,
+                  vectors: np.ndarray | None) -> None:
+    """Reject values no build writes: a build stores unit centroids (and
+    unit vectors when lossless), and residuals of unit vectors from unit
+    centroids, so code_min <= code_max within [-2, 2].  These limits also
+    keep search's float32 screen far from overflow."""
+    if np.any(code_max < code_min):
+        raise CorruptionError(f"{path}: codebook has code_max < code_min")
+    if np.any(np.abs(code_min) > 2.0) or np.any(np.abs(code_max) > 2.0):
+        raise CorruptionError(f"{path}: codebook values outside [-2, 2]")
+    for name, rows in (("centroid", centroids), ("stored vector", vectors)):
+        if rows is None:
+            continue
+        with np.errstate(over="ignore"):  # a huge finite value: an infinite norm
+            norms = np.linalg.norm(rows, axis=1)
+        if np.any(np.abs(norms - 1.0) > UNIT_ATOL):
+            raise CorruptionError(f"{path}: {name} rows are not unit length")
 
 
 def load_index(path: str | Path) -> RetrievalIndex:
@@ -395,6 +492,7 @@ def load_index(path: str | Path) -> RetrievalIndex:
     finite = [centroids, code_min, code_max] + ([codes] if nbits == 0 else [])
     if not all(np.isfinite(a).all() for a in finite):
         raise CorruptionError(f"{path}: non-finite centroid, codebook or vector values")
+    _check_values(path, centroids, code_min, code_max, codes if nbits == 0 else None)
     return RetrievalIndex(
         dim=dim,
         nbits=nbits,

@@ -2,8 +2,9 @@
 
 `rank_exact` ranks in two passes.  A float32 screen scores every document
 over one stacked copy of the corpus, in blocks; every document whose screen
-score could still reach the top k under a proven error bound is then
-rescored with `late_interaction_score` in float64.  The ranking therefore
+score could still reach the top k under a proven error bound (`_survivors`,
+which the index's re-rank shares) is then rescored with
+`late_interaction_score` in float64.  The ranking therefore
 equals a per-document float64 loop in ids, order and score bits.
 """
 
@@ -57,6 +58,21 @@ def _maxsim_sums(
         pieces[:, first:last] = np.maximum.reduceat(sims, cuts[first:last] - start, axis=1)
     maxima = np.maximum.reduceat(pieces, np.searchsorted(cuts, starts), axis=1)
     return np.ascontiguousarray(maxima.T).sum(axis=1)
+
+
+def _survivors(screened: np.ndarray, k: int, bound: float) -> np.ndarray:
+    """Ascending indices of the docs a two-pass ranking must rescore: those
+    whose screen score is >= t_k - 2 * bound, t_k the k-th best screen score.
+
+    With |screen - exact| <= bound for every doc, the true top k (ties in
+    any order) is among them: the k docs screened at t_k or more score
+    exactly >= t_k - bound, so the k-th best exact score is too, and a doc
+    screened below t_k - 2 * bound scores exactly under it.  The callers'
+    bounds carry a factor 2 of slack, which also covers rounding the
+    threshold.  With k >= len(screened) every doc is kept."""
+    kth = max(len(screened) - k, 0)  # the lowest screen score when k >= N
+    t_k = np.partition(screened, kth)[kth]
+    return np.flatnonzero(screened >= t_k - 2.0 * bound)
 
 
 # Corpus rows per block of the screen: one (m, 2048) float32 product each.
@@ -116,18 +132,11 @@ class StackedCorpus(Mapping[str, FeatureSet]):
             self.sizes, lambda start: q @ self.rows[start:start + width].T, len(q), width)
 
     def top_k(self, query: FeatureSet, k: int) -> list[ScoredDoc]:
-        """The k best docs by late_interaction_score, ties by doc_id.
-
-        With t_k the k-th best screen score, every doc of the true top k has
-        a screen score >= t_k - 2E: one below it scores under t_k - E, below
-        the k docs screened at t_k or more.  Only those docs are rescored.
-        """
+        """The k best docs by late_interaction_score, ties by doc_id; only
+        the screen's `_survivors` are rescored."""
         if query.dim != self.dim:
             raise ShapeError(f"dimension mismatch: query {query.dim} vs corpus {self.dim}")
-        screened = self.screen(query)
-        kth = max(len(screened) - k, 0)  # the lowest screen score when k >= N
-        t_k = np.partition(screened, kth)[kth]
-        kept = np.flatnonzero(screened >= t_k - 2.0 * self.error_bound(len(query)))
+        kept = _survivors(self.screen(query), k, self.error_bound(len(query)))
         ids = [self.doc_ids[i] for i in kept.tolist()]
         scored = [ScoredDoc(d, late_interaction_score(query, self._docs[d])) for d in ids]
         scored.sort(key=lambda s: (-s.score, s.doc_id))

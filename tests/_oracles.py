@@ -307,6 +307,40 @@ def naive_search(index, query_rows: np.ndarray, k: int, nprobe: int, cap: int):
     return sorted(index.doc_ids[d] for d in candidates), scored[:k]
 
 
+def single_pass_search(index, query, params):
+    """Index search with a one-pass re-rank: every candidate dequantized and
+    scored in float64, its row ids padded to whole blocks of
+    _SEARCH_BLOCK_COLS with one reconstruct and one product per block.  The
+    prefilter is the library's; `search` must equal this in ids, order and
+    score bits."""
+    from mvli import index as index_mod
+
+    q = query.vectors
+    width = index_mod._SEARCH_BLOCK_COLS
+    nprobe = min(params.nprobe, index.centroids.shape[0])
+    cent_sims = q @ index.centroids.T
+    probed = np.unique(np.argpartition(-cent_sims, nprobe - 1, axis=1)[:, :nprobe])
+    offsets = index.centroid_doc_offsets
+    sizes = offsets[probed + 1] - offsets[probed]
+    if not sizes.any():
+        return []
+    docs = index.centroid_doc_ids[index_mod._run_positions(offsets[probed], sizes)]
+    ordered, counts = np.unique(docs, return_counts=True)
+    if ordered.size > params.candidate_doc_cap:
+        cents = np.repeat(probed, sizes)[np.argsort(docs, kind="stable")]
+        approx = index_mod._maxsim_sums(
+            counts, lambda start: cent_sims.take(cents[start:start + width], axis=1),
+            len(q), width)
+        ordered = np.sort(ordered[np.lexsort((ordered, -approx))[:params.candidate_doc_cap]])
+    sizes = index.doc_sizes[ordered]
+    ids = index_mod._run_positions(index.doc_offsets[ordered], sizes, width)
+    scores = index_mod._maxsim_sums(
+        sizes, lambda start: q @ index_mod.reconstruct(index, ids[start:start + width]).T,
+        len(q), width)
+    top = np.lexsort((ordered, -scores))[:params.k]
+    return [ScoredDoc(index.doc_ids[ordered[i]], float(scores[i])) for i in top]
+
+
 def naive_enumerate_target_subgraphs(graph, rng, limit: int):
     """Up to `limit` distinct subgraphs from at most max(4 * limit, 8) uniform
     draws, with no stop at the graph's pair count."""

@@ -118,6 +118,15 @@ class TestFileProvider:
         with pytest.raises(MissingEmbeddingError):
             provider.text_vector("unknown")
 
+    def test_key_without_utf8_form(self, tmp_path, tiny_config):
+        """A key holding a lone surrogate is an InputError naming it, raised
+        before the file opens."""
+        path = tmp_path / "emb.bin"
+        records = {"text:a": np.ones(tiny_config.text_dim), "text:\udcff": np.ones(4)}
+        with pytest.raises(InputError, match=r"'text:\\udcff'"):
+            write_embedding_file(records, path)
+        assert not path.exists()
+
     def test_truncated_file(self, tmp_path, tiny_config):
         path = tmp_path / "emb.bin"
         write_embedding_file({"text:a": np.ones(tiny_config.text_dim)}, path)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import mvli.index as index_mod
-from _oracles import naive_centroid_update, naive_search
+from _oracles import naive_centroid_update, naive_search, single_pass_search
 from conftest import random_feature_set
 from mvli.cli import main
 from mvli.core import ConfigError, CorruptionError, FeatureSet, FormatError, InputError, Rng
@@ -358,7 +358,7 @@ class TestBlockedSearch:
             assert len(want) > 3 and want != [len(c) for c in sets if probed & c]
             recorded.clear()
             search(index, q, SearchParams(k=3, nprobe=2, candidate_doc_cap=3))
-            assert len(recorded) == 2  # prefilter, then re-rank
+            assert len(recorded) == 3  # prefilter, screen, rescore
             np.testing.assert_array_equal(recorded[0], want)
 
     def test_reconstruct_bits_equal_formula(self):
@@ -436,6 +436,106 @@ class TestBlockedSearch:
             assert peak < 4 * block_bytes, (cap, peak)
 
 
+def _bits(ranked) -> list[tuple[str, str]]:
+    return [(s.doc_id, s.score.hex()) for s in ranked]
+
+
+def _screen_errors(index, q: FeatureSet) -> np.ndarray:
+    """|screen - float64 re-rank score| of every doc of the index."""
+    n_docs = len(index.doc_ids)
+    every = SearchParams(k=n_docs, nprobe=index.centroids.shape[0], candidate_doc_cap=n_docs)
+    exact = {s.doc_id: s.score for s in single_pass_search(index, q, every)}
+    screened = index_mod._screen(index, q.vectors, np.arange(n_docs), index.doc_sizes)
+    return np.abs(screened - [exact[d] for d in index.doc_ids])
+
+
+class TestTwoPassSearch:
+    """search screens every candidate in float32 and rescores the survivors
+    in float64; a one-pass float64 re-rank of every candidate is the oracle,
+    compared in ids, order and score bits."""
+
+    @pytest.mark.parametrize("nbits", [0, 8])
+    @pytest.mark.parametrize("block_cols", [5, 64, None])
+    def test_matches_single_pass_oracle_to_the_bit(self, monkeypatch, nbits, block_cols):
+        if block_cols is not None:
+            monkeypatch.setattr(index_mod, "_SEARCH_BLOCK_COLS", block_cols)
+        corpus = make_corpus(seed=31, n_docs=40)
+        index = build_index(corpus, k_centroids=24, nbits=nbits, kmeans_iters=5, seed=3)
+        n_docs = len(corpus)
+        binding = free = 0
+        for i in range(8):
+            q = random_feature_set(Rng(300 + i), 3 + i % 4, 8)
+            for nprobe, cap in ((1, 3), (2, 10), (4, 25), (24, 12), (24, n_docs)):
+                probed = single_pass_search(index, q, SearchParams(k=n_docs, nprobe=nprobe,
+                                                                   candidate_doc_cap=n_docs))
+                binding += len(probed) > cap
+                free += len(probed) <= cap
+                for k in sorted({1, 3, cap}):  # k = cap: k >= the candidate count
+                    params = SearchParams(k=k, nprobe=nprobe, candidate_doc_cap=cap)
+                    assert _bits(search(index, q, params)) == _bits(
+                        single_pass_search(index, q, params))
+        assert binding and free
+
+    @pytest.mark.parametrize("nbits", [0, 8])
+    @pytest.mark.parametrize("dim,seed", [(4, 0), (16, 1), (64, 2)])
+    def test_screen_error_is_well_inside_its_bound(self, nbits, dim, seed):
+        corpus = make_corpus(seed=seed, n_docs=30, dim=dim, max_tokens=40)
+        index = build_index(corpus, nbits=nbits, kmeans_iters=5, seed=seed)
+        for i in range(6):
+            q = random_feature_set(Rng(seed).split(f"q{i}"), 1 + 7 * i, dim)
+            errors = _screen_errors(index, q)
+            assert 0 < errors.max() <= index.error_bound(len(q)) / 10
+
+    def test_screen_inversion_is_rescored(self, monkeypatch):
+        """Two docs whose float32 screen order is the reverse of their
+        float64 order: at k = 1 the screen's winner is not the top doc, and
+        only the 2E margin keeps the true one among those rescored."""
+        for seed in range(200):
+            q = random_feature_set(Rng(seed).split("q"), 6, 16)
+            rows = q.vectors + 1e-7 * Rng(seed).generator().standard_normal(q.vectors.shape)
+            rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+            index = build_index({"a": FeatureSet(rows, q.provenance),
+                                 "b": FeatureSet(q.vectors.copy(), q.provenance)},
+                                k_centroids=1, nbits=0, seed=0)
+            every = single_pass_search(index, q, SearchParams(k=2))
+            exact = {s.doc_id: s.score for s in every}
+            screened = index_mod._screen(index, q.vectors, np.arange(2), index.doc_sizes)
+            if (exact["a"] - exact["b"]) * (screened[0] - screened[1]) < 0:
+                break
+        else:
+            pytest.fail("no seed gives a screen inversion")
+        params = SearchParams(k=1)
+        assert _bits(search(index, q, params)) == _bits(every[:1])
+        monkeypatch.setattr(RetrievalIndex, "error_bound", lambda self, m: 0.0)
+        assert search(index, q, params)[0].doc_id != every[0].doc_id
+
+    def test_extreme_codebook_loads_and_searches(self, tmp_path):
+        """A codebook at the loadable extremes, [-2, 2] in every dimension,
+        with codes at 0 and 255: dequantized rows far from unit length."""
+        n_docs, per_doc, dim, k_cent = 30, 12, 16, 5
+        n = n_docs * per_doc
+        gen = Rng(17).generator()
+        centroids = gen.standard_normal((k_cent, dim))
+        centroids /= np.linalg.norm(centroids, axis=1, keepdims=True)
+        codes = gen.integers(0, 256, (n, dim), dtype=np.uint8)
+        codes[gen.random((n, dim)) < 0.5] = 255
+        codes[: n // 3] = 0
+        built = RetrievalIndex(
+            dim=dim, nbits=8, centroids=centroids, assignments=gen.integers(0, k_cent, n),
+            codes=codes, code_min=np.full(dim, -2.0), code_max=np.full(dim, 2.0),
+            doc_ids=[f"doc{i:02d}" for i in range(n_docs)], doc_sizes=np.full(n_docs, per_doc))
+        path = tmp_path / "x.mvli"
+        save_index(built, path)
+        index = load_index(path)
+        for i in range(4):
+            q = random_feature_set(Rng(18).split(i), 9, dim)
+            assert _screen_errors(index, q).max() <= index.error_bound(len(q)) / 10
+            for k, cap in ((1, n_docs), (5, 8), (n_docs, n_docs)):
+                params = SearchParams(k=k, nprobe=2, candidate_doc_cap=cap)
+                assert _bits(search(index, q, params)) == _bits(
+                    single_pass_search(index, q, params))
+
+
 class TestPersistence:
     def test_round_trip_search_identical(self, tmp_path):
         corpus = make_corpus(seed=13, n_docs=10)
@@ -478,6 +578,16 @@ class TestPersistence:
         corpus["\u00e9" * 32768] = corpus.pop(longest)
         path = tmp_path / "y.mvli"
         with pytest.raises(InputError, match="is 65536 UTF-8 bytes"):
+            save_index(build_index(corpus, seed=1), path)
+        assert not path.exists()
+
+    def test_doc_id_without_utf8_form(self, tmp_path):
+        """A doc id holding a lone surrogate is an InputError naming it,
+        raised before the file opens."""
+        corpus = make_corpus(n_docs=3)
+        corpus["\ud800x"] = corpus.pop("doc002")
+        path = tmp_path / "x.mvli"
+        with pytest.raises(InputError, match=r"'\\ud800x'"):
             save_index(build_index(corpus, seed=1), path)
         assert not path.exists()
 
@@ -550,6 +660,10 @@ MUTATIONS = {
     "doc_id_not_utf8": (8, CorruptionError, "utf-8"),
     "duplicate_doc_id": (8, CorruptionError, "strictly ascending"),
     "doc_ids_unsorted": (8, CorruptionError, "strictly ascending"),
+    "codebook_swapped": (8, CorruptionError, "code_max < code_min"),
+    "codebook_out_of_range": (8, CorruptionError, r"outside \[-2, 2\]"),
+    "centroid_not_unit": (8, CorruptionError, "centroid rows are not unit"),
+    "lossless_vector_not_unit": (0, CorruptionError, "stored vector rows are not unit"),
 }
 
 
@@ -586,6 +700,16 @@ def _mutate(case: str, data: bytearray, index) -> None:
         data[at["doc_ids"] + 2 * 8 + 7] = ord("1")
     elif case == "doc_ids_unsorted":  # doc000 -> doc009
         data[at["doc_ids"] + 7] = ord("9")
+    elif case == "codebook_swapped":  # dimension 0 of the codebook
+        assert index.code_min[0] < index.code_max[0]
+        struct.pack_into("<d", data, at["code_min"], index.code_max[0])
+        struct.pack_into("<d", data, at["code_max"], index.code_min[0])
+    elif case == "codebook_out_of_range":
+        struct.pack_into("<d", data, at["code_max"], 2.5)
+    elif case == "centroid_not_unit":
+        struct.pack_into("<d", data, at["centroids"], 2.0)
+    elif case == "lossless_vector_not_unit":
+        struct.pack_into("<d", data, at["codes"], 2.0)
     else:
         raise AssertionError(case)
 
