@@ -21,13 +21,12 @@ from .encoder import (
     EncoderParams,
     QueryInput,
     SeededEmbeddingProvider,
-    check_params_finite,
     encode_corpus,
-    encode_query,
+    encode_queries,
     init_encoder_params,
 )
 from .index import RetrievalIndex, SearchParams, search
-from .scoring import StackedCorpus, rank_exact
+from .scoring import StackedCorpus
 from .train import TrainConfig, train
 
 
@@ -143,24 +142,24 @@ def rank_samples(
     search_params: SearchParams | None = None,
     depth: int = 10,
 ) -> dict[str, list[str]]:
-    """One ranking pass per sample, reused by every downstream metric."""
-    check_params_finite(params)  # once here, not once per encoded query
-    if index is None:
-        corpus = StackedCorpus(corpus)  # stacked once, screened by every query
-    rankings: dict[str, list[str]] = {}
-    for sample in samples:
-        query = encode_query(
-            QueryInput(sample.question, sample.query_image_key),
-            params, config, provider, image_only=image_only,
-        )
-        if index is not None:
-            sp = search_params or SearchParams(
-                k=depth, candidate_doc_cap=max(SearchParams.candidate_doc_cap, depth))
-            ranked = search(index, query, sp)
-        else:
-            ranked = rank_exact(query, corpus, depth)
-        rankings[sample.sample_id] = [s.doc_id for s in ranked]
-    return rankings
+    """One ranking of `depth` docs per sample, reused by every downstream
+    metric.  The queries are encoded in batch steps, then ranked exactly in
+    groups over the corpus stacked once, or one by one by the index.  A
+    `search_params.k` below `depth` is a ConfigError."""
+    if search_params is not None and search_params.k < depth:
+        raise ConfigError(f"search_params.k ({search_params.k}) is below the ranking depth "
+                          f"({depth}); recall at the larger depths would read a shorter list")
+    # encoded before the corpus is stacked, so the two transients do not add up
+    queries = encode_queries([QueryInput(s.question, s.query_image_key) for s in samples],
+                             params, config, provider, image_only=image_only)
+    if index is not None:
+        sp = search_params or SearchParams(
+            k=depth, candidate_doc_cap=max(SearchParams.candidate_doc_cap, depth))
+        ranked = [search(index, query, sp) for query in queries]
+    else:
+        ranked = StackedCorpus(corpus).top_k(queries, depth)
+    return {sample.sample_id: [r.doc_id for r in ranks]
+            for sample, ranks in zip(samples, ranked)}
 
 
 def _split_groups(samples: Sequence[QaSample]) -> list[tuple[str, list[QaSample]]]:

@@ -33,7 +33,7 @@ from .core import (
     encode_utf8,
     read_exact,
 )
-from .scoring import ScoredDoc, _maxsim_sums, _survivors
+from .scoring import ScoredDoc, _DocCuts, _maxsim_sums, _survivors
 
 INDEX_MAGIC = b"MVLI"
 INDEX_VERSION = 2
@@ -83,6 +83,9 @@ class RetrievalIndex:
     step32: np.ndarray = field(init=False)  # (dim,) float32 of _codebook_step
     base32: np.ndarray = field(init=False)  # (K, dim) centroids + code_min in float64, cast
     magnitude: float = field(init=False)  # bound on any dequantized vector's terms, see error_bound
+    # reconstruct's step and code_min, each repeated over _SEARCH_BLOCK_COLS rows
+    step_rows: np.ndarray = field(init=False)
+    code_min_rows: np.ndarray = field(init=False)
 
     def __post_init__(self):
         self.doc_offsets, self.centroid_doc_ids, self.centroid_doc_offsets = _derive_layout(
@@ -93,6 +96,8 @@ class RetrievalIndex:
         step = _codebook_step(self.code_min, self.code_max)
         self.step32 = step.astype(np.float32)
         self.base32 = (self.centroids + self.code_min).astype(np.float32)
+        self.step_rows = np.tile(step, (_SEARCH_BLOCK_COLS, 1))
+        self.code_min_rows = np.tile(self.code_min, (_SEARCH_BLOCK_COLS, 1))
         if self.nbits == 0:
             self.magnitude = float(np.sqrt(np.einsum("ij,ij->i", self.codes, self.codes).max()))
         else:
@@ -280,12 +285,16 @@ def _codebook_step(code_min: np.ndarray, code_max: np.ndarray) -> np.ndarray:
 
 def reconstruct(index: RetrievalIndex, vec_ids: np.ndarray) -> np.ndarray:
     """Dequantized vectors for the given vector ids: centroid plus residual,
-    centroids[a] + (code_min + codes * step), accumulated in place."""
+    centroids[a] + (code_min + codes * step), accumulated in place.  step and
+    code_min come pre-tiled, since a same-shape product is faster than a
+    broadcast along rows only dim long."""
     if index.nbits == 0:
         return index.codes[vec_ids]
     rows = index.codes.take(vec_ids, axis=0).astype(np.float64)
-    rows *= _codebook_step(index.code_min, index.code_max)
-    rows += index.code_min
+    for start in range(0, len(rows), _SEARCH_BLOCK_COLS):
+        block = rows[start:start + _SEARCH_BLOCK_COLS]
+        block *= index.step_rows[:len(block)]
+        block += index.code_min_rows[:len(block)]
     rows += index.centroids.take(index.assignments.take(vec_ids), axis=0)
     return rows
 
@@ -333,7 +342,7 @@ def _screen(index: RetrievalIndex, q: np.ndarray, docs: np.ndarray,
             vecs += index.base32.take(index.assignments.take(rows), axis=0)
         return q32 @ vecs.T
 
-    return _maxsim_sums(sizes, block_sims, len(q), width)
+    return _maxsim_sums(_DocCuts(sizes, width), block_sims, (0, len(q)))[0]
 
 
 def search(index: RetrievalIndex, query: FeatureSet, params: SearchParams) -> list[ScoredDoc]:
@@ -377,9 +386,9 @@ def search(index: RetrievalIndex, query: FeatureSet, params: SearchParams) -> li
         # each doc's probed centroids, docs in index order
         cents = np.repeat(probed, sizes)[np.argsort(docs, kind="stable")]
         approx = _maxsim_sums(
-            counts,
+            _DocCuts(counts, _SEARCH_BLOCK_COLS),
             lambda start: cent_sims.take(cents[start:start + _SEARCH_BLOCK_COLS], axis=1),
-            len(q), _SEARCH_BLOCK_COLS)
+            (0, len(q)))[0]
         ordered = np.sort(ordered[np.lexsort((ordered, -approx))[:params.candidate_doc_cap]])
 
     screened = _screen(index, q, ordered, index.doc_sizes[ordered])
@@ -387,9 +396,9 @@ def search(index: RetrievalIndex, query: FeatureSet, params: SearchParams) -> li
     sizes = index.doc_sizes[ordered]
     ids = _run_positions(index.doc_offsets[ordered], sizes, _SEARCH_BLOCK_COLS)
     scores = _maxsim_sums(
-        sizes,
+        _DocCuts(sizes, _SEARCH_BLOCK_COLS),
         lambda start: q @ reconstruct(index, ids[start:start + _SEARCH_BLOCK_COLS]).T,
-        len(q), _SEARCH_BLOCK_COLS)
+        (0, len(q)))[0]
     top = np.lexsort((ordered, -scores))[:params.k]
     return [ScoredDoc(index.doc_ids[ordered[i]], float(scores[i])) for i in top]
 

@@ -1,17 +1,18 @@
 """Exact late-interaction relevance scoring between feature sets.
 
-`rank_exact` ranks in two passes.  A float32 screen scores every document
-over one stacked copy of the corpus, in blocks; every document whose screen
-score could still reach the top k under a proven error bound (`_survivors`,
-which the index's re-rank shares) is then rescored with
-`late_interaction_score` in float64.  The ranking therefore
-equals a per-document float64 loop in ids, order and score bits.
+`StackedCorpus.top_k`, and `rank_exact` through it, rank in two passes.  A
+float32 screen scores every document over one stacked copy of the corpus, in
+blocks, each block serving a group of queries; every document whose screen
+score could still reach a query's top k under a proven error bound
+(`_survivors`, which the index's re-rank shares) is then rescored with
+`late_interaction_score` in float64.  Each ranking therefore equals a
+per-document float64 loop in ids, order and score bits.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, Mapping
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -31,33 +32,54 @@ def late_interaction_score(query: FeatureSet, doc: FeatureSet) -> float:
     return float((query.vectors @ doc.vectors.T).max(axis=1).sum())
 
 
+class _DocCuts:
+    """Where `_maxsim_sums` cuts docs laid out as consecutive runs of `sizes`
+    columns, walked in blocks of `width` columns; derived once per layout."""
+
+    def __init__(self, sizes: np.ndarray, width: int):
+        ends = np.cumsum(sizes)
+        starts = ends - sizes
+        self.width = width
+        self.total = int(ends[-1])
+        self.block_starts = np.arange(0, self.total, width)
+        self.cuts = np.union1d(starts, self.block_starts)  # each piece starts at a cut
+        # block b's pieces start at cuts[edges[b]:edges[b + 1]]
+        self.edges = np.append(np.searchsorted(self.cuts, self.block_starts), self.cuts.size)
+        self.joins = np.searchsorted(self.cuts, starts)  # each doc's first piece
+
+
 def _maxsim_sums(
-    sizes: np.ndarray, block_sims: Callable[[int], np.ndarray], n_rows: int, width: int
+    cuts: _DocCuts, block_sims: Callable[[int], np.ndarray], row_bounds: Sequence[int]
 ) -> np.ndarray:
-    """Late-interaction sums of docs whose columns are consecutive runs of
-    `sizes` columns: per doc, the sum over the n_rows query rows of the max
-    over its columns.
+    """Late-interaction sums of the docs `cuts` lays out, for every query
+    whose rows are row_bounds[g] to row_bounds[g + 1] of the similarities:
+    a (len(row_bounds) - 1, n_docs) array of, per query and doc, the sum
+    over the query's rows of the max over the doc's columns.
 
     block_sims(start) returns the similarities of columns start onwards, at
     least up to start + width or the last column; columns beyond are
     ignored.  One maximum.reduceat per block cuts it at the doc starts inside
-    it, and a second joins the pieces of docs that cross a block edge.  The
-    maxima are summed in float64, each doc's over one contiguous row, so for
-    float64 similarities its bits equal sims[:, doc].max(axis=1).sum().
+    it, and a second joins the pieces of docs that cross a block edge; the
+    pieces keep the similarities' dtype, which a max does not round.  The
+    maxima are summed in float64, each query's per doc over one contiguous
+    row, so for float64 similarities its bits equal
+    sims[rows, doc].max(axis=1).sum(), whatever the other queries.
     """
-    ends = np.cumsum(sizes)
-    starts = ends - sizes
-    total = int(ends[-1])
-    block_starts = np.arange(0, total, width)
-    cuts = np.union1d(starts, block_starts)  # each piece starts at a cut
-    edges = np.append(np.searchsorted(cuts, block_starts), cuts.size)
-    pieces = np.empty((n_rows, cuts.size))
-    for b, start in enumerate(block_starts):
-        sims = block_sims(start)[:, :min(width, total - start)]
-        first, last = edges[b], edges[b + 1]
-        pieces[:, first:last] = np.maximum.reduceat(sims, cuts[first:last] - start, axis=1)
-    maxima = np.maximum.reduceat(pieces, np.searchsorted(cuts, starts), axis=1)
-    return np.ascontiguousarray(maxima.T).sum(axis=1)
+    width, total = cuts.width, cuts.total
+    pieces = None
+    for b, start in enumerate(cuts.block_starts):
+        first, last = cuts.edges[b], cuts.edges[b + 1]
+        # no name holds a block's similarities, so the next block's product
+        # does not run while they are still alive
+        reduced = np.maximum.reduceat(block_sims(start)[:, :min(width, total - start)],
+                                      cuts.cuts[first:last] - start, axis=1)
+        if pieces is None:
+            pieces = np.empty((reduced.shape[0], cuts.cuts.size), dtype=reduced.dtype)
+        pieces[:, first:last] = reduced
+    maxima = np.maximum.reduceat(pieces, cuts.joins, axis=1)
+    return np.stack([
+        np.ascontiguousarray(maxima[a:b].T, dtype=np.float64).sum(axis=1)
+        for a, b in zip(row_bounds[:-1], row_bounds[1:])])
 
 
 def _survivors(screened: np.ndarray, k: int, bound: float) -> np.ndarray:
@@ -75,15 +97,19 @@ def _survivors(screened: np.ndarray, k: int, bound: float) -> np.ndarray:
     return np.flatnonzero(screened >= t_k - 2.0 * bound)
 
 
-# Corpus rows per block of the screen: one (m, 2048) float32 product each.
+# Corpus rows per block of the screen: one (rows of a group, 2048) float32
+# product each.
 _SCREEN_BLOCK_ROWS = 2048
+
+# Queries screened together: each block is loaded once for all of them.
+_SCREEN_GROUP = 4
 
 
 class StackedCorpus(Mapping[str, FeatureSet]):
     """A corpus with its rows copied once, doc by doc in doc_id order, into
-    one float32 (N, dim) matrix for `rank_exact`'s screen.  It reads as the
-    mapping it was built from, whose float64 feature sets stay the source of
-    every reported score."""
+    one float32 (N, dim) matrix for the screen of `top_k`, and cut at its doc
+    and block edges once.  It reads as the mapping it was built from, whose
+    float64 feature sets stay the source of every reported score."""
 
     def __init__(self, corpus: Mapping[str, FeatureSet]):
         if not corpus:
@@ -94,12 +120,13 @@ class StackedCorpus(Mapping[str, FeatureSet]):
         if len(dims) != 1:
             raise ShapeError(f"corpus mixes vector dimensions: {sorted(dims)}")
         self.dim = dims.pop()
-        self.sizes = np.array([len(corpus[d]) for d in self.doc_ids], dtype=np.int64)
-        self.rows = np.empty((int(self.sizes.sum()), self.dim), dtype=np.float32)
+        sizes = np.array([len(corpus[d]) for d in self.doc_ids], dtype=np.int64)
+        self.rows = np.empty((int(sizes.sum()), self.dim), dtype=np.float32)
         start = 0
-        for doc_id, size in zip(self.doc_ids, self.sizes.tolist()):
+        for doc_id, size in zip(self.doc_ids, sizes.tolist()):
             self.rows[start:start + size] = corpus[doc_id].vectors
             start += size
+        self._cuts = _DocCuts(sizes, _SCREEN_BLOCK_ROWS)
 
     def __getitem__(self, doc_id: str) -> FeatureSet:
         return self._docs[doc_id]
@@ -119,28 +146,42 @@ class StackedCorpus(Mapping[str, FeatureSet]):
         row, and the sum over m query rows adds m such errors.  The factor 2
         covers the second-order terms, norms within UNIT_ATOL of 1 and the
         float64 rounding of both the screen's sum and the exact score.
+        Screening queries together changes none of this: each similarity is
+        still one float32 dot product of one query row and one doc row.
         """
         return 2.0 * n_query_rows * (self.dim + 2) * 2.0 ** -24
 
-    def screen(self, query: FeatureSet) -> np.ndarray:
-        """Every doc's late-interaction score from float32 products over
-        blocks of _SCREEN_BLOCK_ROWS corpus rows, maxima summed in float64;
-        docs in doc_id order."""
-        q = query.vectors.astype(np.float32)
+    def screen(self, queries: Sequence[FeatureSet]) -> np.ndarray:
+        """Every doc's late-interaction score for each query, (len(queries),
+        n_docs) with docs in doc_id order, from one float32 product of all
+        the queries' rows per block of _SCREEN_BLOCK_ROWS corpus rows, each
+        query's maxima summed in float64."""
+        q = np.concatenate([query.vectors for query in queries]).astype(np.float32)
+        bounds = np.cumsum([0] + [len(query) for query in queries])
         width = _SCREEN_BLOCK_ROWS
-        return _maxsim_sums(
-            self.sizes, lambda start: q @ self.rows[start:start + width].T, len(q), width)
+        return _maxsim_sums(self._cuts, lambda start: q @ self.rows[start:start + width].T,
+                            bounds)
 
-    def top_k(self, query: FeatureSet, k: int) -> list[ScoredDoc]:
-        """The k best docs by late_interaction_score, ties by doc_id; only
-        the screen's `_survivors` are rescored."""
-        if query.dim != self.dim:
-            raise ShapeError(f"dimension mismatch: query {query.dim} vs corpus {self.dim}")
-        kept = _survivors(self.screen(query), k, self.error_bound(len(query)))
-        ids = [self.doc_ids[i] for i in kept.tolist()]
-        scored = [ScoredDoc(d, late_interaction_score(query, self._docs[d])) for d in ids]
-        scored.sort(key=lambda s: (-s.score, s.doc_id))
-        return scored[:k]
+    def top_k(self, queries: Sequence[FeatureSet], k: int) -> list[list[ScoredDoc]]:
+        """Per query, the k best docs by late_interaction_score, ties by
+        doc_id.  The queries are screened in groups of _SCREEN_GROUP; only
+        each query's `_survivors` under its own bound are rescored."""
+        if k < 1:
+            raise ConfigError(f"k must be >= 1, got {k}")
+        for query in queries:
+            if query.dim != self.dim:
+                raise ShapeError(f"dimension mismatch: query {query.dim} vs corpus {self.dim}")
+        ranked = []
+        for g in range(0, len(queries), _SCREEN_GROUP):
+            group = queries[g:g + _SCREEN_GROUP]
+            for query, screened in zip(group, self.screen(group)):
+                kept = _survivors(screened, k, self.error_bound(len(query)))
+                ids = [self.doc_ids[i] for i in kept.tolist()]
+                scored = [ScoredDoc(d, late_interaction_score(query, self._docs[d]))
+                          for d in ids]
+                scored.sort(key=lambda s: (-s.score, s.doc_id))
+                ranked.append(scored[:k])
+        return ranked
 
 
 def rank_exact(
@@ -148,13 +189,10 @@ def rank_exact(
 ) -> list[ScoredDoc]:
     """Exact top-k ranking by late_interaction_score; ties broken by
     ascending doc_id.  A StackedCorpus is screened as it is; any other
-    mapping is stacked first.
+    mapping is stacked first.  `StackedCorpus.top_k` ranks many queries in
+    one call; this is its group of one.
 
     Serves as the exact oracle for the compressed index.
     """
-    if not corpus:
-        raise InputError("cannot rank over an empty corpus")
-    if k < 1:
-        raise ConfigError(f"k must be >= 1, got {k}")
     stacked = corpus if isinstance(corpus, StackedCorpus) else StackedCorpus(corpus)
-    return stacked.top_k(query, k)
+    return stacked.top_k([query], k)[0]

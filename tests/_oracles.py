@@ -329,14 +329,15 @@ def single_pass_search(index, query, params):
     if ordered.size > params.candidate_doc_cap:
         cents = np.repeat(probed, sizes)[np.argsort(docs, kind="stable")]
         approx = index_mod._maxsim_sums(
-            counts, lambda start: cent_sims.take(cents[start:start + width], axis=1),
-            len(q), width)
+            index_mod._DocCuts(counts, width),
+            lambda start: cent_sims.take(cents[start:start + width], axis=1), (0, len(q)))[0]
         ordered = np.sort(ordered[np.lexsort((ordered, -approx))[:params.candidate_doc_cap]])
     sizes = index.doc_sizes[ordered]
     ids = index_mod._run_positions(index.doc_offsets[ordered], sizes, width)
     scores = index_mod._maxsim_sums(
-        sizes, lambda start: q @ index_mod.reconstruct(index, ids[start:start + width]).T,
-        len(q), width)
+        index_mod._DocCuts(sizes, width),
+        lambda start: q @ index_mod.reconstruct(index, ids[start:start + width]).T,
+        (0, len(q)))[0]
     top = np.lexsort((ordered, -scores))[:params.k]
     return [ScoredDoc(index.doc_ids[ordered[i]], float(scores[i])) for i in top]
 

@@ -409,6 +409,34 @@ class TestRowLayout:
                         naive_query_features(query, tiny_params, tiny_config, tiny_provider,
                                              image_only))
 
+    def test_queries_in_batch_steps(self, kb_aug, tiny_params, tiny_config, tiny_provider,
+                                    monkeypatch):
+        """Standard, image-only and empty-text image-only queries share the
+        chunks of one batch-step pass, each encoding to encode_query's bytes;
+        encode_queries gives the same bytes per mode."""
+        monkeypatch.setattr(encoder_mod, "QUERY_CHUNK_ROWS", 5)
+        cases = []
+        for doc in kb_aug.values():
+            text = f"which one is {doc.raw.title}"
+            cases += [(QueryInput(text, doc.raw.main_image_key), False),
+                      (QueryInput(text, doc.raw.main_image_key), True),
+                      (QueryInput("", doc.raw.main_image_key), True)]
+        items = (encoder_mod.encode_query_forward(q, tiny_params, tiny_config, tiny_provider, io)
+                 for q, io in cases)
+        batched = encoder_mod._project_chunks(items, tiny_params, tiny_config, 5)
+        alone = [encode_query(q, tiny_params, tiny_config, tiny_provider, io) for q, io in cases]
+        assert len(batched) == len(cases) > 3 * 5
+        for got, want in zip(batched, alone):
+            assert got.vectors.tobytes() == want.vectors.tobytes()
+            assert got.provenance == want.provenance
+        for image_only in (False, True):
+            picked = [(q, want) for (q, io), want in zip(cases, alone)
+                      if io == image_only and (q.text or image_only)]
+            got = encoder_mod.encode_queries([q for q, _ in picked], tiny_params, tiny_config,
+                                             tiny_provider, image_only)
+            assert [fs.vectors.tobytes() for fs in got] == [
+                want.vectors.tobytes() for _, want in picked]
+
     @pytest.mark.parametrize("flags", ABLATION_ROWS, ids=lambda f: f.label())
     def test_documents_alone_and_in_corpus_chunks(self, kb_aug, tiny_params, tiny_config,
                                                   tiny_provider, flags, monkeypatch):

@@ -188,6 +188,51 @@ class TestHarness:
             q = encode_query(QueryInput(s.question, s.query_image_key), params, SMALL, provider)
             assert rankings[s.sample_id] == [r.doc_id for r in per_doc_rank(q, corpus, 10)]
 
+    def test_shallow_search_params_are_config_error(self):
+        """A search depth below the ranking depth would truncate every
+        ranking: with k = 3, recall@5 and recall@10 would both read recall@3."""
+        from mvli.encoder import encode_corpus, init_encoder_params
+        from mvli.evaluation import rank_samples
+        from mvli.index import SearchParams, build_index
+
+        kb, kb_aug, splits = _world()
+        test = list(splits.test_seen) + list(splits.test_unseen)
+        provider = SeededEmbeddingProvider(SMALL)
+        params = init_encoder_params(SMALL, seed=3)
+        flags = EncoderFlags(True, True, True)
+        index = build_index(encode_corpus(kb_aug, params, SMALL, provider, flags), seed=0)
+        with pytest.raises(ConfigError, match="depth"):
+            evaluate_model(kb, kb_aug, params, SMALL, provider, test, flags, ks=(1, 5, 10),
+                           index=index, search_params=SearchParams(k=3))
+        with pytest.raises(ConfigError, match="depth"):
+            rank_samples(test, None, params, SMALL, provider, index=index,
+                         search_params=SearchParams(k=9), depth=10)
+        report = evaluate_model(kb, kb_aug, params, SMALL, provider, test, flags, ks=(1, 3),
+                                index=index, search_params=SearchParams(k=3))
+        assert report.value("recall", 3, "all") >= report.value("recall", 1, "all")
+
+    def test_index_rankings_take_the_batch_encoded_queries(self):
+        """The index path ranks each sample as `search` ranks encode_query's
+        features, in ids and order."""
+        from mvli.encoder import QueryInput, encode_corpus, encode_query, init_encoder_params
+        from mvli.evaluation import rank_samples
+        from mvli.index import SearchParams, build_index, search
+
+        kb, kb_aug, splits = _world()
+        test = list(splits.test_seen) + list(splits.test_unseen)
+        provider = SeededEmbeddingProvider(SMALL)
+        params = init_encoder_params(SMALL, seed=3)
+        corpus = encode_corpus(kb_aug, params, SMALL, provider, EncoderFlags(True, True, True))
+        index = build_index(corpus, seed=0)
+        sp = SearchParams(k=10, nprobe=2, candidate_doc_cap=12)
+        for image_only in (False, True):
+            rankings = rank_samples(test, None, params, SMALL, provider, image_only=image_only,
+                                    index=index, search_params=sp, depth=10)
+            for s in test:
+                q = encode_query(QueryInput(s.question, s.query_image_key), params, SMALL,
+                                 provider, image_only=image_only)
+                assert rankings[s.sample_id] == [r.doc_id for r in search(index, q, sp)]
+
     def test_ablation_rows_and_determinism(self):
         kb, kb_aug, splits = _world()
         test = list(splits.test_seen) + list(splits.test_unseen)

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import struct
 import subprocess
@@ -342,13 +343,13 @@ class TestBlockedSearch:
         owners = np.repeat(np.arange(len(corpus)), index.doc_sizes)
         sets = [set(index.assignments[owners == d].tolist()) for d in range(len(corpus))]
         recorded = []
-        real = index_mod._maxsim_sums
+        real = index_mod._DocCuts
 
-        def recording(sizes, block_sims, n_rows, width):
+        def recording(sizes, width):
             recorded.append(sizes.copy())
-            return real(sizes, block_sims, n_rows, width)
+            return real(sizes, width)
 
-        monkeypatch.setattr(index_mod, "_maxsim_sums", recording)
+        monkeypatch.setattr(index_mod, "_DocCuts", recording)
         for i in range(8):
             q = random_feature_set(Rng(300 + i), 3 + i % 4, 8)
             probed = set()
@@ -364,7 +365,9 @@ class TestBlockedSearch:
     def test_reconstruct_bits_equal_formula(self):
         corpus = make_corpus(seed=8, n_docs=20)
         index = build_index(corpus, seed=2)
-        index.code_max[3] = index.code_min[3]  # a dimension with one bucket
+        code_max = index.code_max.copy()
+        code_max[3] = index.code_min[3]  # a dimension with one bucket
+        index = dataclasses.replace(index, code_max=code_max)  # re-derives the tables
         ids = Rng(4).generator().integers(0, index.n_vectors, size=300)  # unsorted, repeats
         spread = index.code_max - index.code_min
         step = np.where(spread > 0, spread / 255.0, 0.0)

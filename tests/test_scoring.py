@@ -170,6 +170,26 @@ class TestTwoPassRanking:
                 assert _ranked_bits(rank_exact(q, corpus, k)) == want
                 assert _ranked_bits(rank_exact(q, stacked, k)) == want
 
+    @pytest.mark.parametrize("group", [1, 3, 4, 5, 9])
+    @pytest.mark.parametrize("dim", [4, 16])
+    def test_grouped_ranking_matches_per_doc_oracle(self, group, dim, monkeypatch):
+        """top_k screens _SCREEN_GROUP queries per block product; every
+        query's ranking still equals the per-doc oracle's, whatever its
+        group and its place in it, for queries of 1 to 30 rows."""
+        monkeypatch.setattr(scoring_mod, "_SCREEN_GROUP", group)
+        corpus = _seeded_corpus(40 + dim, 150, dim)
+        rng = Rng(60 + dim)
+        queries = [random_feature_set(rng.split(i), n, dim)
+                   for i, n in enumerate([1, 30, 7, 2, 19, 1, 12, 30, 5])]
+        stacked = StackedCorpus(corpus)
+        assert stacked.rows.shape[0] > scoring_mod._SCREEN_BLOCK_ROWS
+        n_docs = len(corpus)
+        for k in (1, 3, 10, n_docs, n_docs + 5):
+            got = stacked.top_k(queries, k)
+            assert len(got) == len(queries)
+            for q, ranked in zip(queries, got):
+                assert _ranked_bits(ranked) == _ranked_bits(per_doc_rank(q, corpus, k))
+
     def test_corpus_spans_several_screen_blocks(self):
         corpus = _seeded_corpus(3, 300, 8)
         assert StackedCorpus(corpus).rows.shape[0] > 2 * scoring_mod._SCREEN_BLOCK_ROWS
@@ -192,9 +212,12 @@ class TestTwoPassRanking:
         gap = abs(late_interaction_score(q, corpus[best])
                   - late_interaction_score(q, corpus["nudged"]))
         assert 0 < gap < StackedCorpus(corpus).error_bound(len(q)) / 1000
+        others = _queries(22, scoring_mod._SCREEN_GROUP - 1, 16)
+        stacked = StackedCorpus(corpus)
         for k in range(1, 7):
-            assert _ranked_bits(rank_exact(q, corpus, k)) == _ranked_bits(
-                per_doc_rank(q, corpus, k))
+            want = _ranked_bits(per_doc_rank(q, corpus, k))
+            assert _ranked_bits(rank_exact(q, corpus, k)) == want
+            assert _ranked_bits(stacked.top_k(others + [q], k)[-1]) == want  # last in a group
         assert {s.doc_id for s in rank_exact(q, corpus, 4)} == {
             best, "copy-a", "copy-b", "nudged"}
 
@@ -210,12 +233,15 @@ class TestTwoPassRanking:
             corpus = {"a": FeatureSet(rows, q.provenance),
                       "b": FeatureSet(q.vectors.copy(), q.provenance)}
             exact = [late_interaction_score(q, corpus[d]) for d in "ab"]
-            screened = StackedCorpus(corpus).screen(q)
+            screened = StackedCorpus(corpus).screen([q])[0]
             if (exact[0] - exact[1]) * (screened[0] - screened[1]) < 0:
                 break
         else:
             pytest.fail("no seed gives a screen inversion")
-        assert _ranked_bits(rank_exact(q, corpus, 1)) == _ranked_bits(per_doc_rank(q, corpus, 1))
+        want = _ranked_bits(per_doc_rank(q, corpus, 1))
+        assert _ranked_bits(rank_exact(q, corpus, 1)) == want
+        others = _queries(seed, scoring_mod._SCREEN_GROUP - 1, 16)
+        assert _ranked_bits(StackedCorpus(corpus).top_k(others + [q], 1)[-1]) == want
 
     def test_exact_ties_break_by_doc_id(self):
         doc = random_feature_set(Rng(5), 4, 6)
@@ -262,18 +288,21 @@ class TestTwoPassRanking:
         """|screen - late_interaction_score| <= E / 10 on random unit data."""
         corpus = _seeded_corpus(seed, 80, dim, max_rows=60)
         stacked = StackedCorpus(corpus)
-        for q in _queries(seed + 50, 8, dim):
+        queries = _queries(seed + 50, 8, dim)
+        grouped = stacked.screen(queries)
+        for q, screened in zip(queries, grouped):
             exact = np.array([late_interaction_score(q, corpus[d]) for d in stacked.doc_ids])
-            error = np.abs(stacked.screen(q) - exact)
-            assert error.max() <= stacked.error_bound(len(q)) / 10
+            for error in (np.abs(stacked.screen([q])[0] - exact), np.abs(screened - exact)):
+                assert error.max() <= stacked.error_bound(len(q)) / 10
 
 
 def two_pass_digest(seed: int = 0) -> str:
-    """Ids and score bits of rank_exact over a corpus of three screen blocks."""
+    """Ids and score bits of the grouped top_k over a corpus of three screen
+    blocks: six queries, a full group and a partial one."""
     corpus = _seeded_corpus(seed, 300, 16)
     stacked = StackedCorpus(corpus)
-    return " ".join(f"{d}:{h}" for q in _queries(seed + 1, 5, 16)
-                    for d, h in _ranked_bits(rank_exact(q, stacked, 10)))
+    return " ".join(f"{d}:{h}" for ranked in stacked.top_k(_queries(seed + 1, 6, 16), 10)
+                    for d, h in _ranked_bits(ranked))
 
 
 def test_rank_exact_bits_equal_at_four_threads():
@@ -314,3 +343,28 @@ class TestMemory:
         assert stacked.rows.nbytes == copy_bytes
         block_bytes = scoring_mod._SCREEN_BLOCK_ROWS * 16 * 8
         assert peak <= copy_bytes + block_bytes, (peak, copy_bytes)
+
+    def test_ranking_holds_the_copy_and_one_group_of_blocks(self):
+        """Stacking and ranking 16 queries: the peak is the float32 copy
+        plus twice one group's block of similarities, which bounds its
+        pieces, maxima and per-query sums too.  Screening every query in one
+        product, or the whole corpus in one block, would hold twice that."""
+        corpus = _seeded_corpus(15, 400, 16, max_rows=60)
+        queries = _queries(16, 16, 16)
+        n_rows = sum(len(fs) for fs in corpus.values())
+        width, group = scoring_mod._SCREEN_BLOCK_ROWS, scoring_mod._SCREEN_GROUP
+        group_rows = max(sum(len(q) for q in queries[g:g + group])
+                         for g in range(0, len(queries), group))
+        copy_bytes = n_rows * 16 * 4
+        block_bytes = group_rows * width * 4
+        all_queries = sum(len(q) for q in queries) * width * 4
+        assert all_queries > 2 * block_bytes and group_rows * n_rows * 4 > 2 * block_bytes
+        StackedCorpus(_seeded_corpus(16, 3, 16)).top_k(queries[:1], 1)  # lazy imports first
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            StackedCorpus(corpus).top_k(queries, 10)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= copy_bytes + 2 * block_bytes, (peak, copy_bytes, block_bytes)
