@@ -5,9 +5,10 @@ geometry, centroids renormalized every iteration).  Each vector is stored as
 its centroid id plus a per-dimension 8-bit uniform quantization of the
 residual; nbits=0 selects the lossless mode that stores raw float64 vectors.
 Search runs centroid-probing candidate generation followed by exact
-late-interaction re-ranking on reconstructed vectors, both over fixed-width
-column blocks; the re-rank screens every candidate in float32 first and
-rescores in float64 only the docs a proven error bound cannot rule out.
+late-interaction re-ranking on reconstructed vectors.  The re-rank screens
+every candidate in float32 over fixed-width column blocks, then rescores in
+float64, doc by doc, only the docs a proven error bound cannot rule out: the
+same two passes, by the same helper, as the exact ranker's.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .core import (
     encode_utf8,
     read_exact,
 )
-from .scoring import ScoredDoc, _DocCuts, _maxsim_sums, _survivors
+from .scoring import ScoredDoc, _DocCuts, _maxsim_sums, _two_pass, stack_rows
 
 INDEX_MAGIC = b"MVLI"
 INDEX_VERSION = 2
@@ -83,9 +84,7 @@ class RetrievalIndex:
     step32: np.ndarray = field(init=False)  # (dim,) float32 of _codebook_step
     base32: np.ndarray = field(init=False)  # (K, dim) centroids + code_min in float64, cast
     magnitude: float = field(init=False)  # bound on any dequantized vector's terms, see error_bound
-    # reconstruct's step and code_min, each repeated over _SEARCH_BLOCK_COLS rows
-    step_rows: np.ndarray = field(init=False)
-    code_min_rows: np.ndarray = field(init=False)
+    step: np.ndarray = field(init=False)  # (dim,) _codebook_step, for reconstruct
 
     def __post_init__(self):
         self.doc_offsets, self.centroid_doc_ids, self.centroid_doc_offsets = _derive_layout(
@@ -93,11 +92,9 @@ class RetrievalIndex:
         for a, b in zip(self.doc_ids, self.doc_ids[1:]):
             if a >= b:  # doc index order is doc_id order: search breaks ties by index
                 raise CorruptionError(f"document ids are not strictly ascending: {a!r}, {b!r}")
-        step = _codebook_step(self.code_min, self.code_max)
+        step = self.step = _codebook_step(self.code_min, self.code_max)
         self.step32 = step.astype(np.float32)
         self.base32 = (self.centroids + self.code_min).astype(np.float32)
-        self.step_rows = np.tile(step, (_SEARCH_BLOCK_COLS, 1))
-        self.code_min_rows = np.tile(self.code_min, (_SEARCH_BLOCK_COLS, 1))
         if self.nbits == 0:
             self.magnitude = float(np.sqrt(np.einsum("ij,ij->i", self.codes, self.codes).max()))
         else:
@@ -231,20 +228,12 @@ def build_index(
     nbits=8 stores per-dimension uniform residual codes; nbits=0 stores exact
     float64 vectors (lossless mode).  Deterministic for a fixed seed.
     """
-    if not corpus:
-        raise InputError("cannot index an empty corpus")
+    doc_ids, vectors, doc_sizes = stack_rows(corpus, np.float64, "index")
     if nbits not in (0, 8):
         raise ConfigError(f"nbits must be 0 (lossless) or 8, got {nbits}")
     if kmeans_iters < 0:
         raise ConfigError(f"kmeans_iters must be >= 0, got {kmeans_iters}")
-    doc_ids = sorted(corpus)
-    dims = {corpus[d].dim for d in doc_ids}
-    if len(dims) != 1:
-        raise ShapeError(f"corpus mixes vector dimensions: {sorted(dims)}")
-    dim = dims.pop()
-    vectors = np.vstack([corpus[d].vectors for d in doc_ids])
-    doc_sizes = np.array([len(corpus[d]) for d in doc_ids], dtype=np.int64)
-    n = vectors.shape[0]
+    n, dim = vectors.shape
     k = default_k_centroids(n) if k_centroids is None else k_centroids
     if k < 1:
         raise ConfigError("k_centroids must be >= 1")
@@ -285,37 +274,30 @@ def _codebook_step(code_min: np.ndarray, code_max: np.ndarray) -> np.ndarray:
 
 def reconstruct(index: RetrievalIndex, vec_ids: np.ndarray) -> np.ndarray:
     """Dequantized vectors for the given vector ids: centroid plus residual,
-    centroids[a] + (code_min + codes * step), accumulated in place.  step and
-    code_min come pre-tiled, since a same-shape product is faster than a
-    broadcast along rows only dim long."""
+    centroids[a] + (code_min + codes * step), accumulated in place."""
     if index.nbits == 0:
         return index.codes[vec_ids]
     rows = index.codes.take(vec_ids, axis=0).astype(np.float64)
-    for start in range(0, len(rows), _SEARCH_BLOCK_COLS):
-        block = rows[start:start + _SEARCH_BLOCK_COLS]
-        block *= index.step_rows[:len(block)]
-        block += index.code_min_rows[:len(block)]
+    rows *= index.step
+    rows += index.code_min
     rows += index.centroids.take(index.assignments.take(vec_ids), axis=0)
     return rows
 
 
 # Columns of one block of search's similarity matrices (query rows x
-# candidate vectors in the re-rank, x probed (centroid, doc) pairs in the
+# candidate vectors in the screen, x probed (centroid, doc) pairs in the
 # prefilter); a query's working memory is a few such blocks plus one int64
 # row id per candidate vector, whatever the corpus size.
 _SEARCH_BLOCK_COLS = 2048
 
 
-def _run_positions(starts: np.ndarray, sizes: np.ndarray, pad_to: int = 1) -> np.ndarray:
-    """The ranges starts[i] .. starts[i] + sizes[i] concatenated, then padded
-    to a multiple of pad_to by repeating the last position; built in place as
-    a running sum of steps, so the output is the only array of its length.
-    At least one size must be positive."""
+def _run_positions(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """The ranges starts[i] .. starts[i] + sizes[i] concatenated; built in
+    place as a running sum of steps, so the output is the only array of its
+    length.  At least one size must be positive."""
     keep = sizes > 0
     starts, sizes = starts[keep], sizes[keep]
-    total = int(sizes.sum())
-    steps = np.ones(-(-total // pad_to) * pad_to, dtype=np.int64)
-    steps[total:] = 0
+    steps = np.ones(int(sizes.sum()), dtype=np.int64)
     steps[0] = starts[0]
     steps[np.cumsum(sizes[:-1])] = starts[1:] - (starts[:-1] + sizes[:-1] - 1)
     return np.cumsum(steps, out=steps)
@@ -353,18 +335,18 @@ def search(index: RetrievalIndex, query: FeatureSet, params: SearchParams) -> li
     candidate_doc_cap of them by a centroid-level approximation of the
     late-interaction score: each doc's score over its probed centroids.
     Stage 2 re-scores candidates exactly on dequantized vectors; ties break
-    by doc_id.  It runs in two passes: a float32 `_screen` of every
-    candidate, then the float64 re-rank of the `_survivors`, the docs whose
-    screen score is within 2 * index.error_bound of the k-th best, among
-    which the true top k provably lies.
+    by doc_id.  It runs in two passes, by the exact ranker's `_two_pass`: a
+    float32 `_screen` of every candidate, then a float64 rescoring of the
+    docs whose screen score is within 2 * index.error_bound of the k-th
+    best, among which the true top k provably lies.
 
-    Neither stage loops over documents: each walks the candidates'
-    concatenated columns (their probed centroids, then their vectors) in blocks
-    of _SEARCH_BLOCK_COLS and reduces each block at the doc edges with
-    _maxsim_sums, so a query holds a few blocks of similarities rather than
-    all candidates' at once.  The float64 pass pads the survivors' row ids
-    to whole blocks and runs one reconstruct and one product of the same
-    shape per block, so a doc's score does not depend on the other
+    The prefilter and the screen do not loop over documents: each walks the
+    candidates' concatenated columns (their probed centroids, then their
+    vectors) in blocks of _SEARCH_BLOCK_COLS and reduces each block at the
+    doc edges with _maxsim_sums, so a query holds a few blocks of
+    similarities rather than all candidates' at once.  The rescoring takes
+    one surviving doc at a time, in the form of late_interaction_score on
+    its reconstructed rows, so a doc's score does not depend on the other
     candidates: ids, order and score bits equal a float64 re-rank of every
     candidate.  The prefilter keeps the same docs, ties to the lower doc
     index, as a per-doc loop would.
@@ -391,16 +373,14 @@ def search(index: RetrievalIndex, query: FeatureSet, params: SearchParams) -> li
             (0, len(q)))[0]
         ordered = np.sort(ordered[np.lexsort((ordered, -approx))[:params.candidate_doc_cap]])
 
+    def rescore(i: int) -> float:
+        d = ordered[i]
+        rows = reconstruct(index, np.arange(index.doc_offsets[d], index.doc_offsets[d + 1]))
+        return float((q @ rows.T).max(axis=1).sum())
+
     screened = _screen(index, q, ordered, index.doc_sizes[ordered])
-    ordered = ordered[_survivors(screened, params.k, index.error_bound(len(q)))]
-    sizes = index.doc_sizes[ordered]
-    ids = _run_positions(index.doc_offsets[ordered], sizes, _SEARCH_BLOCK_COLS)
-    scores = _maxsim_sums(
-        _DocCuts(sizes, _SEARCH_BLOCK_COLS),
-        lambda start: q @ reconstruct(index, ids[start:start + _SEARCH_BLOCK_COLS]).T,
-        (0, len(q)))[0]
-    top = np.lexsort((ordered, -scores))[:params.k]
-    return [ScoredDoc(index.doc_ids[ordered[i]], float(scores[i])) for i in top]
+    top = _two_pass(screened, params.k, index.error_bound(len(q)), rescore)
+    return [ScoredDoc(index.doc_ids[ordered[i]], score) for i, score in top]
 
 
 # ---------------------------------------------------------------------------

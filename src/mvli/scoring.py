@@ -2,11 +2,11 @@
 
 `StackedCorpus.top_k`, and `rank_exact` through it, rank in two passes.  A
 float32 screen scores every document over one stacked copy of the corpus, in
-blocks, each block serving a group of queries; every document whose screen
-score could still reach a query's top k under a proven error bound
-(`_survivors`, which the index's re-rank shares) is then rescored with
-`late_interaction_score` in float64.  Each ranking therefore equals a
-per-document float64 loop in ids, order and score bits.
+blocks, each block serving a group of queries; `_two_pass`, which the index's
+re-rank shares, then rescores with `late_interaction_score` in float64 every
+document whose screen score could still reach a query's top k under a proven
+error bound.  Each ranking therefore equals a per-document float64 loop in
+ids, order and score bits.
 """
 
 from __future__ import annotations
@@ -82,19 +82,46 @@ def _maxsim_sums(
         for a, b in zip(row_bounds[:-1], row_bounds[1:])])
 
 
-def _survivors(screened: np.ndarray, k: int, bound: float) -> np.ndarray:
-    """Ascending indices of the docs a two-pass ranking must rescore: those
-    whose screen score is >= t_k - 2 * bound, t_k the k-th best screen score.
+def _two_pass(screened: np.ndarray, k: int, bound: float,
+              rescore: Callable[[int], float]) -> list[tuple[int, float]]:
+    """The k best (doc index, exact score) pairs, ties to the lower index,
+    from screen scores within `bound` of the exact ones: rescore(i) is called
+    once for each doc whose screen score is >= t_k - 2 * bound, t_k the k-th
+    best screen score, and for no other.
 
-    With |screen - exact| <= bound for every doc, the true top k (ties in
-    any order) is among them: the k docs screened at t_k or more score
-    exactly >= t_k - bound, so the k-th best exact score is too, and a doc
-    screened below t_k - 2 * bound scores exactly under it.  The callers'
-    bounds carry a factor 2 of slack, which also covers rounding the
-    threshold.  With k >= len(screened) every doc is kept."""
+    The true top k (ties in any order) is among those docs: the k docs
+    screened at t_k or more score exactly >= t_k - bound, so the k-th best
+    exact score is too, and a doc screened below t_k - 2 * bound scores
+    exactly under it.  The callers' bounds carry a factor 2 of slack, which
+    also covers rounding the threshold.  With k >= len(screened) every doc
+    is rescored."""
     kth = max(len(screened) - k, 0)  # the lowest screen score when k >= N
     t_k = np.partition(screened, kth)[kth]
-    return np.flatnonzero(screened >= t_k - 2.0 * bound)
+    scored = [(i, rescore(i)) for i in np.flatnonzero(screened >= t_k - 2.0 * bound).tolist()]
+    scored.sort(key=lambda s: (-s[1], s[0]))
+    return scored[:k]
+
+
+def stack_rows(
+    corpus: Mapping[str, FeatureSet], dtype, what: str
+) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """The corpus's sorted doc ids, its rows copied doc by doc in that order
+    into one (N, dim) matrix of `dtype` (allocated once, so no temporary of
+    another dtype is made), and each doc's row count.  `what` names the
+    caller's use in the empty-corpus error."""
+    if not corpus:
+        raise InputError(f"cannot {what} an empty corpus")
+    doc_ids = sorted(corpus)
+    dims = {corpus[d].dim for d in doc_ids}
+    if len(dims) != 1:
+        raise ShapeError(f"corpus mixes vector dimensions: {sorted(dims)}")
+    sizes = np.array([len(corpus[d]) for d in doc_ids], dtype=np.int64)
+    rows = np.empty((int(sizes.sum()), dims.pop()), dtype=dtype)
+    start = 0
+    for doc_id, size in zip(doc_ids, sizes.tolist()):
+        rows[start:start + size] = corpus[doc_id].vectors
+        start += size
+    return doc_ids, rows, sizes
 
 
 # Corpus rows per block of the screen: one (rows of a group, 2048) float32
@@ -112,20 +139,9 @@ class StackedCorpus(Mapping[str, FeatureSet]):
     float64 feature sets stay the source of every reported score."""
 
     def __init__(self, corpus: Mapping[str, FeatureSet]):
-        if not corpus:
-            raise InputError("cannot rank over an empty corpus")
         self._docs = corpus
-        self.doc_ids = sorted(corpus)
-        dims = {corpus[d].dim for d in self.doc_ids}
-        if len(dims) != 1:
-            raise ShapeError(f"corpus mixes vector dimensions: {sorted(dims)}")
-        self.dim = dims.pop()
-        sizes = np.array([len(corpus[d]) for d in self.doc_ids], dtype=np.int64)
-        self.rows = np.empty((int(sizes.sum()), self.dim), dtype=np.float32)
-        start = 0
-        for doc_id, size in zip(self.doc_ids, sizes.tolist()):
-            self.rows[start:start + size] = corpus[doc_id].vectors
-            start += size
+        self.doc_ids, self.rows, sizes = stack_rows(corpus, np.float32, "rank over")
+        self.dim = self.rows.shape[1]
         self._cuts = _DocCuts(sizes, _SCREEN_BLOCK_ROWS)
 
     def __getitem__(self, doc_id: str) -> FeatureSet:
@@ -164,8 +180,8 @@ class StackedCorpus(Mapping[str, FeatureSet]):
 
     def top_k(self, queries: Sequence[FeatureSet], k: int) -> list[list[ScoredDoc]]:
         """Per query, the k best docs by late_interaction_score, ties by
-        doc_id.  The queries are screened in groups of _SCREEN_GROUP; only
-        each query's `_survivors` under its own bound are rescored."""
+        doc_id.  The queries are screened in groups of _SCREEN_GROUP, and
+        `_two_pass` rescores each query's survivors under its own bound."""
         if k < 1:
             raise ConfigError(f"k must be >= 1, got {k}")
         for query in queries:
@@ -175,12 +191,9 @@ class StackedCorpus(Mapping[str, FeatureSet]):
         for g in range(0, len(queries), _SCREEN_GROUP):
             group = queries[g:g + _SCREEN_GROUP]
             for query, screened in zip(group, self.screen(group)):
-                kept = _survivors(screened, k, self.error_bound(len(query)))
-                ids = [self.doc_ids[i] for i in kept.tolist()]
-                scored = [ScoredDoc(d, late_interaction_score(query, self._docs[d]))
-                          for d in ids]
-                scored.sort(key=lambda s: (-s.score, s.doc_id))
-                ranked.append(scored[:k])
+                top = _two_pass(screened, k, self.error_bound(len(query)), lambda i: (
+                    late_interaction_score(query, self._docs[self.doc_ids[i]])))
+                ranked.append([ScoredDoc(self.doc_ids[i], score) for i, score in top])
         return ranked
 
 

@@ -333,7 +333,8 @@ def single_pass_search(index, query, params):
             lambda start: cent_sims.take(cents[start:start + width], axis=1), (0, len(q)))[0]
         ordered = np.sort(ordered[np.lexsort((ordered, -approx))[:params.candidate_doc_cap]])
     sizes = index.doc_sizes[ordered]
-    ids = index_mod._run_positions(index.doc_offsets[ordered], sizes, width)
+    ids = index_mod._run_positions(index.doc_offsets[ordered], sizes)
+    ids = np.append(ids, np.full(-len(ids) % width, ids[-1]))  # whole blocks: pad with repeats
     scores = index_mod._maxsim_sums(
         index_mod._DocCuts(sizes, width),
         lambda start: q @ index_mod.reconstruct(index, ids[start:start + width]).T,

@@ -309,9 +309,8 @@ class TestBlockedSearch:
                 assert sorted(s.doc_id for s in cands) == want_cands
                 got = search(index, query, SearchParams(k=k, nprobe=nprobe,
                                                         candidate_doc_cap=cap))
-                assert [s.doc_id for s in got] == [d for d, _ in want_top]
-                np.testing.assert_allclose([s.score for s in got],
-                                           [v for _, v in want_top], rtol=0, atol=1e-12)
+                assert [(s.doc_id, s.score.hex()) for s in got] == [
+                    (d, v.hex()) for d, v in want_top]
         assert pruned and unpruned
 
     def test_empty_clusters_probed(self):
@@ -359,8 +358,42 @@ class TestBlockedSearch:
             assert len(want) > 3 and want != [len(c) for c in sets if probed & c]
             recorded.clear()
             search(index, q, SearchParams(k=3, nprobe=2, candidate_doc_cap=3))
-            assert len(recorded) == 3  # prefilter, screen, rescore
+            assert len(recorded) == 2  # prefilter, screen
             np.testing.assert_array_equal(recorded[0], want)
+
+    @pytest.mark.parametrize("nbits", [0, 8])
+    def test_rescoring_reconstructs_each_survivor_once(self, monkeypatch, nbits):
+        """Every candidate is a candidate here, so the survivors are the docs
+        screened within 2E of the k-th best; `reconstruct` is asked for each
+        one's rows once and for no other row."""
+        corpus = make_corpus(seed=31, n_docs=40)
+        index = build_index(corpus, k_centroids=24, nbits=nbits, kmeans_iters=5, seed=3)
+        n_docs = len(corpus)
+        asked = []
+        real = index_mod.reconstruct
+
+        def recording(index, vec_ids):
+            asked.append(np.array(vec_ids))
+            return real(index, vec_ids)
+
+        monkeypatch.setattr(index_mod, "reconstruct", recording)
+        every = np.arange(n_docs)
+        some = 0
+        for i in range(6):
+            q = random_feature_set(Rng(300 + i), 3 + i % 4, 8)
+            screened = index_mod._screen(index, q.vectors, every, index.doc_sizes)
+            for k in (1, 3, n_docs):
+                kth = np.sort(screened)[::-1][k - 1]
+                survivors = np.flatnonzero(screened >= kth - 2.0 * index.error_bound(len(q)))
+                some += len(survivors) < n_docs
+                asked.clear()
+                search(index, q, SearchParams(k=k, nprobe=24, candidate_doc_cap=n_docs))
+                ids = np.concatenate(asked)
+                assert len(np.unique(ids)) == len(ids)  # no row decompressed twice
+                assert len(ids) == index.doc_sizes[survivors].sum()
+                np.testing.assert_array_equal(np.sort(ids), index_mod._run_positions(
+                    index.doc_offsets[survivors], index.doc_sizes[survivors]))
+        assert some
 
     def test_reconstruct_bits_equal_formula(self):
         corpus = make_corpus(seed=8, n_docs=20)
@@ -376,9 +409,9 @@ class TestBlockedSearch:
         assert reconstruct(index, ids).tobytes() == want.tobytes()
 
     def test_run_positions_concatenate_and_pad(self):
-        got = index_mod._run_positions(np.array([5, 0, 9]), np.array([2, 3, 1]), pad_to=4)
-        np.testing.assert_array_equal(got, [5, 6, 0, 1, 2, 9, 9, 9])
-        got = index_mod._run_positions(np.array([7]), np.array([4]), pad_to=4)
+        got = index_mod._run_positions(np.array([5, 0, 9]), np.array([2, 3, 1]))
+        np.testing.assert_array_equal(got, [5, 6, 0, 1, 2, 9])
+        got = index_mod._run_positions(np.array([7]), np.array([4]))
         np.testing.assert_array_equal(got, [7, 8, 9, 10])
         # empty runs (empty clusters' doc lists) contribute nothing
         got = index_mod._run_positions(np.array([3, 8, 5, 1, 6]), np.array([0, 2, 0, 1, 0]))

@@ -14,7 +14,8 @@ from _oracles import naive_late_interaction, naive_rank, per_doc_rank
 from mvli.augment import augment_kb
 from mvli.core import ConfigError, FeatureSet, InputError, Rng, ShapeError
 from mvli.encoder import EncoderFlags, encode_corpus
-from mvli.scoring import StackedCorpus, late_interaction_score, rank_exact
+from mvli.index import build_index
+from mvli.scoring import StackedCorpus, _two_pass, late_interaction_score, rank_exact, stack_rows
 from mvli.synth import SynthConfig, generate_kb
 
 from conftest import random_feature_set
@@ -294,6 +295,85 @@ class TestTwoPassRanking:
             exact = np.array([late_interaction_score(q, corpus[d]) for d in stacked.doc_ids])
             for error in (np.abs(stacked.screen([q])[0] - exact), np.abs(screened - exact)):
                 assert error.max() <= stacked.error_bound(len(q)) / 10
+
+
+class TestTwoPassHelper:
+    """`_two_pass` on a hand-made screen: which docs it rescores, and how it
+    orders them."""
+
+    def _run(self, screened, k, bound, exact):
+        calls = []
+
+        def rescore(i):
+            calls.append(i)
+            return exact[i]
+
+        return _two_pass(np.array(screened), k, bound, rescore), calls
+
+    def test_rescores_each_survivor_once_and_no_other_doc(self):
+        # t_2 = 0.8, so the survivors are the docs screened >= 0.8 - 2 * 0.05
+        screened = [0.5, 0.9, 0.71, 0.8, 0.69, 0.2]
+        exact = [0.5, 0.88, 0.74, 0.79, 0.7, 0.2]
+        top, calls = self._run(screened, 2, 0.05, exact)
+        assert calls == [1, 2, 3]
+        assert top == [(1, 0.88), (3, 0.79)]
+
+    def test_k_at_or_above_doc_count_keeps_every_doc(self):
+        screened = [0.3, -0.2, 0.9, 0.1]
+        exact = [0.31, -0.19, 0.9, 0.12]
+        for k in (4, 9):
+            top, calls = self._run(screened, k, 0.0, exact)
+            assert calls == [0, 1, 2, 3]
+            assert top == [(2, 0.9), (0, 0.31), (3, 0.12), (1, -0.19)]
+
+    def test_ties_go_to_the_lower_index(self):
+        screened = [0.4, 0.6, 0.4, 0.6, 0.6]
+        exact = [0.4, 0.6, 0.4, 0.6, 0.6]
+        top, _ = self._run(screened, 3, 0.0, exact)
+        assert top == [(1, 0.6), (3, 0.6), (4, 0.6)]
+        top, _ = self._run(screened, 5, 0.0, exact)
+        assert [i for i, _ in top] == [1, 3, 4, 0, 2]
+
+
+class TestStackRows:
+    """Both rankers stack their corpus with `stack_rows`."""
+
+    @pytest.mark.parametrize("stack", [StackedCorpus, build_index])
+    def test_empty_and_mixed_dim_corpora_rejected(self, stack):
+        with pytest.raises(InputError):
+            stack({})
+        corpus = _seeded_corpus(17, 5, 6)
+        corpus["wide"] = random_feature_set(Rng(3), 3, 8)
+        with pytest.raises(ShapeError):
+            stack(corpus)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_rows_in_doc_id_order(self, dtype):
+        corpus = _seeded_corpus(18, 30, 8)
+        doc_ids, rows, sizes = stack_rows(corpus, dtype, "stack")
+        assert doc_ids == sorted(corpus) and rows.dtype == dtype
+        np.testing.assert_array_equal(sizes, [len(corpus[d]) for d in doc_ids])
+        want = np.concatenate([corpus[d].vectors for d in doc_ids]).astype(dtype)
+        assert rows.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_peak_is_the_stacked_rows_and_small_slack(self, dtype):
+        """A copy in another dtype (say a float64 stack cast to float32)
+        would add at least half the rows again; the slack is the sizes and
+        the id list, a few bytes per doc."""
+        corpus = _seeded_corpus(19, 400, 16, max_rows=60)
+        n_rows = sum(len(fs) for fs in corpus.values())
+        rows_bytes = n_rows * 16 * np.dtype(dtype).itemsize
+        stack_rows(_seeded_corpus(20, 3, 16), dtype, "stack")  # lazy imports first
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            rows = stack_rows(corpus, dtype, "stack")[1]
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rows.nbytes == rows_bytes
+        assert peak <= rows_bytes + 64 * len(corpus) + 4096, (peak, rows_bytes)
 
 
 def two_pass_digest(seed: int = 0) -> str:
