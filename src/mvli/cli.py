@@ -255,6 +255,15 @@ def cmd_index(args, cfg: RunConfig) -> int:
     return 0
 
 
+def _search_params(cfg: RunConfig, k: int) -> idx.SearchParams:
+    """The [index] search settings for a top-k search, the configured or
+    default candidate cap raised to k, as `rank_samples` does."""
+    kwargs = cfg.section("index", ("nprobe", "candidate_doc_cap"))
+    kwargs["candidate_doc_cap"] = max(
+        kwargs.get("candidate_doc_cap", idx.SearchParams.candidate_doc_cap), k)
+    return idx.SearchParams(k=k, **kwargs)
+
+
 def cmd_search(args, cfg: RunConfig) -> int:
     _require_files(args.index, args.params)
     params, encoder_config = load_params(args.params)
@@ -264,11 +273,8 @@ def cmd_search(args, cfg: RunConfig) -> int:
         QueryInput(args.query_text or "", args.image_key),
         params, encoder_config, provider, image_only=not args.query_text,
     )
-    search_kwargs = cfg.section("index", ("nprobe", "candidate_doc_cap"))
-    search_kwargs["candidate_doc_cap"] = max(
-        search_kwargs.get("candidate_doc_cap", idx.SearchParams.candidate_doc_cap), args.k)
-    sp = idx.SearchParams(k=args.k, **search_kwargs)
-    for rank, scored in enumerate(idx.search(built, query, sp), start=1):
+    ranked = idx.search(built, query, _search_params(cfg, args.k))
+    for rank, scored in enumerate(ranked, start=1):
         print(f"{rank}\t{scored.doc_id}\t{scored.score:.6f}")
     return 0
 
@@ -282,8 +288,7 @@ def cmd_eval(args, cfg: RunConfig) -> int:
     built = search_params = None
     if args.index:
         built = idx.load_index(args.index)
-        search_params = idx.SearchParams(
-            k=max(ev.DEFAULT_KS), **cfg.section("index", ("nprobe", "candidate_doc_cap")))
+        search_params = _search_params(cfg, max(ev.DEFAULT_KS))
     report = ev.evaluate_model(
         kb, kb_aug, params, encoder_config, provider, samples, _flags(args, cfg),
         benchmark=args.benchmark, index=built, search_params=search_params,

@@ -516,7 +516,7 @@ def merge_heads(x: np.ndarray) -> np.ndarray:
     return x.swapaxes(-2, -3).reshape(*lead, n, h * hd)
 
 
-def stack_rows(rows: np.ndarray, fresh: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+def stack_text_rows(rows: np.ndarray, fresh: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """The (..., N_t, width) stack of per-text rows `cross_attend_forward` keeps
     as distinct rows: the first text's N_t rows repeated over the stack, and
     rows[N_t:] where `fresh` (S - 1, N_t) marks a later text's row as its own."""
@@ -551,8 +551,8 @@ def cross_attend_forward(
     k_rows = tile_matmul(rows, p.wk) + p.bk
     v_rows = tile_matmul(rows, p.wv) + p.bv
     qh = split_heads(x, config.n_heads)
-    kh = split_heads(stack_rows(k_rows, fresh, text_emb.shape[:-1]), config.n_heads)
-    vh = split_heads(stack_rows(v_rows, fresh, text_emb.shape[:-1]), config.n_heads)
+    kh = split_heads(stack_text_rows(k_rows, fresh, text_emb.shape[:-1]), config.n_heads)
+    vh = split_heads(stack_text_rows(v_rows, fresh, text_emb.shape[:-1]), config.n_heads)
     logits = (qh @ kh.swapaxes(-1, -2)) * scale
     logits -= logits.max(axis=-1, keepdims=True)  # stability shift, gradient-neutral
     weights = np.exp(logits)

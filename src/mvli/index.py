@@ -6,7 +6,7 @@ its centroid id plus a per-dimension 8-bit uniform quantization of the
 residual; nbits=0 selects the lossless mode that stores raw float64 vectors.
 Search runs centroid-probing candidate generation followed by exact
 late-interaction re-ranking on reconstructed vectors.  The re-rank screens
-every candidate in float32 over fixed-width column blocks, then rescores in
+every candidate in float32 over column blocks of whole docs, then rescores in
 float64, doc by doc, only the docs a proven error bound cannot rule out: the
 same two passes, by the same helper, as the exact ranker's.
 """
@@ -34,7 +34,7 @@ from .core import (
     encode_utf8,
     read_exact,
 )
-from .scoring import ScoredDoc, _DocCuts, _maxsim_sums, _two_pass, stack_rows
+from .scoring import ScoredDoc, _maxsim_sums, _two_pass, stack_rows
 
 INDEX_MAGIC = b"MVLI"
 INDEX_VERSION = 2
@@ -284,9 +284,10 @@ def reconstruct(index: RetrievalIndex, vec_ids: np.ndarray) -> np.ndarray:
     return rows
 
 
-# Columns of one block of search's similarity matrices (query rows x
-# candidate vectors in the screen, x probed (centroid, doc) pairs in the
-# prefilter); a query's working memory is a few such blocks plus one int64
+# Width of the window in which the docs of one block of search's similarity
+# matrices start (query rows x candidate vectors in the screen, x probed
+# (centroid, doc) pairs in the prefilter).  A block is at most width plus the
+# largest doc, so a query's working memory is a few such blocks plus one int64
 # row id per candidate vector, whatever the corpus size.
 _SEARCH_BLOCK_COLS = 2048
 
@@ -307,24 +308,24 @@ def _screen(index: RetrievalIndex, q: np.ndarray, docs: np.ndarray,
             sizes: np.ndarray) -> np.ndarray:
     """Late-interaction scores of the given docs from their rows dequantized
     in float32 (the stored rows cast when nbits == 0) and one float32
-    product per block of _SEARCH_BLOCK_COLS rows, maxima summed in float64;
-    within index.error_bound of the re-rank's scores."""
+    product per block of whole docs (see _SEARCH_BLOCK_COLS), maxima summed
+    in float64; within index.error_bound of the re-rank's scores."""
     ids = _run_positions(index.doc_offsets[docs], sizes)
     q32 = q.astype(np.float32)
     width = _SEARCH_BLOCK_COLS
     # step32 repeated per row: a same-shape product is faster than a broadcast
     # along rows only dim long
-    steps = np.tile(index.step32, (min(width, len(ids)), 1))
+    steps = np.tile(index.step32, (min(len(ids), width + int(sizes.max())), 1))
 
-    def block_sims(start: int) -> np.ndarray:
-        rows = ids[start:start + width]
+    def block_sims(lo: int, hi: int) -> np.ndarray:
+        rows = ids[lo:hi]
         vecs = index.codes.take(rows, axis=0).astype(np.float32)
         if index.nbits != 0:
             vecs *= steps[:len(rows)]
             vecs += index.base32.take(index.assignments.take(rows), axis=0)
         return q32 @ vecs.T
 
-    return _maxsim_sums(_DocCuts(sizes, width), block_sims, (0, len(q)))[0]
+    return _maxsim_sums(sizes, width, block_sims, (0, len(q)))[0]
 
 
 def search(index: RetrievalIndex, query: FeatureSet, params: SearchParams) -> list[ScoredDoc]:
@@ -342,8 +343,8 @@ def search(index: RetrievalIndex, query: FeatureSet, params: SearchParams) -> li
 
     The prefilter and the screen do not loop over documents: each walks the
     candidates' concatenated columns (their probed centroids, then their
-    vectors) in blocks of _SEARCH_BLOCK_COLS and reduces each block at the
-    doc edges with _maxsim_sums, so a query holds a few blocks of
+    vectors) in blocks of whole docs and reduces each block at the doc
+    edges with _maxsim_sums, so a query holds a few blocks of
     similarities rather than all candidates' at once.  The rescoring takes
     one surviving doc at a time, in the form of late_interaction_score on
     its reconstructed rows, so a doc's score does not depend on the other
@@ -367,10 +368,9 @@ def search(index: RetrievalIndex, query: FeatureSet, params: SearchParams) -> li
     if ordered.size > params.candidate_doc_cap:
         # each doc's probed centroids, docs in index order
         cents = np.repeat(probed, sizes)[np.argsort(docs, kind="stable")]
-        approx = _maxsim_sums(
-            _DocCuts(counts, _SEARCH_BLOCK_COLS),
-            lambda start: cent_sims.take(cents[start:start + _SEARCH_BLOCK_COLS], axis=1),
-            (0, len(q)))[0]
+        approx = _maxsim_sums(counts, _SEARCH_BLOCK_COLS,
+                              lambda lo, hi: cent_sims.take(cents[lo:hi], axis=1),
+                              (0, len(q)))[0]
         ordered = np.sort(ordered[np.lexsort((ordered, -approx))[:params.candidate_doc_cap]])
 
     def rescore(i: int) -> float:

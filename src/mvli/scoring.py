@@ -2,17 +2,17 @@
 
 `StackedCorpus.top_k`, and `rank_exact` through it, rank in two passes.  A
 float32 screen scores every document over one stacked copy of the corpus, in
-blocks, each block serving a group of queries; `_two_pass`, which the index's
-re-rank shares, then rescores with `late_interaction_score` in float64 every
-document whose screen score could still reach a query's top k under a proven
-error bound.  Each ranking therefore equals a per-document float64 loop in
-ids, order and score bits.
+blocks of whole documents, each block serving a group of queries;
+`_two_pass`, which the index's re-rank shares, then rescores with
+`late_interaction_score` in float64 every document whose screen score could
+still reach a query's top k under a proven error bound.  Each ranking
+therefore equals a per-document float64 loop in ids, order and score bits.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -32,51 +32,37 @@ def late_interaction_score(query: FeatureSet, doc: FeatureSet) -> float:
     return float((query.vectors @ doc.vectors.T).max(axis=1).sum())
 
 
-class _DocCuts:
-    """Where `_maxsim_sums` cuts docs laid out as consecutive runs of `sizes`
-    columns, walked in blocks of `width` columns; derived once per layout."""
-
-    def __init__(self, sizes: np.ndarray, width: int):
-        ends = np.cumsum(sizes)
-        starts = ends - sizes
-        self.width = width
-        self.total = int(ends[-1])
-        self.block_starts = np.arange(0, self.total, width)
-        self.cuts = np.union1d(starts, self.block_starts)  # each piece starts at a cut
-        # block b's pieces start at cuts[edges[b]:edges[b + 1]]
-        self.edges = np.append(np.searchsorted(self.cuts, self.block_starts), self.cuts.size)
-        self.joins = np.searchsorted(self.cuts, starts)  # each doc's first piece
-
-
 def _maxsim_sums(
-    cuts: _DocCuts, block_sims: Callable[[int], np.ndarray], row_bounds: Sequence[int]
+    sizes: np.ndarray, width: int, block_sims: Callable[[int, int], np.ndarray],
+    row_bounds: Sequence[int],
 ) -> np.ndarray:
-    """Late-interaction sums of the docs `cuts` lays out, for every query
-    whose rows are row_bounds[g] to row_bounds[g + 1] of the similarities:
-    a (len(row_bounds) - 1, n_docs) array of, per query and doc, the sum
-    over the query's rows of the max over the doc's columns.
+    """Late-interaction sums of docs laid out as consecutive runs of `sizes`
+    columns (each >= 1), for every query whose rows are row_bounds[g] to
+    row_bounds[g + 1] of the similarities: a (len(row_bounds) - 1, n_docs)
+    array of, per query and doc, the sum over the query's rows of the max
+    over the doc's columns.
 
-    block_sims(start) returns the similarities of columns start onwards, at
-    least up to start + width or the last column; columns beyond are
-    ignored.  One maximum.reduceat per block cuts it at the doc starts inside
-    it, and a second joins the pieces of docs that cross a block edge; the
-    pieces keep the similarities' dtype, which a max does not round.  The
-    maxima are summed in float64, each query's per doc over one contiguous
-    row, so for float64 similarities its bits equal
+    The columns are walked in blocks of whole docs: a block holds the docs
+    whose first column falls in one `width`-wide window, so it spans at most
+    width plus the largest doc.  block_sims(lo, hi) returns the similarities
+    of columns lo to hi, and one maximum.reduceat cuts them at the block's
+    doc starts; the maxima keep the similarities' dtype, which a max does
+    not round.  They are summed in float64, each query's per doc over one
+    contiguous row, so for float64 similarities its bits equal
     sims[rows, doc].max(axis=1).sum(), whatever the other queries.
     """
-    width, total = cuts.width, cuts.total
-    pieces = None
-    for b, start in enumerate(cuts.block_starts):
-        first, last = cuts.edges[b], cuts.edges[b + 1]
+    ends = np.cumsum(sizes)
+    starts = ends - sizes
+    firsts = np.append(np.flatnonzero(np.diff(starts // width, prepend=-1)), len(sizes))
+    maxima = None
+    for a, b in zip(firsts[:-1].tolist(), firsts[1:].tolist()):
+        lo = starts[a]
         # no name holds a block's similarities, so the next block's product
         # does not run while they are still alive
-        reduced = np.maximum.reduceat(block_sims(start)[:, :min(width, total - start)],
-                                      cuts.cuts[first:last] - start, axis=1)
-        if pieces is None:
-            pieces = np.empty((reduced.shape[0], cuts.cuts.size), dtype=reduced.dtype)
-        pieces[:, first:last] = reduced
-    maxima = np.maximum.reduceat(pieces, cuts.joins, axis=1)
+        reduced = np.maximum.reduceat(block_sims(lo, ends[b - 1]), starts[a:b] - lo, axis=1)
+        if maxima is None:
+            maxima = np.empty((reduced.shape[0], len(sizes)), dtype=reduced.dtype)
+        maxima[:, a:b] = reduced
     return np.stack([
         np.ascontiguousarray(maxima[a:b].T, dtype=np.float64).sum(axis=1)
         for a, b in zip(row_bounds[:-1], row_bounds[1:])])
@@ -124,34 +110,25 @@ def stack_rows(
     return doc_ids, rows, sizes
 
 
-# Corpus rows per block of the screen: one (rows of a group, 2048) float32
-# product each.
+# Corpus rows per block of the screen: one float32 product of a group's rows
+# with the docs that start in a window of 2048 rows, so at most 2048 plus the
+# largest doc's rows.
 _SCREEN_BLOCK_ROWS = 2048
 
 # Queries screened together: each block is loaded once for all of them.
 _SCREEN_GROUP = 4
 
 
-class StackedCorpus(Mapping[str, FeatureSet]):
+class StackedCorpus:
     """A corpus with its rows copied once, doc by doc in doc_id order, into
-    one float32 (N, dim) matrix for the screen of `top_k`, and cut at its doc
-    and block edges once.  It reads as the mapping it was built from, whose
-    float64 feature sets stay the source of every reported score."""
+    one float32 (N, dim) matrix for the screen of `top_k`.  The float64
+    feature sets of the mapping it was built from stay the source of every
+    reported score."""
 
     def __init__(self, corpus: Mapping[str, FeatureSet]):
         self._docs = corpus
-        self.doc_ids, self.rows, sizes = stack_rows(corpus, np.float32, "rank over")
+        self.doc_ids, self.rows, self.sizes = stack_rows(corpus, np.float32, "rank over")
         self.dim = self.rows.shape[1]
-        self._cuts = _DocCuts(sizes, _SCREEN_BLOCK_ROWS)
-
-    def __getitem__(self, doc_id: str) -> FeatureSet:
-        return self._docs[doc_id]
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._docs)
-
-    def __len__(self) -> int:
-        return len(self._docs)
 
     def error_bound(self, n_query_rows: int) -> float:
         """E, with |screen - late_interaction_score| <= E for every doc.
@@ -170,13 +147,12 @@ class StackedCorpus(Mapping[str, FeatureSet]):
     def screen(self, queries: Sequence[FeatureSet]) -> np.ndarray:
         """Every doc's late-interaction score for each query, (len(queries),
         n_docs) with docs in doc_id order, from one float32 product of all
-        the queries' rows per block of _SCREEN_BLOCK_ROWS corpus rows, each
-        query's maxima summed in float64."""
+        the queries' rows per block of whole docs (see _SCREEN_BLOCK_ROWS),
+        each query's maxima summed in float64."""
         q = np.concatenate([query.vectors for query in queries]).astype(np.float32)
         bounds = np.cumsum([0] + [len(query) for query in queries])
-        width = _SCREEN_BLOCK_ROWS
-        return _maxsim_sums(self._cuts, lambda start: q @ self.rows[start:start + width].T,
-                            bounds)
+        return _maxsim_sums(self.sizes, _SCREEN_BLOCK_ROWS,
+                            lambda lo, hi: q @ self.rows[lo:hi].T, bounds)
 
     def top_k(self, queries: Sequence[FeatureSet], k: int) -> list[list[ScoredDoc]]:
         """Per query, the k best docs by late_interaction_score, ties by
@@ -201,11 +177,9 @@ def rank_exact(
     query: FeatureSet, corpus: Mapping[str, FeatureSet], k: int
 ) -> list[ScoredDoc]:
     """Exact top-k ranking by late_interaction_score; ties broken by
-    ascending doc_id.  A StackedCorpus is screened as it is; any other
-    mapping is stacked first.  `StackedCorpus.top_k` ranks many queries in
-    one call; this is its group of one.
+    ascending doc_id.  The corpus is stacked for this one query;
+    `StackedCorpus.top_k` ranks many queries over one stacking.
 
     Serves as the exact oracle for the compressed index.
     """
-    stacked = corpus if isinstance(corpus, StackedCorpus) else StackedCorpus(corpus)
-    return stacked.top_k([query], k)[0]
+    return StackedCorpus(corpus).top_k([query], k)[0]

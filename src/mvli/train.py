@@ -33,7 +33,7 @@ from .encoder import (
     named_tensors,
     project_batch,
     split_heads,
-    stack_rows,
+    stack_text_rows,
     tile_matmul,
     zero_grads,
 )
@@ -140,8 +140,8 @@ def _project_unit_backward(dy, cache, p: MlpParams, grads, prefix) -> np.ndarray
 
 
 def _fold_rows(d: np.ndarray, fresh: np.ndarray) -> np.ndarray:
-    """Transpose of `encoder.stack_rows`: the gradient of each stacked text row
-    summed into the distinct row it was copied from."""
+    """Transpose of `encoder.stack_text_rows`: the gradient of each stacked
+    text row summed into the distinct row it was copied from."""
     d = d.reshape(-1, *d.shape[-2:])
     shared = d[0] + np.where(fresh[..., None], 0.0, d[1:]).sum(axis=0)
     return np.concatenate([shared, d[1:][fresh]])
@@ -160,8 +160,8 @@ def _cross_attend_backward(
     h1, ff_pre, ff_act = _flat(cache["h1"]), _flat(cache["ff_pre"]), _flat(cache["ff_act"])
     weights, qh, fresh, scale = cache["weights"], cache["qh"], cache["fresh"], cache["scale"]
     text_shape = (*cache["x"].shape[:-2], fresh.shape[-1])
-    kh = split_heads(stack_rows(cache["k_rows"], fresh, text_shape), config.n_heads)
-    vh = split_heads(stack_rows(cache["v_rows"], fresh, text_shape), config.n_heads)
+    kh = split_heads(stack_text_rows(cache["k_rows"], fresh, text_shape), config.n_heads)
+    vh = split_heads(stack_text_rows(cache["v_rows"], fresh, text_shape), config.n_heads)
 
     # feed-forward sublayer with residual
     dh2 = _flat(dh2)

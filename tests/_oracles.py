@@ -309,10 +309,9 @@ def naive_search(index, query_rows: np.ndarray, k: int, nprobe: int, cap: int):
 
 def single_pass_search(index, query, params):
     """Index search with a one-pass re-rank: every candidate dequantized and
-    scored in float64, its row ids padded to whole blocks of
-    _SEARCH_BLOCK_COLS with one reconstruct and one product per block.  The
-    prefilter is the library's; `search` must equal this in ids, order and
-    score bits."""
+    scored in float64, with one reconstruct and one product per block of
+    whole docs.  The prefilter is the library's; `search` must equal this in
+    ids, order and score bits."""
     from mvli import index as index_mod
 
     q = query.vectors
@@ -329,15 +328,12 @@ def single_pass_search(index, query, params):
     if ordered.size > params.candidate_doc_cap:
         cents = np.repeat(probed, sizes)[np.argsort(docs, kind="stable")]
         approx = index_mod._maxsim_sums(
-            index_mod._DocCuts(counts, width),
-            lambda start: cent_sims.take(cents[start:start + width], axis=1), (0, len(q)))[0]
+            counts, width, lambda lo, hi: cent_sims.take(cents[lo:hi], axis=1), (0, len(q)))[0]
         ordered = np.sort(ordered[np.lexsort((ordered, -approx))[:params.candidate_doc_cap]])
     sizes = index.doc_sizes[ordered]
     ids = index_mod._run_positions(index.doc_offsets[ordered], sizes)
-    ids = np.append(ids, np.full(-len(ids) % width, ids[-1]))  # whole blocks: pad with repeats
     scores = index_mod._maxsim_sums(
-        index_mod._DocCuts(sizes, width),
-        lambda start: q @ index_mod.reconstruct(index, ids[start:start + width]).T,
+        sizes, width, lambda lo, hi: q @ index_mod.reconstruct(index, ids[lo:hi]).T,
         (0, len(q)))[0]
     top = np.lexsort((ordered, -scores))[:params.k]
     return [ScoredDoc(index.doc_ids[ordered[i]], float(scores[i])) for i in top]

@@ -120,6 +120,28 @@ class TestPipelineCommands:
                        "--index", str(index), "--report-out", str(report)) == 0
         assert report.is_file()
 
+    def test_eval_raises_the_candidate_cap_to_k(self, workdir, tmp_path):
+        """As `search` does, `eval --index` raises a configured cap below its
+        ranking depth of 10 to it: cap 5 runs and reports what cap 10 does."""
+        root, cfg, out = workdir
+        kb = str(out / "kb.jsonl")
+        params = tmp_path / "p.mprm"
+        config = EncoderConfig(dim=8, text_dim=12, image_dim=12, n_patches=2,
+                               n_heads=2, attn_dim=8, n_mm_tokens=2)
+        save_params(init_encoder_params(config, seed=0), config, params)
+        index = tmp_path / "kb.mvli"
+        assert run_cli("--config", str(cfg), "index", "--kb", kb,
+                       "--params", str(params), "--out", str(index)) == 0
+        reports = []
+        for cap in (5, 10):
+            report = tmp_path / f"report-{cap}.csv"
+            assert run_cli("--config", str(cfg), "--set", f"index.candidate_doc_cap={cap}",
+                           "eval", "--kb", kb, "--params", str(params),
+                           "--samples", str(out / "test_seen.jsonl"),
+                           "--index", str(index), "--report-out", str(report)) == 0
+            reports.append(report.read_bytes())
+        assert reports[0] == reports[1]
+
 
 class TestExitCodes:
     def test_missing_input_is_data_error(self, tmp_path):

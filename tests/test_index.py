@@ -289,7 +289,7 @@ class TestBlockedSearch:
     @pytest.mark.parametrize("nbits", [0, 8])
     @pytest.mark.parametrize("block_cols", [5, 64, None])
     def test_matches_per_doc_oracle(self, monkeypatch, nbits, block_cols):
-        if block_cols is not None:  # docs of 4-20 vectors then cross block edges
+        if block_cols is not None:  # docs of 4-20 vectors: blocks of one doc, or a few
             monkeypatch.setattr(index_mod, "_SEARCH_BLOCK_COLS", block_cols)
         corpus = make_corpus(seed=31, n_docs=40)
         index = build_index(corpus, k_centroids=24, nbits=nbits, kmeans_iters=5, seed=3)
@@ -342,13 +342,13 @@ class TestBlockedSearch:
         owners = np.repeat(np.arange(len(corpus)), index.doc_sizes)
         sets = [set(index.assignments[owners == d].tolist()) for d in range(len(corpus))]
         recorded = []
-        real = index_mod._DocCuts
+        real = index_mod._maxsim_sums
 
-        def recording(sizes, width):
+        def recording(sizes, width, block_sims, row_bounds):
             recorded.append(sizes.copy())
-            return real(sizes, width)
+            return real(sizes, width, block_sims, row_bounds)
 
-        monkeypatch.setattr(index_mod, "_DocCuts", recording)
+        monkeypatch.setattr(index_mod, "_maxsim_sums", recording)
         for i in range(8):
             q = random_feature_set(Rng(300 + i), 3 + i % 4, 8)
             probed = set()
@@ -441,7 +441,7 @@ class TestBlockedSearch:
         """One search over 204,800 vectors, all re-ranked, and one whose
         prefilter keeps a quarter of the docs.  A one-pass re-rank would hold
         every candidate row and its similarities at once (78.6 MB here); the
-        blocked one holds a block of each, its pieces and one int64 row id
+        blocked one holds a block of each, its maxima and one int64 row id
         per candidate row (1.6 MB here)."""
         n_docs, per_doc, dim, k_cent, m = 400, 512, 16, 64, 32
         n = n_docs * per_doc

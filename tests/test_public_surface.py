@@ -1,6 +1,7 @@
-"""Every name the package re-exports has a caller outside the package root.
+"""Every name the package re-exports has a caller outside the package root,
+and every name an engine module imports is used in it.
 
-A name passes when the engine itself uses it (an identifier in a `src/mvli`
+A re-exported name passes when the engine itself uses it (an identifier in a `src/mvli`
 module other than `__init__`), when the benchmark harness under `perfbench/`
 uses it, or when the README documents it (in backticks or in its import
 block).  Identifiers are found with `ast`, so a word in a docstring or a
@@ -56,3 +57,22 @@ def test_every_reexport_has_a_caller():
 def test_reexports_resolve():
     names = reexported()
     assert names and all(hasattr(mvli, name) for name in names)
+
+
+def test_every_import_is_used():
+    """Each name a `src/mvli` module other than `__init__` binds by an import
+    (`__future__` features aside) is read somewhere in that module."""
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported.update(alias.asname or alias.name for alias in node.names)
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}: {name}" for name in sorted(imported - read)]
+    assert unused == []

@@ -169,7 +169,7 @@ class TestTwoPassRanking:
             for k in (1, 3, 10, n_docs):
                 want = _ranked_bits(per_doc_rank(q, corpus, k))
                 assert _ranked_bits(rank_exact(q, corpus, k)) == want
-                assert _ranked_bits(rank_exact(q, stacked, k)) == want
+                assert _ranked_bits(stacked.top_k([q], k)[0]) == want
 
     @pytest.mark.parametrize("group", [1, 3, 4, 5, 9])
     @pytest.mark.parametrize("dim", [4, 16])
@@ -263,7 +263,7 @@ class TestTwoPassRanking:
         with pytest.raises(ShapeError):
             rank_exact(random_feature_set(Rng(1), 2, 8), corpus, 3)
         with pytest.raises(ShapeError):
-            rank_exact(random_feature_set(Rng(1), 2, 8), StackedCorpus(corpus), 3)
+            StackedCorpus(corpus).top_k([random_feature_set(Rng(1), 2, 8)], 3)
 
     def test_mixed_dim_corpus_is_shape_error(self):
         corpus = _seeded_corpus(11, 5, 6)
@@ -278,9 +278,6 @@ class TestTwoPassRanking:
             rank_exact(random_feature_set(Rng(1), 2, 6), _seeded_corpus(12, 3, 6), 0)
 
     def test_stacked_corpus_reads_as_its_mapping(self):
-        corpus = _seeded_corpus(13, 6, 6)
-        stacked = StackedCorpus(corpus)
-        assert len(stacked) == len(corpus) and dict(stacked) == corpus
         with pytest.raises(InputError):
             StackedCorpus({})
 
@@ -333,6 +330,56 @@ class TestTwoPassHelper:
         assert top == [(1, 0.6), (3, 0.6), (4, 0.6)]
         top, _ = self._run(screened, 5, 0.0, exact)
         assert [i for i, _ in top] == [1, 3, 4, 0, 2]
+
+
+class TestMaxsimSums:
+    """`_maxsim_sums` walks the columns in blocks of whole docs; a per-doc
+    float64 max-and-sum is the oracle, compared in bits."""
+
+    @staticmethod
+    def _check(sizes, width, row_bounds, seed=0):
+        sizes = np.asarray(sizes, dtype=np.int64)
+        ends = np.cumsum(sizes)
+        starts = ends - sizes
+        sims = Rng(seed).generator().standard_normal((row_bounds[-1], int(ends[-1])))
+        blocks = []
+
+        def block_sims(lo, hi):
+            blocks.append((int(lo), int(hi)))
+            return sims[:, lo:hi]
+
+        sums = scoring_mod._maxsim_sums(sizes, width, block_sims, row_bounds)
+        assert sums.shape == (len(row_bounds) - 1, len(sizes))
+        for g, (a, b) in enumerate(zip(row_bounds[:-1], row_bounds[1:])):
+            for d in range(len(sizes)):
+                want = sims[a:b, starts[d]:ends[d]].max(axis=1).sum()
+                assert sums[g, d].hex() == want.hex(), (g, d)
+        los, his = zip(*blocks)
+        assert set(los) <= set(starts.tolist()) and set(his) <= set(ends.tolist())
+        # consecutive and covering: each doc's columns are asked for once
+        assert los[0] == 0 and his[-1] == ends[-1] and list(los[1:]) == list(his[:-1])
+        assert max(hi - lo for lo, hi in blocks) <= width + sizes.max()
+        return blocks
+
+    @pytest.mark.parametrize("width", [1, 5, 2048])
+    def test_random_layouts(self, width):
+        gen = Rng(width).generator()
+        sizes = gen.integers(1, 3 * width + 2, size=40)
+        blocks = self._check(sizes, width, (0, 6), seed=width)
+        assert len(blocks) > 1
+
+    @pytest.mark.parametrize("width", [1, 5, 2048])
+    def test_doc_of_three_widths(self, width):
+        self._check([2, 3 * width, 1, width, 3], width, (0, 4), seed=1)
+
+    @pytest.mark.parametrize("sizes", [[1], [7], [3 * 2048]])
+    def test_one_doc(self, sizes):
+        assert self._check(sizes, 2048, (0, 5), seed=2) == [(0, sizes[0])]
+
+    @pytest.mark.parametrize("width", [1, 5, 2048])
+    def test_several_query_groups(self, width):
+        sizes = Rng(30 + width).generator().integers(1, 2 * width + 3, size=25)
+        self._check(sizes, width, (0, 3, 4, 11, 30), seed=3)
 
 
 class TestStackRows:
@@ -427,7 +474,7 @@ class TestMemory:
     def test_ranking_holds_the_copy_and_one_group_of_blocks(self):
         """Stacking and ranking 16 queries: the peak is the float32 copy
         plus twice one group's block of similarities, which bounds its
-        pieces, maxima and per-query sums too.  Screening every query in one
+        maxima and per-query sums too.  Screening every query in one
         product, or the whole corpus in one block, would hold twice that."""
         corpus = _seeded_corpus(15, 400, 16, max_rows=60)
         queries = _queries(16, 16, 16)
