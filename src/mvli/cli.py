@@ -256,12 +256,8 @@ def cmd_index(args, cfg: RunConfig) -> int:
 
 
 def _search_params(cfg: RunConfig, k: int) -> idx.SearchParams:
-    """The [index] search settings for a top-k search, the configured or
-    default candidate cap raised to k, as `rank_samples` does."""
-    kwargs = cfg.section("index", ("nprobe", "candidate_doc_cap"))
-    kwargs["candidate_doc_cap"] = max(
-        kwargs.get("candidate_doc_cap", idx.SearchParams.candidate_doc_cap), k)
-    return idx.SearchParams(k=k, **kwargs)
+    """The [index] search settings for a top-k search."""
+    return idx.SearchParams.at_depth(k, **cfg.section("index", ("nprobe", "candidate_doc_cap")))
 
 
 def cmd_search(args, cfg: RunConfig) -> int:

@@ -153,8 +153,7 @@ def rank_samples(
     queries = encode_queries([QueryInput(s.question, s.query_image_key) for s in samples],
                              params, config, provider, image_only=image_only)
     if index is not None:
-        sp = search_params or SearchParams(
-            k=depth, candidate_doc_cap=max(SearchParams.candidate_doc_cap, depth))
+        sp = search_params or SearchParams.at_depth(depth)
         ranked = [search(index, query, sp) for query in queries]
     else:
         ranked = StackedCorpus(corpus).top_k(queries, depth)

@@ -54,6 +54,13 @@ class SearchParams:
         if self.candidate_doc_cap < self.k:
             raise ConfigError("candidate_doc_cap must be >= k")
 
+    @classmethod
+    def at_depth(cls, k: int, **settings) -> SearchParams:
+        """Params of a top-k search from the given settings, the given or
+        default candidate cap raised to k."""
+        cap = max(settings.pop("candidate_doc_cap", cls.candidate_doc_cap), k)
+        return cls(k=k, candidate_doc_cap=cap, **settings)
+
 
 @dataclass
 class RetrievalIndex:
@@ -62,8 +69,9 @@ class RetrievalIndex:
     Only assignments and doc_sizes describe the layout; the per-doc vector
     ranges and the per-centroid doc lists are derived from them on
     construction, the lists as one flat array in CSR form (values plus K + 1
-    offsets), and so are the float32 tables of search's screen; the stored
-    arrays must not change afterwards.
+    offsets), and so are the float32 rows of search's screen, every vector
+    dequantized once; the stored arrays must not change afterwards, and the
+    derived ones are read-only.
     """
 
     dim: int
@@ -80,9 +88,9 @@ class RetrievalIndex:
     # centroid c's sorted doc indices: centroid_doc_ids[centroid_doc_offsets[c]:...[c + 1]]
     centroid_doc_ids: np.ndarray = field(init=False)
     centroid_doc_offsets: np.ndarray = field(init=False)  # (K + 1,)
-    # the screen dequantizes code c of dimension d to step32[d] * c + base32[a, d]
-    step32: np.ndarray = field(init=False)  # (dim,) float32 of _codebook_step
-    base32: np.ndarray = field(init=False)  # (K, dim) centroids + code_min in float64, cast
+    # (N, dim) float32 rows of the screen: float32(step[d]) * c + float32(centroids[a, d]
+    # + code_min[d]) for code c of dimension d in centroid a; the stored rows cast if nbits == 0
+    rows32: np.ndarray = field(init=False)
     magnitude: float = field(init=False)  # bound on any dequantized vector's terms, see error_bound
     step: np.ndarray = field(init=False)  # (dim,) _codebook_step, for reconstruct
 
@@ -93,13 +101,18 @@ class RetrievalIndex:
             if a >= b:  # doc index order is doc_id order: search breaks ties by index
                 raise CorruptionError(f"document ids are not strictly ascending: {a!r}, {b!r}")
         step = self.step = _codebook_step(self.code_min, self.code_max)
-        self.step32 = step.astype(np.float32)
-        self.base32 = (self.centroids + self.code_min).astype(np.float32)
+        rows32 = self.rows32 = self.codes.astype(np.float32)
         if self.nbits == 0:
             self.magnitude = float(np.sqrt(np.einsum("ij,ij->i", self.codes, self.codes).max()))
         else:
+            rows32 *= step.astype(np.float32)
+            rows32 += (self.centroids + self.code_min).astype(np.float32).take(
+                self.assignments, axis=0)
             self.magnitude = float(np.linalg.norm(self.centroids, axis=1).max()
                                    + np.linalg.norm(np.abs(self.code_min) + 255.0 * step))
+        for derived in (self.doc_offsets, self.centroid_doc_ids, self.centroid_doc_offsets,
+                        rows32, step):
+            derived.flags.writeable = False
 
     @property
     def n_vectors(self) -> int:
@@ -306,26 +319,21 @@ def _run_positions(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
 
 def _screen(index: RetrievalIndex, q: np.ndarray, docs: np.ndarray,
             sizes: np.ndarray) -> np.ndarray:
-    """Late-interaction scores of the given docs from their rows dequantized
-    in float32 (the stored rows cast when nbits == 0) and one float32
-    product per block of whole docs (see _SEARCH_BLOCK_COLS), maxima summed
-    in float64; within index.error_bound of the re-rank's scores."""
+    """Late-interaction scores of the given docs from their float32 rows
+    (index.rows32) and one float32 product per block of whole docs (see
+    _SEARCH_BLOCK_COLS), maxima summed in float64; within index.error_bound
+    of the re-rank's scores.  A block whose rows are one run of the index is
+    read as a view, any other is gathered: the same values either way."""
     ids = _run_positions(index.doc_offsets[docs], sizes)
     q32 = q.astype(np.float32)
-    width = _SEARCH_BLOCK_COLS
-    # step32 repeated per row: a same-shape product is faster than a broadcast
-    # along rows only dim long
-    steps = np.tile(index.step32, (min(len(ids), width + int(sizes.max())), 1))
 
     def block_sims(lo: int, hi: int) -> np.ndarray:
-        rows = ids[lo:hi]
-        vecs = index.codes.take(rows, axis=0).astype(np.float32)
-        if index.nbits != 0:
-            vecs *= steps[:len(rows)]
-            vecs += index.base32.take(index.assignments.take(rows), axis=0)
-        return q32 @ vecs.T
+        first, last = ids[lo], ids[hi - 1]
+        if last - first == hi - lo - 1:  # ids ascend, so these are one run
+            return q32 @ index.rows32[first:last + 1].T
+        return q32 @ index.rows32.take(ids[lo:hi], axis=0).T
 
-    return _maxsim_sums(sizes, width, block_sims, (0, len(q)))[0]
+    return _maxsim_sums(sizes, _SEARCH_BLOCK_COLS, block_sims, (0, len(q)))[0]
 
 
 def search(index: RetrievalIndex, query: FeatureSet, params: SearchParams) -> list[ScoredDoc]:

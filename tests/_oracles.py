@@ -264,6 +264,33 @@ def naive_dequantize(index, start: int, stop: int) -> np.ndarray:
     ])
 
 
+def decode_rows32(index, ids: np.ndarray) -> np.ndarray:
+    """The float32 screen rows of the given vector ids, decoded on the spot:
+    codes cast to float32, times the float32 step, plus the float32 of
+    centroid + code_min summed in float64 (the stored rows cast when
+    nbits == 0)."""
+    rows = index.codes.take(ids, axis=0).astype(np.float32)
+    if index.nbits != 0:
+        spread = index.code_max - index.code_min
+        rows *= np.where(spread > 0, spread / 255.0, 0.0).astype(np.float32)
+        rows += (index.centroids + index.code_min).astype(np.float32)[index.assignments[ids]]
+    return rows
+
+
+def per_block_screen(index, q: np.ndarray, docs: np.ndarray, width: int) -> np.ndarray:
+    """The index screen of the given ascending doc indices with each block's
+    rows decoded by decode_rows32 when the block is scored, the blocks as
+    `_maxsim_sums` cuts them at `width`."""
+    from mvli import index as index_mod
+
+    ids = np.concatenate([np.arange(index.doc_offsets[d], index.doc_offsets[d + 1])
+                          for d in docs])
+    q32 = q.astype(np.float32)
+    return index_mod._maxsim_sums(
+        index.doc_sizes[docs], width,
+        lambda lo, hi: q32 @ decode_rows32(index, ids[lo:hi]).T, (0, len(q)))[0]
+
+
 def naive_search(index, query_rows: np.ndarray, k: int, nprobe: int, cap: int):
     """Two-stage search as a per-doc loop, from the stored assignments and doc
     sizes alone.

@@ -10,7 +10,13 @@ import numpy as np
 import pytest
 
 import mvli.index as index_mod
-from _oracles import naive_centroid_update, naive_search, single_pass_search
+from _oracles import (
+    decode_rows32,
+    naive_centroid_update,
+    naive_search,
+    per_block_screen,
+    single_pass_search,
+)
 from conftest import random_feature_set
 from mvli.cli import main
 from mvli.core import ConfigError, CorruptionError, FeatureSet, FormatError, InputError, Rng
@@ -249,6 +255,16 @@ class TestSearch:
         with pytest.raises(ConfigError):
             SearchParams(k=5, candidate_doc_cap=3)
 
+    def test_at_depth_raises_the_cap_to_k(self):
+        assert SearchParams.at_depth(10, candidate_doc_cap=4) == SearchParams(
+            k=10, candidate_doc_cap=10)
+        assert SearchParams.at_depth(10, nprobe=2, candidate_doc_cap=40) == SearchParams(
+            k=10, nprobe=2, candidate_doc_cap=40)
+        default = SearchParams.candidate_doc_cap
+        assert SearchParams.at_depth(default + 7) == SearchParams(
+            k=default + 7, candidate_doc_cap=default + 7)
+        assert SearchParams.at_depth(10) == SearchParams(k=10)
+
 
 def rerank_invariance(seed: int = 0) -> tuple[list[str], str]:
     """Docs whose exhaustive re-rank score changes bits between being scored
@@ -456,7 +472,8 @@ class TestBlockedSearch:
             doc_sizes=np.full(n_docs, per_doc))
         query = random_feature_set(Rng(10), m, dim)
         block = index_mod._SEARCH_BLOCK_COLS
-        # a block's rows as codes, floats and centroids, and its similarities
+        # a unit of a block's working memory; a gathered float32 block and its
+        # similarities take under half of it
         block_bytes = block * (dim + 8 * 2 * dim + 8 * m)
         one_pass_bytes = n * 8 * (dim + m)
         assert one_pass_bytes > 50 * block_bytes
@@ -469,7 +486,7 @@ class TestBlockedSearch:
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
-            assert peak < 4 * block_bytes, (cap, peak)
+            assert peak < 3 * block_bytes, (cap, peak)
 
 
 def _bits(ranked) -> list[tuple[str, str]]:
@@ -572,6 +589,80 @@ class TestTwoPassSearch:
                     single_pass_search(index, q, params))
 
 
+class TestScreenRows:
+    """The screen reads float32 rows dequantized once per index, as views of
+    blocks that are one run of rows and gathered otherwise; a screen that
+    decodes each block's rows when it scores them is the oracle, compared
+    by float.hex."""
+
+    def test_rows32_equal_per_block_decode(self):
+        """Random codes, centroid 2 holding no vector, dimension 1 a single
+        quantization bucket."""
+        n_docs, per_doc, dim, k_cent = 30, 9, 8, 6
+        n = n_docs * per_doc
+        gen = Rng(5).generator()
+        centroids = gen.standard_normal((k_cent, dim))
+        centroids /= np.linalg.norm(centroids, axis=1, keepdims=True)
+        assignments = gen.integers(0, k_cent - 1, n)
+        assignments[assignments >= 2] += 1
+        code_min, code_max = np.full(dim, -0.3), np.full(dim, 0.25)
+        code_max[1] = code_min[1]
+        index = RetrievalIndex(
+            dim=dim, nbits=8, centroids=centroids, assignments=assignments,
+            codes=gen.integers(0, 256, (n, dim), dtype=np.uint8), code_min=code_min,
+            code_max=code_max, doc_ids=[f"doc{i:03d}" for i in range(n_docs)],
+            doc_sizes=np.full(n_docs, per_doc))
+        assert index.rows32.dtype == np.float32 and index.rows32.shape == (n, dim)
+        for width in (7, n):
+            want = np.concatenate([decode_rows32(index, np.arange(lo, min(lo + width, n)))
+                                   for lo in range(0, n, width)])
+            assert index.rows32.tobytes() == want.tobytes()
+
+    def test_lossless_rows32_are_the_rows_cast(self):
+        index = build_index(make_corpus(seed=6, n_docs=10), nbits=0, seed=1)
+        assert index.rows32.tobytes() == index.codes.astype(np.float32).tobytes()
+
+    @pytest.mark.parametrize("width", [5, 2048])
+    @pytest.mark.parametrize("pick", ["consecutive", "scattered", "mixed"])
+    def test_screen_equals_per_block_decode(self, monkeypatch, width, pick):
+        corpus = make_corpus(seed=23, n_docs=300, min_tokens=1, max_tokens=40)
+        index = build_index(corpus, kmeans_iters=3, seed=4)
+        assert index.n_vectors > 2 * 2048
+        docs = {"consecutive": np.arange(50, 250),
+                "scattered": np.arange(0, 300, 3),
+                "mixed": np.concatenate((np.arange(150), np.arange(150, 300, 2)))}[pick]
+        sizes = index.doc_sizes[docs]
+        ids = index_mod._run_positions(index.doc_offsets[docs], sizes)
+        runs = []
+        real = index_mod._maxsim_sums
+
+        def recording(sizes, width, block_sims, row_bounds):
+            def sims(lo, hi):
+                runs.append(ids[hi - 1] - ids[lo] == hi - lo - 1)
+                return block_sims(lo, hi)
+            return real(sizes, width, sims, row_bounds)
+
+        monkeypatch.setattr(index_mod, "_SEARCH_BLOCK_COLS", width)
+        monkeypatch.setattr(index_mod, "_maxsim_sums", recording)
+        for i in range(4):
+            q = random_feature_set(Rng(70 + i), 2 + 5 * i, 8).vectors
+            got = index_mod._screen(index, q, docs, sizes)
+            want = per_block_screen(index, q, docs, width)
+            assert [x.hex() for x in got.tolist()] == [x.hex() for x in want.tolist()]
+        views, gathers = runs.count(True), runs.count(False)
+        assert {"consecutive": views and not gathers, "scattered": gathers,
+                "mixed": views and gathers}[pick]
+
+    @pytest.mark.parametrize("nbits", [0, 8])
+    def test_derived_arrays_are_read_only(self, nbits):
+        index = build_index(make_corpus(seed=7, n_docs=10), nbits=nbits, seed=1)
+        for name in ("doc_offsets", "centroid_doc_ids", "centroid_doc_offsets", "rows32",
+                     "step"):
+            with pytest.raises(ValueError):
+                getattr(index, name)[0] = 0
+        assert index.codes.flags.writeable and index.assignments.flags.writeable
+
+
 class TestPersistence:
     def test_round_trip_search_identical(self, tmp_path):
         corpus = make_corpus(seed=13, n_docs=10)
@@ -584,6 +675,13 @@ class TestPersistence:
             a = search(index, q, SearchParams(k=5))
             b = search(loaded, q, SearchParams(k=5))
             assert [(s.doc_id, s.score) for s in a] == [(s.doc_id, s.score) for s in b]
+
+    @pytest.mark.parametrize("nbits", [0, 8])
+    def test_loaded_rows32_equal_built(self, tmp_path, nbits):
+        index = build_index(make_corpus(seed=13, n_docs=10), nbits=nbits, seed=7)
+        path = tmp_path / "x.mvli"
+        save_index(index, path)
+        assert load_index(path).rows32.tobytes() == index.rows32.tobytes()
 
     def test_save_is_byte_deterministic(self, tmp_path):
         corpus = make_corpus(seed=13, n_docs=10)

@@ -1,5 +1,6 @@
 """Every name the package re-exports has a caller outside the package root,
-and every name an engine module imports is used in it.
+every name an engine module imports is used in it, and every private
+module-level name of the engine is used in the engine.
 
 A re-exported name passes when the engine itself uses it (an identifier in a `src/mvli`
 module other than `__init__`), when the benchmark harness under `perfbench/`
@@ -76,3 +77,31 @@ def test_every_import_is_used():
         read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused += [f"{path.name}: {name}" for name in sorted(imported - read)]
     assert unused == []
+
+
+def test_every_private_name_is_used():
+    """Each private module-level name (`_x`, not a dunder) that a `src/mvli`
+    module defines, by `def`, `class` or assignment, is read somewhere in
+    `src/mvli`: loaded as a name, accessed as an attribute or imported.  So
+    a helper whose last caller is deleted does not stay behind."""
+    defined, read = [], set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                names = []
+            defined += [(path.name, name) for name in names
+                        if name.startswith("_") and not name.endswith("__")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.alias):
+                read.add(node.name.split(".")[-1])
+    assert [f"{module}: {name}" for module, name in defined if name not in read] == []

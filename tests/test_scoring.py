@@ -277,10 +277,6 @@ class TestTwoPassRanking:
         with pytest.raises(ConfigError):
             rank_exact(random_feature_set(Rng(1), 2, 6), _seeded_corpus(12, 3, 6), 0)
 
-    def test_stacked_corpus_reads_as_its_mapping(self):
-        with pytest.raises(InputError):
-            StackedCorpus({})
-
     @pytest.mark.parametrize("dim,seed", [(4, 0), (16, 1), (64, 2)])
     def test_screen_error_is_well_inside_its_bound(self, dim, seed):
         """|screen - late_interaction_score| <= E / 10 on random unit data."""
