@@ -21,7 +21,7 @@ from . import datagen as dg
 from . import evaluation as ev
 from . import index as idx
 from . import synth as sy
-from .core import ConfigError, DataError, EngineError, NumericError
+from .core import ConfigError, DataError, EngineError, NumericError, write_text
 from .encoder import (
     ABLATION_ROWS,
     EncoderConfig,
@@ -222,16 +222,9 @@ def cmd_train(args, cfg: RunConfig) -> int:
     save_params(params, encoder_config, args.out)
     checksum = params_checksum(params)
     if args.stats:
-        with open(args.stats, "w", encoding="utf-8") as fh:
-            json.dump(
-                {
-                    "losses": stats.losses,
-                    "grad_norms": stats.grad_norms,
-                    "final_checksum": checksum,
-                },
-                fh, sort_keys=True, indent=2,
-            )
-            fh.write("\n")
+        write_text(args.stats, json.dumps(
+            {"losses": stats.losses, "grad_norms": stats.grad_norms, "final_checksum": checksum},
+            sort_keys=True, indent=2) + "\n")
     first = stats.losses[0] if stats.losses else float("nan")
     last = stats.losses[-1] if stats.losses else float("nan")
     print(f"train: {len(stats.losses)} steps, loss {first:.4f} -> {last:.4f}, "
@@ -275,6 +268,12 @@ def cmd_search(args, cfg: RunConfig) -> int:
     return 0
 
 
+def _write_report(report, path: str) -> None:
+    """The report's CSV to path, its table to stdout."""
+    write_text(path, report.to_csv_text())
+    print(report.to_table_text(), end="")
+
+
 def cmd_eval(args, cfg: RunConfig) -> int:
     _require_files(args.kb, args.params, args.samples, args.index)
     params, encoder_config = load_params(args.params)
@@ -289,9 +288,7 @@ def cmd_eval(args, cfg: RunConfig) -> int:
         kb, kb_aug, params, encoder_config, provider, samples, _flags(args, cfg),
         benchmark=args.benchmark, index=built, search_params=search_params,
     )
-    with open(args.report_out, "w", encoding="utf-8") as fh:
-        fh.write(report.to_csv_text())
-    print(report.to_table_text(), end="")
+    _write_report(report, args.report_out)
     print(f"eval: report -> {args.report_out}")
     return 0
 
@@ -308,9 +305,7 @@ def cmd_ablate(args, cfg: RunConfig) -> int:
         kb, kb_aug, train_samples, test_samples, ABLATION_ROWS,
         encoder_config, tcfg, benchmark=args.benchmark,
     )
-    with open(args.report_out, "w", encoding="utf-8") as fh:
-        fh.write(report.to_csv_text())
-    print(report.to_table_text(), end="")
+    _write_report(report, args.report_out)
     return 0
 
 
@@ -326,9 +321,7 @@ def cmd_probe(args, cfg: RunConfig) -> int:
         kb, kb_aug, train_samples, test_samples, args.mode, _flags(args, cfg),
         encoder_config, tcfg, benchmark=args.benchmark,
     )
-    with open(args.report_out, "w", encoding="utf-8") as fh:
-        fh.write(report.to_csv_text())
-    print(report.to_table_text(), end="")
+    _write_report(report, args.report_out)
     return 0
 
 

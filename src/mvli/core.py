@@ -1,6 +1,7 @@
-"""Foundational numerics: deterministic vectors, feature sets, shared errors.
+"""Foundational numerics: deterministic vectors, feature sets, shared errors;
+and the file helpers every format uses, among them the one binary framing.
 
-Everything here is pure and reentrant; no module-level mutable state.
+Everything here is reentrant; no module-level mutable state.
 """
 
 from __future__ import annotations
@@ -10,9 +11,12 @@ import json
 import math
 import os
 import string
+import struct
+import zlib
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -81,28 +85,140 @@ class CorruptionError(DataError):
     """File is truncated or internally inconsistent."""
 
 
-def read_exact(fh, n: int, kind: str) -> bytes:
-    """Exactly n bytes from a binary file of the named kind, or CorruptionError.
+def read_exact(fh, n: int, where: str) -> bytearray:
+    """Exactly n bytes from a binary file, or a CorruptionError saying where.
 
     n is checked against the bytes left in the file first, so a corrupt length
     field cannot make the read allocate a buffer larger than the file.
     """
     left = os.fstat(fh.fileno()).st_size - fh.tell()
     if n > left:
-        raise CorruptionError(f"{kind} file is truncated: needs {n} bytes, {left} remain")
-    data = fh.read(n)
-    if len(data) != n:
-        raise CorruptionError(f"{kind} file is truncated")
+        raise CorruptionError(f"{where} is truncated: needs {n} bytes, {left} remain")
+    data = bytearray(n)
+    if fh.readinto(data) != n:
+        raise CorruptionError(f"{where} is truncated")
     return data
 
 
-def encode_utf8(name: str, kind: str) -> bytes:
-    """A name's UTF-8 bytes for a binary file; a string with no UTF-8 form
-    (a lone surrogate such as "\ud800") is an InputError naming its repr."""
+@contextmanager
+def _replacing(path: str | Path):
+    """A binary file on path + ".tmp", moved onto path by os.replace at the
+    end of the block; if the block raises, an earlier file is left as it was."""
+    tmp = f"{path}.tmp"
     try:
-        return name.encode("utf-8")
+        with open(tmp, "wb") as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+
+
+def write_text(path: str | Path, text: str) -> None:
+    """Write text as UTF-8 to path + ".tmp", then move it onto path."""
+    with _replacing(path) as fh:
+        fh.write(text.encode("utf-8"))
+
+
+# ---------------------------------------------------------------------------
+# The framing of the binary files, little-endian: a 4-byte magic, version u32,
+# section count u32; per section its name (u8 length + ASCII), type (u8 index
+# into _SECTION_TYPES), ndim (u8), shape (ndim x u64), the zlib.crc32 of its
+# bytes (u32) and the bytes, for a "str" section n u64 UTF-8 lengths and then
+# the n joined names.
+# ---------------------------------------------------------------------------
+
+_SECTION_TYPES = ("<f8", "<f4", "<u8", "<u4", "|u1", "str")
+
+
+def write_sections(path: str | Path, magic: bytes, version: int, kind: str,
+                   sections: Sequence[tuple[str, str, object]]) -> None:
+    """Write (name, type, value) sections in the framing above, by way of
+    path + ".tmp" and os.replace.  Names ("str" values) are encoded before
+    the file opens, one with no UTF-8 form (a lone surrogate) an InputError
+    naming its repr; arrays are converted one section at a time."""
+    try:
+        names = {name: [item.encode("utf-8") for item in value]
+                 for name, type_code, value in sections if type_code == "str"}
     except UnicodeEncodeError as exc:
-        raise InputError(f"{kind} {name!r} cannot be encoded as UTF-8: {exc.reason}") from exc
+        raise InputError(f"{kind} name {exc.object!r} cannot be encoded as UTF-8: "
+                         f"{exc.reason}") from exc
+    with _replacing(path) as fh:
+        fh.write(magic + struct.pack("<II", version, len(sections)))
+        for name, type_code, value in sections:
+            if type_code == "str":
+                lengths = np.array([len(item) for item in names[name]], dtype="<u8")
+                shape, data = lengths.shape, lengths.tobytes() + b"".join(names[name])
+            else:
+                data = np.ascontiguousarray(value, dtype=type_code)
+                shape = data.shape
+            fh.write(struct.pack(f"<B{len(name)}sBB{len(shape)}QI", len(name),
+                                 name.encode("ascii"), _SECTION_TYPES.index(type_code),
+                                 len(shape), *shape, zlib.crc32(data)))
+            fh.write(data)
+
+
+def read_sections(path: str | Path, magic: bytes, version: int, kind: str,
+                  layout: Mapping[str, tuple[str, str]]) -> dict[str, np.ndarray | list[str]]:
+    """Name -> value of every section of a file in the framing above: an
+    array, or a list of names for a "str" section.
+
+    layout maps each section name to its allowed types and its axes, both
+    space-separated (e.g. "codes": ("|u1 <f8", "N dim")); an axis named by a
+    number has that size.  A wrong magic is a FormatError, another version an
+    UnsupportedVersionError.  A CorruptionError is a section that is unknown,
+    repeated or missing, of a type or ndim the layout does not give it, sized
+    past the end of the file or failing its checksum; an axis whose size
+    differs between sections; a name that is not UTF-8; and trailing bytes.
+    No length is trusted before read_exact checks it against the file.
+    """
+    found, axes = {}, {}
+    where = f"{path}: {kind} file"
+    with open(path, "rb") as fh:
+        got = bytes(read_exact(fh, 4, where))
+        if got != magic:
+            raise FormatError(f"{path}: bad {kind} file magic {got!r}")
+        got_version, count = struct.unpack("<II", read_exact(fh, 8, where))
+        if got_version != version:
+            raise UnsupportedVersionError(f"{path}: unsupported {kind} version {got_version}")
+        if count != len(layout):
+            raise CorruptionError(f"{where} has {count} sections, not {len(layout)}")
+        for _ in range(count):
+            name = read_exact(fh, read_exact(fh, 1, where)[0], where).decode("latin-1")
+            if name not in layout or name in found:
+                raise CorruptionError(f"{path}: unknown or repeated {kind} section {name!r}")
+            section = f"{path}: {kind} section {name!r}"
+            types, axis_names = (part.split() for part in layout[name])
+            code, ndim = read_exact(fh, 2, where)
+            type_code = _SECTION_TYPES[code] if code < len(_SECTION_TYPES) else f"code {code}"
+            if type_code not in types:
+                raise CorruptionError(f"{section} has type {type_code}, not {' or '.join(types)}")
+            if ndim != len(axis_names):  # before the shape is read or used
+                raise CorruptionError(f"{section} has {ndim} dimensions, not {len(axis_names)}")
+            *shape, crc = struct.unpack(f"<{ndim}QI", read_exact(fh, 8 * ndim + 4, where))
+            for axis, size in zip(axis_names, shape):
+                if axes.setdefault(axis, int(axis) if axis.isdigit() else size) != size:
+                    raise CorruptionError(f"{section} gives axis {axis} size {size}, "
+                                          f"not {axes[axis]}")
+            if type_code == "str":
+                data = read_exact(fh, 8 * shape[0], section)
+                sizes = np.frombuffer(data, dtype="<u8").tolist()  # Python ints: no wrap
+                data += read_exact(fh, sum(sizes), section)
+            else:
+                data = read_exact(fh, math.prod(shape) * np.dtype(type_code).itemsize, section)
+            if zlib.crc32(data) != crc:
+                raise CorruptionError(f"{section} fails its checksum")
+            try:  # a name that is not UTF-8; an empty array claiming an axis no array can have
+                if type_code == "str":
+                    ends = (8 * len(sizes) + np.cumsum([0, *sizes])).tolist()
+                    found[name] = [data[a:b].decode("utf-8") for a, b in zip(ends, ends[1:])]
+                else:
+                    found[name] = np.frombuffer(data, dtype=type_code).reshape(shape)
+            except ValueError as exc:
+                raise CorruptionError(f"{section} does not decode: {exc}") from exc
+        if fh.read(1):
+            raise CorruptionError(f"{where} has trailing bytes after its last section")
+    return found
 
 
 def iter_jsonl(path: str | Path, kind: str) -> Iterator[tuple[str, dict]]:
@@ -130,9 +246,7 @@ def iter_jsonl(path: str | Path, kind: str) -> Iterator[tuple[str, dict]]:
 
 def write_jsonl(path: str | Path, records: Iterable[dict]) -> None:
     """One JSON object per line, keys sorted; what iter_jsonl reads back."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for rec in records:
-            fh.write(json.dumps(rec, sort_keys=True) + "\n")
+    write_text(path, "".join(json.dumps(rec, sort_keys=True) + "\n" for rec in records))
 
 
 def str_fields(rec, names: Sequence[str], where: str, kind: str) -> list[str]:

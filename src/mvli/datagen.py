@@ -25,7 +25,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 from .augment import AugmentedDocument, image_key_for_entity
 from .bm25 import Bm25Index
 from .core import (ConfigError, FormatError, GenerationError, Rng, iter_jsonl, str_fields,
-                   write_jsonl)
+                   write_jsonl, write_text)
 
 REJECT_LEAK = "leak"
 REJECT_NO_QUALIFIER = "no_qualifier"
@@ -510,9 +510,7 @@ def save_rejected(rejected: Sequence[RejectedSample], path: str | Path) -> None:
 
 
 def save_typemap(typemap: Mapping[str, str], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(dict(typemap), fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    write_text(path, json.dumps(dict(typemap), sort_keys=True, indent=2) + "\n")
 
 
 def load_typemap(path: str | Path) -> dict[str, str]:

@@ -13,9 +13,8 @@ from __future__ import annotations
 import functools
 import hashlib
 import math
-import struct
 import sys
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, replace
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -27,17 +26,15 @@ from .core import (
     CorruptionError,
     DocumentError,
     FeatureSet,
-    FormatError,
     InputError,
     MissingEmbeddingError,
     NumericError,
     Rng,
     SpanError,
-    UnsupportedVersionError,
-    encode_utf8,
-    read_exact,
+    read_sections,
     seeded_unit_vector,
     tokenize,
+    write_sections,
 )
 
 # ---------------------------------------------------------------------------
@@ -250,66 +247,30 @@ def check_params_finite(params: EncoderParams) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Parameter checkpoint file: magic "MPRM", version, encoder shape header,
-# then a tensor table of (name, shape, float64 values), all little-endian.
+# Parameter checkpoint file, version 2, in core's section framing: the encoder
+# shape header (the 8 EncoderConfig fields, ff_dim resolved), then the tensors.
 # ---------------------------------------------------------------------------
 
-_PARAMS_MAGIC = b"MPRM"
-_PARAMS_VERSION = 1
+_PARAMS_FILE = (b"MPRM", 2, "checkpoint")  # magic, version, kind
+# a tensor's ndim does not depend on the config; load_params checks each axis's size
+_PARAMS_LAYOUT = {"encoder_shape": ("<u8", "8"), **{
+    name: ("<f8", " ".join(f"{name}:{axis}" for axis in range(len(shape))))
+    for name, shape in param_shapes(EncoderConfig()).items()}}
 
 
 def save_params(params: EncoderParams, config: EncoderConfig, path: str | Path) -> None:
     tensors = named_tensors(params)
-    with open(path, "wb") as fh:
-        fh.write(_PARAMS_MAGIC)
-        fh.write(struct.pack("<I", _PARAMS_VERSION))
-        fh.write(struct.pack(
-            "<8I", config.dim, config.text_dim, config.image_dim, config.n_patches,
-            config.n_heads, config.attn_dim, config.ffn_dim, config.n_mm_tokens,
-        ))
-        fh.write(struct.pack("<I", len(tensors)))
-        for name in sorted(tensors):
-            arr = np.ascontiguousarray(tensors[name], dtype=np.float64)
-            encoded = name.encode("utf-8")
-            fh.write(struct.pack("<H", len(encoded)))
-            fh.write(encoded)
-            fh.write(struct.pack("<B", arr.ndim))
-            fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-            fh.write(arr.tobytes())
+    header = astuple(replace(config, ff_dim=config.ffn_dim))
+    write_sections(path, *_PARAMS_FILE, [("encoder_shape", "<u8", header)]
+                   + [(name, "<f8", tensors[name]) for name in sorted(tensors)])
 
 
 def load_params(path: str | Path) -> tuple[EncoderParams, EncoderConfig]:
-    with open(path, "rb") as fh:
-        if read_exact(fh, 4, "checkpoint") != _PARAMS_MAGIC:
-            raise FormatError(f"{path}: not a parameter checkpoint (bad magic)")
-        (version,) = struct.unpack("<I", read_exact(fh, 4, "checkpoint"))
-        if version != _PARAMS_VERSION:
-            raise UnsupportedVersionError(f"{path}: unsupported checkpoint version {version}")
-        dims = struct.unpack("<8I", read_exact(fh, 32, "checkpoint"))
-        try:
-            config = EncoderConfig(
-                dim=dims[0], text_dim=dims[1], image_dim=dims[2], n_patches=dims[3],
-                n_heads=dims[4], attn_dim=dims[5], ff_dim=dims[6], n_mm_tokens=dims[7],
-            )
-        except ConfigError as exc:
-            raise CorruptionError(f"{path}: bad encoder shape header: {exc}") from exc
-        (count,) = struct.unpack("<I", read_exact(fh, 4, "checkpoint"))
-        tensors: dict[str, np.ndarray] = {}
-        for _ in range(count):
-            (name_len,) = struct.unpack("<H", read_exact(fh, 2, "checkpoint"))
-            try:
-                name = read_exact(fh, name_len, "checkpoint").decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise CorruptionError(f"{path}: tensor name is not utf-8") from exc
-            (ndim,) = struct.unpack("<B", read_exact(fh, 1, "checkpoint"))
-            if ndim > 2:  # every parameter is a vector or a matrix
-                raise CorruptionError(f"{path}: tensor {name!r} has {ndim} dimensions")
-            shape = struct.unpack(f"<{ndim}I", read_exact(fh, 4 * ndim, "checkpoint"))
-            data = np.frombuffer(read_exact(fh, 8 * math.prod(shape), "checkpoint"), dtype="<f8")
-            tensors[name] = data.reshape(shape).copy()
-        if fh.read(1):
-            raise CorruptionError(f"{path}: trailing bytes after tensor table")
-
+    tensors = read_sections(path, *_PARAMS_FILE, _PARAMS_LAYOUT)
+    try:  # the header holds the fields in declaration order
+        config = EncoderConfig(*tensors.pop("encoder_shape").tolist())
+    except ConfigError as exc:
+        raise CorruptionError(f"{path}: bad encoder shape header: {exc}") from exc
     if {name: arr.shape for name, arr in tensors.items()} != param_shapes(config):
         raise CorruptionError(f"{path}: tensor table does not match the shape header")
     params = _params_from_tensors(tensors)
@@ -360,11 +321,9 @@ class SeededEmbeddingProvider:
 
 
 class FileEmbeddingProvider:
-    """Precomputed backbone features from a binary record file.
-
-    Record layout (little-endian): key length u32, key bytes (UTF-8), dim u32,
-    then dim float32 values.  Keys follow the convention "text:<token>",
-    "img-g:<image key>", "img-p:<patch index>:<image key>".
+    """Precomputed backbone features: a float32 vector per key, from a file
+    written by write_embedding_file.  Keys follow the convention
+    "text:<token>", "img-g:<image key>", "img-p:<patch index>:<image key>".
     """
 
     def __init__(self, path: str | Path, config: EncoderConfig):
@@ -391,36 +350,32 @@ class FileEmbeddingProvider:
         return self._lookup(f"img-p:{patch_index}:{image_key}", self.config.image_dim)
 
 
+# Embedding file, version 1, in core's section framing: the keys, ascending,
+# each key's vector length, and the vectors' values in key order.
+_EMBEDDING_FILE = (b"MEMB", 1, "embedding")  # magic, version, kind
+_EMBEDDING_LAYOUT = {"keys": ("str", "records"), "dims": ("<u4", "records"),
+                     "values": ("<f4", "values")}
+
+
 def write_embedding_file(records: Mapping[str, np.ndarray], path: str | Path) -> None:
     keys = sorted(records)
-    names = [encode_utf8(key, "embedding key") for key in keys]  # before the file is opened
-    with open(path, "wb") as fh:
-        for key, encoded in zip(keys, names):
-            values = np.ascontiguousarray(records[key], dtype="<f4")
-            fh.write(struct.pack("<I", len(encoded)))
-            fh.write(encoded)
-            fh.write(struct.pack("<I", values.shape[0]))
-            fh.write(values.tobytes())
+    vectors = [np.asarray(records[key], dtype="<f4") for key in keys]
+    write_sections(path, *_EMBEDDING_FILE, [
+        ("keys", "str", keys), ("dims", "<u4", [len(v) for v in vectors]),
+        ("values", "<f4", np.concatenate([np.empty(0, dtype="<f4"), *vectors]))])
 
 
 def read_embedding_file(path: str | Path) -> dict[str, np.ndarray]:
-    records: dict[str, np.ndarray] = {}
-    with open(path, "rb") as fh:
-        while True:
-            head = fh.read(4)
-            if not head:
-                break
-            if len(head) != 4:
-                raise CorruptionError(f"{path}: truncated record header")
-            (key_len,) = struct.unpack("<I", head)
-            try:
-                key = read_exact(fh, key_len, "embedding").decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise CorruptionError(f"{path}: embedding key is not utf-8") from exc
-            (dim,) = struct.unpack("<I", read_exact(fh, 4, "embedding"))
-            data = np.frombuffer(read_exact(fh, 4 * dim, "embedding"), dtype="<f4")
-            records[key] = data.astype(np.float64)
-    return records
+    sections = read_sections(path, *_EMBEDDING_FILE, _EMBEDDING_LAYOUT)
+    keys, dims, values = sections["keys"], sections["dims"], sections["values"]
+    for a, b in zip(keys, keys[1:]):
+        if a >= b:
+            raise CorruptionError(f"{path}: embedding keys are not strictly ascending: "
+                                  f"{a!r}, {b!r}")
+    total = int(dims.sum(dtype=np.int64))
+    if total != len(values):
+        raise CorruptionError(f"{path}: embedding dims sum to {total}, not {len(values)}")
+    return dict(zip(keys, np.split(values.astype(np.float64), np.cumsum(dims)[:-1])))
 
 
 def embed_tokens(tokens: Sequence[str], provider, config: EncoderConfig) -> np.ndarray:

@@ -13,8 +13,6 @@ same two passes, by the same helper, as the exact ranker's.
 
 from __future__ import annotations
 
-import os
-import struct
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping
@@ -26,19 +24,13 @@ from .core import (
     CorruptionError,
     FeatureSet,
     FormatError,
-    InputError,
     Rng,
     ShapeError,
     UNIT_ATOL,
-    UnsupportedVersionError,
-    encode_utf8,
-    read_exact,
+    read_sections,
+    write_sections,
 )
 from .scoring import ScoredDoc, _maxsim_sums, _two_pass, stack_rows
-
-INDEX_MAGIC = b"MVLI"
-INDEX_VERSION = 2
-
 
 @dataclass(frozen=True)
 class SearchParams:
@@ -392,39 +384,23 @@ def search(index: RetrievalIndex, query: FeatureSet, params: SearchParams) -> li
 
 
 # ---------------------------------------------------------------------------
-# Binary file format v2, little-endian: magic "MVLI", version u32, header
-# (dim u32, K u32, N u64, n_docs u32, nbits u8), centroids (K x dim f64),
-# codebook (code_min, code_max: dim f64 each), codes (N x dim u8, or f64 when
-# nbits == 0), assignments (N u32), doc sizes (n_docs u64), then per doc its
-# id (u16 length + utf-8).  Everything else is derived on load.
+# Index file in core's section framing: each stored RetrievalIndex field in the
+# section of its name, nbits the codes' type (|u1 for 8, <f8 for 0).
 # ---------------------------------------------------------------------------
 
-_HEADER = struct.Struct("<IIQIB")
+_INDEX_FILE = (b"MVLI", 3, "index")  # magic, version, kind
+_INDEX_LAYOUT = {
+    "centroids": ("<f8", "K dim"), "code_min": ("<f8", "dim"), "code_max": ("<f8", "dim"),
+    "codes": ("|u1 <f8", "N dim"), "assignments": ("<u4", "N"),
+    "doc_sizes": ("<u8", "D"), "doc_ids": ("str", "D"),
+}
 
 
 def save_index(index: RetrievalIndex, path: str | Path) -> None:
-    names = [encode_utf8(doc_id, "document id") for doc_id in index.doc_ids]
-    for doc_id, name in zip(index.doc_ids, names):  # checked before the file is opened
-        if len(name) > 0xFFFF:
-            raise InputError(f"document id {doc_id[:40]!r}... is {len(name)} UTF-8 bytes; "
-                             "an index stores at most 65535")
-    with open(path, "wb") as fh:
-        fh.write(INDEX_MAGIC)
-        fh.write(struct.pack("<I", INDEX_VERSION))
-        fh.write(_HEADER.pack(
-            index.dim, index.centroids.shape[0], index.n_vectors,
-            len(index.doc_ids), index.nbits,
-        ))
-        fh.write(np.ascontiguousarray(index.centroids, dtype="<f8").tobytes())
-        fh.write(np.ascontiguousarray(index.code_min, dtype="<f8").tobytes())
-        fh.write(np.ascontiguousarray(index.code_max, dtype="<f8").tobytes())
-        code_dtype = "<f8" if index.nbits == 0 else np.uint8
-        fh.write(np.ascontiguousarray(index.codes, dtype=code_dtype).tobytes())
-        fh.write(np.ascontiguousarray(index.assignments, dtype="<u4").tobytes())
-        fh.write(np.ascontiguousarray(index.doc_sizes, dtype="<u8").tobytes())
-        for name in names:
-            fh.write(struct.pack("<H", len(name)))
-            fh.write(name)
+    codes_type = "<f8" if index.nbits == 0 else "|u1"
+    write_sections(path, *_INDEX_FILE, [
+        (name, codes_type if name == "codes" else types, getattr(index, name))
+        for name, (types, _) in _INDEX_LAYOUT.items()])
 
 
 def _check_values(path, centroids: np.ndarray, code_min: np.ndarray, code_max: np.ndarray,
@@ -447,57 +423,16 @@ def _check_values(path, centroids: np.ndarray, code_min: np.ndarray, code_max: n
 
 
 def load_index(path: str | Path) -> RetrievalIndex:
-    with open(path, "rb") as fh:
-
-        def block(count: int, dtype) -> np.ndarray:
-            dt = np.dtype(dtype)
-            return np.frombuffer(read_exact(fh, count * dt.itemsize, "index"), dtype=dt).copy()
-
-        magic = read_exact(fh, 4, "index")
-        if magic != INDEX_MAGIC:
-            raise FormatError(f"{path}: not an index file (bad magic {magic!r})")
-        (version,) = struct.unpack("<I", read_exact(fh, 4, "index"))
-        if version != INDEX_VERSION:
-            raise UnsupportedVersionError(f"{path}: unsupported index version {version}")
-        dim, k_cent, n_vec, n_docs, nbits = _HEADER.unpack(read_exact(fh, _HEADER.size, "index"))
-        if nbits not in (0, 8):
-            raise FormatError(f"{path}: nbits must be 0 or 8, got {nbits}")
-        if min(dim, k_cent, n_docs) < 1:
-            raise FormatError(f"{path}: dim, centroid and document counts must be >= 1")
-        code_bytes = 8 if nbits == 0 else 1
-        # the smallest file this header allows: every doc id empty
-        need = (fh.tell() + 8 * (k_cent + 2) * dim + n_vec * (code_bytes * dim + 4)
-                + n_docs * (8 + 2))
-        have = os.fstat(fh.fileno()).st_size
-        if need > have:
-            raise CorruptionError(f"{path}: header needs at least {need} bytes, file has {have}")
-        centroids = block(k_cent * dim, "<f8").reshape(k_cent, dim)
-        code_min = block(dim, "<f8")
-        code_max = block(dim, "<f8")
-        codes = block(n_vec * dim, "<f8" if nbits == 0 else np.uint8).reshape(n_vec, dim)
-        assignments = block(n_vec, "<u4").astype(np.int64)
-        doc_sizes = block(n_docs, "<u8")
-        doc_ids = []
-        for _ in range(n_docs):
-            (name_len,) = struct.unpack("<H", read_exact(fh, 2, "index"))
-            try:
-                doc_ids.append(read_exact(fh, name_len, "index").decode("utf-8"))
-            except UnicodeDecodeError as exc:
-                raise CorruptionError(f"{path}: document id is not utf-8") from exc
-        if fh.read(1):
-            raise CorruptionError(f"{path}: trailing bytes after document table")
+    arrays = read_sections(path, *_INDEX_FILE, _INDEX_LAYOUT)
+    centroids, code_min, code_max, codes = (
+        arrays[name] for name in ("centroids", "code_min", "code_max", "codes"))
+    (k_cent, dim), nbits = centroids.shape, 8 if codes.dtype == np.uint8 else 0
+    if min(dim, k_cent, len(arrays["doc_ids"])) < 1:
+        raise FormatError(f"{path}: dim, centroid and document counts must be >= 1")
     finite = [centroids, code_min, code_max] + ([codes] if nbits == 0 else [])
     if not all(np.isfinite(a).all() for a in finite):
         raise CorruptionError(f"{path}: non-finite centroid, codebook or vector values")
     _check_values(path, centroids, code_min, code_max, codes if nbits == 0 else None)
-    return RetrievalIndex(
-        dim=dim,
-        nbits=nbits,
-        centroids=centroids,
-        assignments=assignments,
-        codes=codes,
-        code_min=code_min,
-        code_max=code_max,
-        doc_ids=doc_ids,
-        doc_sizes=doc_sizes.astype(np.int64),
-    )
+    for name in ("assignments", "doc_sizes"):
+        arrays[name] = arrays[name].astype(np.int64)
+    return RetrievalIndex(dim=dim, nbits=nbits, **arrays)

@@ -1,15 +1,19 @@
 from __future__ import annotations
 
+import math
 import os
 import resource
+import struct
 import subprocess
 import sys
+import zlib
 
 import numpy as np
 import pytest
 
+from mvli import encoder, index
 from mvli.augment import RawDocument, augment_kb
-from mvli.core import FeatureSet, Rng
+from mvli.core import FeatureSet, Rng, read_sections, write_sections
 from mvli.encoder import EncoderConfig, SeededEmbeddingProvider, init_encoder_params
 
 
@@ -106,3 +110,55 @@ def capped_address_space():
         yield
     finally:
         resource.setrlimit(resource.RLIMIT_AS, before)
+
+
+# ---------------------------------------------------------------------------
+# The binary files in core's section framing.
+# ---------------------------------------------------------------------------
+
+# kind -> the (magic, version, kind, layout) its reader passes to read_sections
+SECTION_FORMATS = {
+    "index": (*index._INDEX_FILE, index._INDEX_LAYOUT),
+    "checkpoint": (*encoder._PARAMS_FILE, encoder._PARAMS_LAYOUT),
+    "embedding": (*encoder._EMBEDDING_FILE, encoder._EMBEDDING_LAYOUT),
+}
+
+
+def rewrite_sections(path, kind: str, **changes) -> None:
+    """Save a valid file of the given kind again through write_sections, in
+    its section order, with the named sections' values replaced; a new value
+    carries its type (its dtype, or "str" for a list).  Every checksum stays
+    valid, so the reader's other checks decide."""
+    fmt = SECTION_FORMATS[kind]
+    sections = {**read_sections(path, *fmt), **changes}
+    write_sections(path, *fmt[:3], [
+        (name, "str" if isinstance(value, list) else value.dtype.str, value)
+        for name, value in sections.items()])
+
+
+def section_spans(data: bytes) -> dict[str, tuple[int, int, int]]:
+    """Name -> (offset of the shape, start and end of the bytes) of every
+    section of a file in core's framing, parsed here from the layout the
+    README gives rather than by read_sections."""
+    spans, at = {}, 12
+    for _ in range(struct.unpack_from("<I", data, 8)[0]):
+        name = data[at + 1:at + 1 + data[at]].decode("ascii")
+        at += 1 + data[at]
+        type_code, ndim = data[at], data[at + 1]
+        shape = struct.unpack_from(f"<{ndim}Q", data, at + 2)
+        start = at + 2 + 8 * ndim + 4
+        if type_code == 5:  # str: n u64 lengths, then the joined names
+            size = 8 * shape[0] + sum(struct.unpack_from(f"<{shape[0]}Q", data, start))
+        else:
+            size = math.prod(shape) * (8, 4, 8, 4, 1)[type_code]
+        spans[name] = (at + 2, start, start + size)
+        at = start + size
+    return spans
+
+
+def restamp_checksums(data: bytes) -> bytes:
+    """The file with every section's CRC recomputed from its bytes."""
+    out = bytearray(data)
+    for _, start, end in section_spans(data).values():
+        struct.pack_into("<I", out, start - 4, zlib.crc32(data[start:end]))
+    return bytes(out)

@@ -239,23 +239,6 @@ class TestExitCodes:
         assert "parameters" in proc.stderr
         assert not params.exists()
 
-    def test_overlong_doc_id_is_data_error(self, workdir, tmp_path, capsys):
-        root, cfg, out = workdir
-        lines = (out / "kb.jsonl").read_text(encoding="utf-8").splitlines(True)
-        record = json.loads(lines[-1])
-        record["doc_id"] = "d" * 65536
-        kb = tmp_path / "kb.jsonl"
-        kb.write_text("".join(lines[:-1]) + json.dumps(record) + "\n", encoding="utf-8")
-        params = tmp_path / "p.mprm"
-        config = EncoderConfig(dim=8, text_dim=12, image_dim=12, n_patches=2,
-                               n_heads=2, attn_dim=8, n_mm_tokens=2)
-        save_params(init_encoder_params(config, seed=0), config, params)
-        index = tmp_path / "kb.mvli"
-        assert run_cli("--config", str(cfg), "index", "--kb", str(kb), "--params", str(params),
-                       "--out", str(index)) == 3
-        assert "document id 'dddd" in capsys.readouterr().err
-        assert not index.exists()
-
     def test_lone_surrogate_doc_id_is_data_error(self, workdir, tmp_path):
         """Valid JSON, not text: rejected while the KB is read, before any
         encoding, with no traceback and no index file."""

@@ -1,22 +1,30 @@
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import random_feature_set, restamp_checksums, section_spans
 from mvli.core import (
     ConfigError,
+    CorruptionError,
     DomainError,
     FeatureSet,
     FormatError,
     NumericError,
     Rng,
     ShapeError,
+    UnsupportedVersionError,
     normalize_token,
+    read_sections,
     seeded_unit_vector,
     iter_jsonl,
     tokenize,
+    write_sections,
 )
-from mvli.encoder import rownorm_forward
+from mvli.encoder import init_encoder_params, rownorm_forward, save_params
+from mvli.index import build_index, save_index
 from mvli.scoring import late_interaction_score
 
 
@@ -191,3 +199,105 @@ class TestIterJsonl:
         path.write_text(r'{"doc_id": "\ud83d\ude00 x"}' + "\n", encoding="ascii")
         ((_, rec),) = list(iter_jsonl(path, "KB"))
         assert rec["doc_id"] == "\U0001f600 x"
+
+
+# A layout of the section framing's own: rows of either type, one name per row.
+LAYOUT = {"rows": ("<f8 |u1", "n dim"), "names": ("str", "n")}
+ROWS = ("rows", "<f8", np.arange(6.0).reshape(3, 2))
+NAMES = ("names", "str", ["a", "b\u00e9", ""])
+
+
+def _save(path, *sections) -> None:
+    write_sections(path, b"TEST", 1, "test", list(sections))
+
+
+def _read(path):
+    return read_sections(path, b"TEST", 1, "test", LAYOUT)
+
+
+class TestSections:
+    def test_round_trip_is_byte_exact(self, tmp_path):
+        path, again = tmp_path / "a", tmp_path / "b"
+        for rows in (ROWS, ("rows", "|u1", np.arange(6, dtype=np.uint8).reshape(3, 2))):
+            _save(path, rows, NAMES)
+            loaded = _read(path)
+            assert loaded["names"] == NAMES[2]
+            assert loaded["rows"].dtype == rows[2].dtype
+            np.testing.assert_array_equal(loaded["rows"], rows[2])
+            _save(again, ("rows", rows[1], loaded["rows"]), ("names", "str", loaded["names"]))
+            assert again.read_bytes() == path.read_bytes()
+
+    @pytest.mark.parametrize("sections, message", [
+        ([ROWS, ("labels", "str", NAMES[2])], "unknown or repeated test section 'labels'"),
+        ([ROWS, ROWS], "unknown or repeated test section 'rows'"),
+        ([ROWS], "has 1 sections, not 2"),
+        ([("rows", "<f4", ROWS[2]), NAMES], r"'rows' has type <f4, not <f8 or \|u1"),
+        ([("rows", "<f8", ROWS[2].ravel()), NAMES], "'rows' has 1 dimensions, not 2"),
+        ([ROWS, ("names", "str", NAMES[2] + ["z"])], "'names' gives axis n size 4"),
+    ])
+    def test_layout_violations(self, tmp_path, sections, message):
+        path = tmp_path / "a"
+        _save(path, *sections)
+        with pytest.raises(CorruptionError, match=message):
+            _read(path)
+
+    def test_byte_edits(self, tmp_path):
+        path = tmp_path / "a"
+        _save(path, ROWS, NAMES)
+        data = path.read_bytes()
+        spans = section_spans(data)
+        rows_at = spans["rows"][1]
+        names_at = spans["names"][1] + 8 * 3  # past the three lengths
+        cases = [
+            (b"JUNK" + data[4:], FormatError, "bad test file magic"),
+            (data[:4] + (2).to_bytes(4, "little") + data[8:], UnsupportedVersionError,
+             "version 2"),
+            (data[:-3], CorruptionError, "'names' is truncated"),
+            (data + b"\0", CorruptionError, "trailing bytes"),
+            (data[:rows_at] + bytes([data[rows_at] ^ 1]) + data[rows_at + 1:],
+             CorruptionError, "'rows' fails its checksum"),
+            (data[:spans["rows"][0] - 1] + b"\xff" + data[spans["rows"][0]:],
+             CorruptionError, "'rows' has 255 dimensions"),
+            (restamp_checksums(data[:names_at + 1] + b"\xff" + data[names_at + 2:]),
+             CorruptionError, "'names' does not decode: 'utf-8' codec"),
+        ]
+        for edited, error, message in cases:
+            path.write_bytes(edited)
+            with pytest.raises(error, match=message):
+                _read(path)
+
+    def test_empty_section_with_impossible_axis(self, tmp_path):
+        """No rows, and 2**64 - 1 columns: no array has that shape."""
+        path = tmp_path / "a"
+        _save(path, ("rows", "<f8", np.zeros((0, 2))), ("names", "str", []))
+        data = bytearray(path.read_bytes())
+        struct.pack_into("<Q", data, section_spans(data)["rows"][0] + 8, 2**64 - 1)
+        path.write_bytes(bytes(data))
+        with pytest.raises(CorruptionError, match="'rows' does not decode"):
+            _read(path)
+
+    @pytest.mark.parametrize("kind", ["index", "checkpoint"])
+    def test_save_failing_midway_leaves_earlier_file(self, tmp_path, tiny_config, kind):
+        """A save that raises after some sections are written leaves the
+        earlier file byte-identical and no .tmp file behind."""
+        path = tmp_path / "x"
+        if kind == "index":
+            built = build_index({f"d{i}": random_feature_set(Rng(i), 4, 6) for i in range(3)},
+                                seed=1)
+            save_index(built, path)
+            built.assignments = np.full(built.n_vectors, "junk")  # a section after the codes
+
+            def save():
+                save_index(built, path)
+        else:
+            params = init_encoder_params(tiny_config, seed=1)
+            save_params(params, tiny_config, path)
+            params.xattn.wv = np.full(params.xattn.wv.shape, "junk")  # the last section
+
+            def save():
+                save_params(params, tiny_config, path)
+        before = path.read_bytes()
+        with pytest.raises(ValueError):
+            save()
+        assert path.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [path]

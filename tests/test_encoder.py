@@ -6,7 +6,13 @@ import pytest
 
 import mvli.encoder as encoder_mod
 from _oracles import naive_cross_attention, naive_document_features, naive_query_features
-from conftest import random_feature_set, run_cli_capped
+from conftest import (
+    SECTION_FORMATS,
+    random_feature_set,
+    rewrite_sections,
+    run_cli_capped,
+    section_spans,
+)
 from mvli.augment import AugmentedDocument, RawDocument, RelatedEntity, augment_kb
 from mvli.core import (
     ConfigError,
@@ -19,6 +25,7 @@ from mvli.core import (
     Rng,
     SpanError,
     UnsupportedVersionError,
+    read_sections,
     tokenize,
 )
 from mvli.encoder import (
@@ -42,6 +49,7 @@ from mvli.encoder import (
     named_tensors,
     param_shapes,
     params_checksum,
+    read_embedding_file,
     save_params,
     write_embedding_file,
 )
@@ -126,6 +134,20 @@ class TestFileProvider:
         with pytest.raises(InputError, match=r"'text:\\udcff'"):
             write_embedding_file(records, path)
         assert not path.exists()
+
+    @pytest.mark.parametrize("changes, message", [
+        ({"keys": ["text:b", "text:a"]}, "strictly ascending"),
+        ({"keys": ["text:a", "text:a"]}, "strictly ascending"),
+        ({"dims": np.array([3, 4], dtype="<u4")}, "dims sum to 7, not 6"),
+    ])
+    def test_inconsistent_records(self, tmp_path, changes, message):
+        """A repeated or unsorted key, or vector lengths that do not cover
+        the values, in a file whose checksums are valid."""
+        path = tmp_path / "emb.bin"
+        write_embedding_file({"text:a": np.ones(3), "text:b": np.ones(3)}, path)
+        rewrite_sections(path, "embedding", **changes)
+        with pytest.raises(CorruptionError, match=message):
+            read_embedding_file(path)
 
     def test_truncated_file(self, tmp_path, tiny_config):
         path = tmp_path / "emb.bin"
@@ -528,30 +550,50 @@ class TestCheckpoint:
             load_params(path)
 
 
-# A checkpoint holds magic, version, 8 shape fields and a tensor count (44
-# bytes), then its tensors in name order; the first is "ete" of shape
-# (text_dim,): name length at 44, name at 46, ndim at 49, shape at 50, values
-# from 54.  case -> (error, message fragment, CLI exit code, mutation)
+def _edit(edit):
+    """A mutation editing the saved checkpoint's bytes, given its section spans."""
+    def mutate(path):
+        data = bytearray(path.read_bytes())
+        edit(data, section_spans(data))
+        path.write_bytes(bytes(data))
+    return mutate
+
+
+def _set(name: str, at: int, value):
+    """A mutation rewriting one section, its checksum valid, with element
+    `at` of its flattened values set to value."""
+    def mutate(path):
+        array = read_sections(path, *SECTION_FORMATS["checkpoint"])[name].copy()
+        array.flat[at] = value
+        rewrite_sections(path, "checkpoint", **{name: array})
+    return mutate
+
+
+# The encoder shape header holds dim, text_dim, image_dim, n_patches, n_heads,
+# attn_dim, ff_dim, n_mm_tokens; "ete", of shape (text_dim,), is the first
+# tensor and "xattn.wv" the last.  case -> (error, message fragment, CLI exit
+# code, mutation)
 CHECKPOINT_MUTATIONS = {
-    "tensor_shape_huge": (CorruptionError, "needs", 3,
-                          lambda d: struct.pack_into("<I", d, 50, 2**31)),
-    "tensor_ndim_huge": (CorruptionError, "dimensions", 3, lambda d: d.__setitem__(49, 255)),
-    "truncated_in_values": (CorruptionError, "needs", 3,
-                            lambda d: d.__delitem__(slice(60, None))),
-    "tensor_name_not_utf8": (CorruptionError, "utf-8", 3, lambda d: d.__setitem__(46, 0xFF)),
+    "tensor_shape_huge": (CorruptionError, "needs", 3, _edit(
+        lambda d, s: struct.pack_into("<Q", d, s["ete"][0], 2**31))),
+    "tensor_ndim_huge": (CorruptionError, "dimensions", 3, _edit(
+        lambda d, s: d.__setitem__(s["ete"][0] - 1, 255))),
+    "truncated_in_values": (CorruptionError, "needs", 3, _edit(
+        lambda d, s: d.__delitem__(slice(s["ete"][1] + 6, None)))),
+    # a section name is ASCII: "ete" with a 0xFF byte names no tensor
+    "tensor_name_not_utf8": (CorruptionError, "unknown or repeated checkpoint section", 3,
+                             _edit(lambda d, s: d.__setitem__(s["ete"][0] - 4, 0xFF))),
     "heads_not_dividing_attn_dim": (CorruptionError, "shape header", 3,
-                                    lambda d: struct.pack_into("<I", d, 24, 3)),
+                                    _set("encoder_shape", 4, 3)),
     # a header whose shapes would need 128 GiB: past the parameter budget
     "header_text_dim_huge": (CorruptionError, "parameters, more than", 3,
-                             lambda d: struct.pack_into("<I", d, 12, 2**31)),
+                             _set("encoder_shape", 1, 2**31)),
     # a header inside the budget whose shapes no tensor in the file has
     "header_text_dim_large": (CorruptionError, "does not match the shape header", 3,
-                              lambda d: struct.pack_into("<I", d, 12, 2**20)),
+                              _set("encoder_shape", 1, 2**20)),
     # non-finite parameters are a numeric error wherever they are found
-    "nan_first_tensor": (NumericError, "non-finite", 4,
-                         lambda d: struct.pack_into("<d", d, 54, np.nan)),
-    "inf_last_tensor": (NumericError, "non-finite", 4,
-                        lambda d: struct.pack_into("<d", d, len(d) - 8, np.inf)),
+    "nan_first_tensor": (NumericError, "non-finite", 4, _set("ete", 0, np.nan)),
+    "inf_last_tensor": (NumericError, "non-finite", 4, _set("xattn.wv", -1, np.inf)),
 }
 
 
@@ -560,9 +602,7 @@ def test_mutated_checkpoint_rejected(tmp_path, tiny_config, case):
     error, message, exit_code, mutate = CHECKPOINT_MUTATIONS[case]
     path = tmp_path / "p.mprm"
     save_params(init_encoder_params(tiny_config, seed=1), tiny_config, path)
-    data = bytearray(path.read_bytes())
-    mutate(data)
-    path.write_bytes(bytes(data))
+    mutate(path)
     corpus = {f"d{i}": random_feature_set(Rng(i), 5, tiny_config.dim) for i in range(3)}
     index_path = tmp_path / "x.mvli"
     save_index(build_index(corpus, seed=1), index_path)

@@ -17,7 +17,7 @@ from _oracles import (
     per_block_screen,
     single_pass_search,
 )
-from conftest import random_feature_set
+from conftest import random_feature_set, restamp_checksums, rewrite_sections, section_spans
 from mvli.cli import main
 from mvli.core import ConfigError, CorruptionError, FeatureSet, FormatError, InputError, Rng
 from mvli.core import UnsupportedVersionError
@@ -700,20 +700,15 @@ class TestPersistence:
         assert loaded.nbits == 0
         np.testing.assert_array_equal(loaded.codes, index.codes)
 
-    def test_doc_id_length_limit(self, tmp_path):
-        """A doc id is stored after a u16 byte count: 65,535 UTF-8 bytes
-        round-trip, one more is an InputError raised before the file opens."""
+    def test_long_doc_id_round_trips(self, tmp_path):
+        """Doc ids are stored after u64 byte counts: a 65,536-byte id, one
+        past what a u16 count could hold, round-trips."""
         corpus = make_corpus(n_docs=3)
-        longest = "\u00e9" * 32767 + "x"  # 65,535 bytes, 32,768 characters
+        longest = "\u00e9" * 32768
         corpus[longest] = corpus.pop("doc002")
         path = tmp_path / "x.mvli"
         save_index(build_index(corpus, seed=1), path)
         assert load_index(path).doc_ids[-1] == longest
-        corpus["\u00e9" * 32768] = corpus.pop(longest)
-        path = tmp_path / "y.mvli"
-        with pytest.raises(InputError, match="is 65536 UTF-8 bytes"):
-            save_index(build_index(corpus, seed=1), path)
-        assert not path.exists()
 
     def test_doc_id_without_utf8_form(self, tmp_path):
         """A doc id holding a lone surrogate is an InputError naming it,
@@ -737,7 +732,7 @@ class TestPersistence:
         path = tmp_path / "x.mvli"
         save_index(index, path)
         original = path.read_bytes()
-        for version in (1, 42):  # 1: the older layout with postings and owner blocks
+        for version in (1, 2, 42):  # 1, 2: the older layouts, not read
             data = bytearray(original)
             data[4:8] = version.to_bytes(4, "little")
             path.write_bytes(bytes(data))
@@ -764,27 +759,15 @@ class TestPersistence:
             load_index(path)
 
 
-def _block_offsets(index) -> dict[str, int]:
-    """Byte offset of each block of a saved v2 index."""
-    k, dim, n = index.centroids.shape[0], index.dim, index.n_vectors
-    at = {"centroids": 29}
-    at["code_min"] = at["centroids"] + 8 * k * dim
-    at["code_max"] = at["code_min"] + 8 * dim
-    at["codes"] = at["code_max"] + 8 * dim
-    at["assignments"] = at["codes"] + n * dim * (8 if index.nbits == 0 else 1)
-    at["doc_sizes"] = at["assignments"] + 4 * n
-    at["doc_ids"] = at["doc_sizes"] + 8 * len(index.doc_ids)
-    return at
-
-
 # case -> (nbits of the saved file, expected error, message fragment)
 MUTATIONS = {
-    "n_vec_huge": (8, CorruptionError, "header needs at least"),
-    "truncated_in_codes": (8, CorruptionError, "header needs at least"),
-    "nbits_3": (8, FormatError, "nbits"),
+    "n_vec_huge": (8, CorruptionError, "truncated"),
+    "truncated_in_codes": (8, CorruptionError, "truncated"),
+    "codes_type_u4": (8, CorruptionError, "has type <u4"),
     "k_cent_0": (8, FormatError, ">= 1"),
     "n_docs_0": (8, FormatError, ">= 1"),
     "assignment_out_of_range": (8, CorruptionError, "missing centroid"),
+    "assignments_longer_than_codes": (8, CorruptionError, "gives axis N"),
     "empty_doc": (8, CorruptionError, "document size"),
     "doc_size_huge": (8, CorruptionError, "document size"),
     "sizes_sum_mismatch": (8, CorruptionError, "sum to"),
@@ -801,51 +784,73 @@ MUTATIONS = {
 }
 
 
-def _mutate(case: str, data: bytearray, index) -> None:
-    at = _block_offsets(index)
-    sizes = [int(s) for s in index.doc_sizes]
-    if case == "n_vec_huge":
-        struct.pack_into("<Q", data, 16, 2**40)
+def _mutate(case: str, path: Path, index) -> None:
+    """Rewrite the saved index through write_sections, its checksums valid,
+    so the check the case names is the one that fires; the cases a writer
+    cannot produce edit the bytes."""
+    data = bytearray(path.read_bytes())
+    spans = section_spans(data)
+    sizes = index.doc_sizes.astype(np.uint64)
+    centroids, codes = index.centroids.copy(), index.codes.copy()
+    code_min, code_max = index.code_min.copy(), index.code_max.copy()
+    changes = {}
+    if case == "n_vec_huge":  # the codes claim 2**40 rows
+        struct.pack_into("<Q", data, spans["codes"][0], 2**40)
     elif case == "truncated_in_codes":
-        del data[at["codes"] + 5:]
-    elif case == "nbits_3":
-        data[28] = 3
+        del data[spans["codes"][1] + 5:]
+    elif case == "doc_id_not_utf8":  # the first id's first byte
+        data[spans["doc_ids"][1] + 8 * len(index.doc_ids)] = 0xFF
+        data = bytearray(restamp_checksums(data))
+    elif case == "codes_type_u4":
+        changes["codes"] = codes.astype("<u4")
     elif case == "k_cent_0":
-        struct.pack_into("<I", data, 12, 0)
+        changes["centroids"] = centroids[:0]
     elif case == "n_docs_0":
-        struct.pack_into("<I", data, 24, 0)
+        changes.update(doc_sizes=sizes[:0], doc_ids=[])
     elif case == "assignment_out_of_range":
-        struct.pack_into("<I", data, at["assignments"], index.centroids.shape[0])
+        changes["assignments"] = np.full(index.n_vectors, index.centroids.shape[0], "<u4")
+    elif case == "assignments_longer_than_codes":
+        changes["assignments"] = np.zeros(index.n_vectors + 1, "<u4")
     elif case == "empty_doc":  # sizes still sum to the vector count
-        struct.pack_into("<QQ", data, at["doc_sizes"], 0, sizes[0] + sizes[1])
+        sizes[:2] = 0, sizes[0] + sizes[1]
+        changes["doc_sizes"] = sizes
     elif case == "doc_size_huge":
-        struct.pack_into("<Q", data, at["doc_sizes"], 2**64 - 1)
+        sizes[0] = 2**64 - 1
+        changes["doc_sizes"] = sizes
     elif case == "sizes_sum_mismatch":
-        struct.pack_into("<Q", data, at["doc_sizes"], sizes[0] + 1)
+        sizes[0] += 1
+        changes["doc_sizes"] = sizes
     elif case == "nan_centroid":
-        struct.pack_into("<d", data, at["centroids"], np.nan)
+        centroids[0, 0] = np.nan
+        changes["centroids"] = centroids
     elif case == "inf_codebook":
-        struct.pack_into("<d", data, at["code_max"], np.inf)
+        code_max[0] = np.inf
+        changes["code_max"] = code_max
     elif case == "nan_lossless_vector":
-        struct.pack_into("<d", data, at["codes"], np.nan)
-    elif case == "doc_id_not_utf8":
-        data[at["doc_ids"] + 2] = 0xFF
-    elif case == "duplicate_doc_id":  # doc002 -> doc001; each id is u16 length + 6 bytes
-        data[at["doc_ids"] + 2 * 8 + 7] = ord("1")
-    elif case == "doc_ids_unsorted":  # doc000 -> doc009
-        data[at["doc_ids"] + 7] = ord("9")
+        codes[0, 0] = np.nan
+        changes["codes"] = codes
+    elif case == "duplicate_doc_id":
+        changes["doc_ids"] = ["doc000", "doc001", "doc001"]
+    elif case == "doc_ids_unsorted":
+        changes["doc_ids"] = ["doc009", "doc001", "doc002"]
     elif case == "codebook_swapped":  # dimension 0 of the codebook
         assert index.code_min[0] < index.code_max[0]
-        struct.pack_into("<d", data, at["code_min"], index.code_max[0])
-        struct.pack_into("<d", data, at["code_max"], index.code_min[0])
+        code_min[0], code_max[0] = index.code_max[0], index.code_min[0]
+        changes.update(code_min=code_min, code_max=code_max)
     elif case == "codebook_out_of_range":
-        struct.pack_into("<d", data, at["code_max"], 2.5)
+        code_max[0] = 2.5
+        changes["code_max"] = code_max
     elif case == "centroid_not_unit":
-        struct.pack_into("<d", data, at["centroids"], 2.0)
+        centroids[0, 0] = 2.0
+        changes["centroids"] = centroids
     elif case == "lossless_vector_not_unit":
-        struct.pack_into("<d", data, at["codes"], 2.0)
+        codes[0, 0] = 2.0
+        changes["codes"] = codes
     else:
         raise AssertionError(case)
+    path.write_bytes(bytes(data))
+    if changes:
+        rewrite_sections(path, "index", **changes)
 
 
 @pytest.fixture(scope="module")
@@ -863,10 +868,26 @@ def test_mutated_file_rejected(tmp_path, params_file, case):
     index = build_index(make_corpus(n_docs=3), nbits=nbits, seed=1)
     path = tmp_path / "x.mvli"
     save_index(index, path)
-    data = bytearray(path.read_bytes())
-    _mutate(case, data, index)
-    path.write_bytes(bytes(data))
+    _mutate(case, path, index)
     with pytest.raises(error, match=message):
         load_index(path)
     assert main(["search", "--index", str(path), "--params", str(params_file),
                  "--image-key", "img::x"]) == 3
+
+
+def test_damaged_index_names_its_section(tmp_path, params_file, capsys):
+    """2,000 bytes XOR-ed in the middle of a 40-doc index: `mvli search`
+    exits 3 naming the section they sit in, rather than answering from the
+    damaged values."""
+    path = tmp_path / "x.mvli"
+    save_index(build_index(make_corpus(n_docs=40), seed=1), path)
+    data = bytearray(path.read_bytes())
+    lo, hi = len(data) // 2 - 1000, len(data) // 2 + 1000
+    [name] = [name for name, (_, start, end) in section_spans(data).items()
+              if start <= lo and hi <= end]
+    data[lo:hi] = bytes(b ^ 0x5A for b in data[lo:hi])
+    path.write_bytes(bytes(data))
+    capsys.readouterr()
+    assert main(["search", "--index", str(path), "--params", str(params_file),
+                 "--image-key", "img::x"]) == 3
+    assert f"index section {name!r} fails its checksum" in capsys.readouterr().err

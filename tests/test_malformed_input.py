@@ -14,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import random_feature_set
+from conftest import SECTION_FORMATS, random_feature_set, restamp_checksums, section_spans
 from mvli.augment import load_augmented, load_kb, save_augmented, save_kb
 from mvli.cli import main
 from mvli.core import CorruptionError, EngineError, FormatError, Rng
@@ -86,7 +86,10 @@ def test_non_utf8_text_is_typed_error(tmp_path, small_kb, small_kb_aug, tiny_con
     _write(kind, path, small_kb, small_kb_aug, tiny_config)
     data = path.read_bytes()
     assert needle in data
-    path.write_bytes(data.replace(needle, needle[:1] + b"\xff" + needle[2:], 1))
+    data = data.replace(needle, needle[:1] + b"\xff" + needle[2:], 1)
+    if kind == "embedding":  # checksums valid, so the UTF-8 check is the one that fires
+        data = restamp_checksums(data)
+    path.write_bytes(data)
     with pytest.raises(error, match="utf-8"):
         READERS[kind](path)
 
@@ -96,11 +99,34 @@ def test_embedding_dim_beyond_file_end(tmp_path, small_kb, small_kb_aug, tiny_co
     path = tmp_path / "emb.bin"
     _write("embedding", path, small_kb, small_kb_aug, tiny_config)
     data = bytearray(path.read_bytes())
-    key_len = struct.unpack_from("<I", data, 0)[0]
-    struct.pack_into("<I", data, 4 + key_len, 2**32 - 1)  # 16 GiB of float32 values
+    shape_at = section_spans(data)["values"][0]
+    struct.pack_into("<Q", data, shape_at, 2**32 - 1)  # 16 GiB of float32 values
     path.write_bytes(bytes(data))
     with pytest.raises(CorruptionError, match="truncated"):
         read_embedding_file(path)
+
+
+# binary kind -> its section framing's kind in SECTION_FORMATS
+FRAMED = {"index": "index", "params": "checkpoint", "embedding": "embedding"}
+
+
+@pytest.mark.parametrize("kind", sorted(FRAMED))
+def test_byte_flip_names_its_section(tmp_path, small_kb, small_kb_aug, tiny_config, kind):
+    """One byte flipped at sampled offsets inside every section's bytes is a
+    CorruptionError naming that section: its checksum fails, or, for a
+    flipped name length, the names run past the end of the file."""
+    path = tmp_path / "input"
+    _write(kind, path, small_kb, small_kb_aug, tiny_config)
+    data = path.read_bytes()
+    spans = section_spans(data)
+    assert set(spans) == set(SECTION_FORMATS[FRAMED[kind]][3])
+    for name, (_, start, end) in spans.items():
+        for at in sorted({start, (start + end) // 2, end - 1}):
+            flipped = bytearray(data)
+            flipped[at] ^= 0xFF
+            path.write_bytes(bytes(flipped))
+            with pytest.raises(CorruptionError, match=f"section {name!r} (fails|is truncated)"):
+                READERS[kind](path)
 
 
 @pytest.mark.parametrize("command", ["augment", "train"])

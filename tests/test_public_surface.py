@@ -105,3 +105,28 @@ def test_every_private_name_is_used():
             elif isinstance(node, ast.alias):
                 read.add(node.name.split(".")[-1])
     assert [f"{module}: {name}" for module, name in defined if name not in read] == []
+
+
+def test_only_core_handles_binary_files():
+    """No `src/mvli` module but `core` imports `struct` or `zlib`, opens a
+    file in a binary write mode or calls `write_bytes`: the binary framing,
+    its checksums and the replace-into-place save live in one module."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "core.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                modules = ([alias.name for alias in node.names] if isinstance(node, ast.Import)
+                           else [node.module or ""])
+                found += [f"{path.name}:{node.lineno} imports {module}" for module in modules
+                          if module.split(".")[0] in ("struct", "zlib")]
+            elif isinstance(node, ast.Call):
+                func = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                modes = [arg.value for arg in node.args + [kw.value for kw in node.keywords]
+                         if isinstance(arg, ast.Constant) and isinstance(arg.value, str)
+                         and set(arg.value) <= set("rwxabt+") and "b" in arg.value
+                         and set(arg.value) & set("wxa+")]
+                if func == "write_bytes" or (func == "open" and modes):
+                    found.append(f"{path.name}:{node.lineno} calls {func}")
+    assert found == []
