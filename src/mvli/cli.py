@@ -214,7 +214,7 @@ def cmd_train(args, cfg: RunConfig) -> int:
     encoder_config = cfg.encoder_config()
     tcfg = cfg.train_config(seed)
     tcfg = dataclasses.replace(tcfg, flags=_flags(args, cfg))
-    kb, kb_aug = _load_world(args.kb)
+    _, kb_aug = _load_world(args.kb)
     samples = dg.load_samples(args.samples)
     provider = SeededEmbeddingProvider(encoder_config)
     params = init_encoder_params(encoder_config, seed)
@@ -236,7 +236,7 @@ def cmd_index(args, cfg: RunConfig) -> int:
     _require_files(args.kb, args.params)
     seed = cfg.seed(args.seed)
     params, encoder_config = load_params(args.params)
-    kb, kb_aug = _load_world(args.kb)
+    _, kb_aug = _load_world(args.kb)
     provider = SeededEmbeddingProvider(encoder_config)
     corpus = encode_corpus(kb_aug, params, encoder_config, provider, _flags(args, cfg))
     built = idx.build_index(
@@ -293,34 +293,30 @@ def cmd_eval(args, cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_ablate(args, cfg: RunConfig) -> int:
+def _study_inputs(args, cfg: RunConfig):
+    """What ablate and probe both read: the encoder and train configs, then
+    the kb, its augmentation and the train and test samples."""
     _require_files(args.kb, args.train_samples, args.test_samples)
     seed = cfg.seed(args.seed)
     encoder_config = cfg.encoder_config()
     tcfg = cfg.train_config(seed)
-    kb, kb_aug = _load_world(args.kb)
-    train_samples = dg.load_samples(args.train_samples)
-    test_samples = dg.load_samples(args.test_samples)
-    report = ev.run_ablation(
-        kb, kb_aug, train_samples, test_samples, ABLATION_ROWS,
-        encoder_config, tcfg, benchmark=args.benchmark,
-    )
+    world = (*_load_world(args.kb), dg.load_samples(args.train_samples),
+             dg.load_samples(args.test_samples))
+    return encoder_config, tcfg, world
+
+
+def cmd_ablate(args, cfg: RunConfig) -> int:
+    encoder_config, tcfg, world = _study_inputs(args, cfg)
+    report = ev.run_ablation(*world, ABLATION_ROWS, encoder_config, tcfg,
+                             benchmark=args.benchmark)
     _write_report(report, args.report_out)
     return 0
 
 
 def cmd_probe(args, cfg: RunConfig) -> int:
-    _require_files(args.kb, args.train_samples, args.test_samples)
-    seed = cfg.seed(args.seed)
-    encoder_config = cfg.encoder_config()
-    tcfg = cfg.train_config(seed)
-    kb, kb_aug = _load_world(args.kb)
-    train_samples = dg.load_samples(args.train_samples)
-    test_samples = dg.load_samples(args.test_samples)
+    encoder_config, tcfg, world = _study_inputs(args, cfg)
     report = ev.run_shortcut_probe(
-        kb, kb_aug, train_samples, test_samples, args.mode, _flags(args, cfg),
-        encoder_config, tcfg, benchmark=args.benchmark,
-    )
+        *world, args.mode, _flags(args, cfg), encoder_config, tcfg, benchmark=args.benchmark)
     _write_report(report, args.report_out)
     return 0
 

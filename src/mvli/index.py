@@ -8,7 +8,7 @@ Search runs centroid-probing candidate generation followed by exact
 late-interaction re-ranking on reconstructed vectors.  The re-rank screens
 every candidate in float32 over column blocks of whole docs, then rescores in
 float64, doc by doc, only the docs a proven error bound cannot rule out: the
-same two passes, by the same helper, as the exact ranker's.
+same two passes, by the same screen, bound and helper, as the exact ranker's.
 """
 
 from __future__ import annotations
@@ -30,7 +30,8 @@ from .core import (
     read_sections,
     write_sections,
 )
-from .scoring import ScoredDoc, _maxsim_sums, _two_pass, stack_rows
+from . import scoring
+from .scoring import ScoredDoc, _maxsim_sums, _run_positions, _screen, _two_pass, stack_rows
 
 @dataclass(frozen=True)
 class SearchParams:
@@ -112,31 +113,19 @@ class RetrievalIndex:
 
     def error_bound(self, n_query_rows: int) -> float:
         """E, with |screen - re-rank score| <= E for every doc a search with
-        n_query_rows query rows screens, whatever the BLAS summation order.
+        n_query_rows query rows screens: `scoring._screen_bound` at magnitude.
 
-        With u = 2**-24, let v = c + code_min + code * step be a stored
-        vector in exact arithmetic (the stored row when nbits == 0), s[d] =
-        |code_min[d]| + 255 * step[d], and a[d] = |c[d]| + s[d], which bounds
-        v's terms in dimension d.  To first order in u, a query row q and a
-        doc row have these errors:
-        - the screen's dequantization rounds step, the float64 c + code_min,
-          their product with code and the sum to float32: 3u * a[d] per
-          element;
-        - rounding q to float32: u * |q[d]| * a[d] per element;
-        - the float32 dot product: dim * u * sum |q[d]| * a[d];
-        - the float64 re-rank's reconstruct and product, (dim + 3) * 2**-53
-          of the same sum, and the float64 sums of the row maxima on both
-          sides, 2 * 2**-53 per row: below u together.
-        So a pair errs by at most (dim + 5) * u * sum |q[d]| * a[d], and by
-        Cauchy-Schwarz sum |q[d]| * a[d] <= |q| * (|c| + |s|) <= |q| *
-        magnitude, the largest centroid norm plus |s|.  A max over a doc's
-        rows errs no more than its worst row, and m query rows add m such
-        errors.  The factor 2 covers the second-order terms, query norms
-        within UNIT_ATOL of 1 and the float64 rounding of magnitude.  No
+        Let v = c + code_min + code * step be a stored vector in exact
+        arithmetic (the stored row when nbits == 0), s[d] = |code_min[d]| +
+        255 * step[d], and a[d] = |c[d]| + s[d], which bounds v's terms in
+        dimension d.  The screen's dequantization rounds step, the float64
+        c + code_min, their product with code and the sum to float32: 3u *
+        a[d] per element, u = 2**-24.  By Cauchy-Schwarz sum |q[d]| * a[d] <= |q| * (|c|
+        + |s|) <= |q| * magnitude, the largest centroid norm plus |s|.  No
         unit centroid or row is assumed: magnitude is read off the stored
         arrays.
         """
-        return 2.0 * n_query_rows * (self.dim + 5) * 2.0 ** -24 * self.magnitude
+        return scoring._screen_bound(n_query_rows, self.dim, self.magnitude)
 
 
 def _derive_layout(
@@ -289,45 +278,6 @@ def reconstruct(index: RetrievalIndex, vec_ids: np.ndarray) -> np.ndarray:
     return rows
 
 
-# Width of the window in which the docs of one block of search's similarity
-# matrices start (query rows x candidate vectors in the screen, x probed
-# (centroid, doc) pairs in the prefilter).  A block is at most width plus the
-# largest doc, so a query's working memory is a few such blocks plus one int64
-# row id per candidate vector, whatever the corpus size.
-_SEARCH_BLOCK_COLS = 2048
-
-
-def _run_positions(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-    """The ranges starts[i] .. starts[i] + sizes[i] concatenated; built in
-    place as a running sum of steps, so the output is the only array of its
-    length.  At least one size must be positive."""
-    keep = sizes > 0
-    starts, sizes = starts[keep], sizes[keep]
-    steps = np.ones(int(sizes.sum()), dtype=np.int64)
-    steps[0] = starts[0]
-    steps[np.cumsum(sizes[:-1])] = starts[1:] - (starts[:-1] + sizes[:-1] - 1)
-    return np.cumsum(steps, out=steps)
-
-
-def _screen(index: RetrievalIndex, q: np.ndarray, docs: np.ndarray,
-            sizes: np.ndarray) -> np.ndarray:
-    """Late-interaction scores of the given docs from their float32 rows
-    (index.rows32) and one float32 product per block of whole docs (see
-    _SEARCH_BLOCK_COLS), maxima summed in float64; within index.error_bound
-    of the re-rank's scores.  A block whose rows are one run of the index is
-    read as a view, any other is gathered: the same values either way."""
-    ids = _run_positions(index.doc_offsets[docs], sizes)
-    q32 = q.astype(np.float32)
-
-    def block_sims(lo: int, hi: int) -> np.ndarray:
-        first, last = ids[lo], ids[hi - 1]
-        if last - first == hi - lo - 1:  # ids ascend, so these are one run
-            return q32 @ index.rows32[first:last + 1].T
-        return q32 @ index.rows32.take(ids[lo:hi], axis=0).T
-
-    return _maxsim_sums(sizes, _SEARCH_BLOCK_COLS, block_sims, (0, len(q)))[0]
-
-
 def search(index: RetrievalIndex, query: FeatureSet, params: SearchParams) -> list[ScoredDoc]:
     """Two-stage search: centroid-probed candidates, then exact re-ranking.
 
@@ -336,20 +286,21 @@ def search(index: RetrievalIndex, query: FeatureSet, params: SearchParams) -> li
     candidate_doc_cap of them by a centroid-level approximation of the
     late-interaction score: each doc's score over its probed centroids.
     Stage 2 re-scores candidates exactly on dequantized vectors; ties break
-    by doc_id.  It runs in two passes, by the exact ranker's `_two_pass`: a
-    float32 `_screen` of every candidate, then a float64 rescoring of the
-    docs whose screen score is within 2 * index.error_bound of the k-th
-    best, among which the true top k provably lies.
+    by doc_id.  It runs in two passes, by the exact ranker's helpers: the
+    float32 `_screen` of every candidate over index.rows32, then `_two_pass`,
+    a float64 rescoring of the docs whose screen score is within 2 *
+    index.error_bound of the k-th best, among which the true top k provably
+    lies.
 
     The prefilter and the screen do not loop over documents: each walks the
     candidates' concatenated columns (their probed centroids, then their
-    vectors) in blocks of whole docs and reduces each block at the doc
-    edges with _maxsim_sums, so a query holds a few blocks of
-    similarities rather than all candidates' at once.  The rescoring takes
-    one surviving doc at a time, in the form of late_interaction_score on
-    its reconstructed rows, so a doc's score does not depend on the other
-    candidates: ids, order and score bits equal a float64 re-rank of every
-    candidate.  The prefilter keeps the same docs, ties to the lower doc
+    vectors) in blocks of whole docs, cut at scoring._SCREEN_BLOCK_ROWS, and
+    reduces each block at the doc edges with _maxsim_sums, so a query holds
+    a few blocks of similarities rather than all candidates' at once.  The
+    rescoring takes one surviving doc at a time, in the form of
+    late_interaction_score on its reconstructed rows, so a doc's score does
+    not depend on the other candidates: ids, order and score bits equal a
+    float64 re-rank of every candidate.  The prefilter keeps the same docs, ties to the lower doc
     index, as a per-doc loop would.
     """
     if query.dim != index.dim:
@@ -368,7 +319,7 @@ def search(index: RetrievalIndex, query: FeatureSet, params: SearchParams) -> li
     if ordered.size > params.candidate_doc_cap:
         # each doc's probed centroids, docs in index order
         cents = np.repeat(probed, sizes)[np.argsort(docs, kind="stable")]
-        approx = _maxsim_sums(counts, _SEARCH_BLOCK_COLS,
+        approx = _maxsim_sums(counts, scoring._SCREEN_BLOCK_ROWS,
                               lambda lo, hi: cent_sims.take(cents[lo:hi], axis=1),
                               (0, len(q)))[0]
         ordered = np.sort(ordered[np.lexsort((ordered, -approx))[:params.candidate_doc_cap]])
@@ -378,7 +329,8 @@ def search(index: RetrievalIndex, query: FeatureSet, params: SearchParams) -> li
         rows = reconstruct(index, np.arange(index.doc_offsets[d], index.doc_offsets[d + 1]))
         return float((q @ rows.T).max(axis=1).sum())
 
-    screened = _screen(index, q, ordered, index.doc_sizes[ordered])
+    screened = _screen(index.rows32, index.doc_offsets, ordered, q.astype(np.float32),
+                       (0, len(q)))[0]
     top = _two_pass(screened, params.k, index.error_bound(len(q)), rescore)
     return [ScoredDoc(index.doc_ids[ordered[i]], score) for i, score in top]
 

@@ -1,12 +1,13 @@
 """Exact late-interaction relevance scoring between feature sets.
 
 `StackedCorpus.top_k`, and `rank_exact` through it, rank in two passes.  A
-float32 screen scores every document over one stacked copy of the corpus, in
-blocks of whole documents, each block serving a group of queries;
-`_two_pass`, which the index's re-rank shares, then rescores with
-`late_interaction_score` in float64 every document whose screen score could
-still reach a query's top k under a proven error bound.  Each ranking
-therefore equals a per-document float64 loop in ids, order and score bits.
+float32 `_screen` scores every document over one stacked copy of the corpus,
+in blocks of whole documents, each block serving a group of queries;
+`_two_pass` then rescores with `late_interaction_score` in float64 every
+document whose screen score could still reach a query's top k under the
+proven bound `_screen_bound`.  The index's re-rank shares all three.  Each
+ranking therefore equals a per-document float64 loop in ids, order and score
+bits.
 """
 
 from __future__ import annotations
@@ -110,49 +111,95 @@ def stack_rows(
     return doc_ids, rows, sizes
 
 
-# Corpus rows per block of the screen: one float32 product of a group's rows
-# with the docs that start in a window of 2048 rows, so at most 2048 plus the
-# largest doc's rows.
+# Width of the window in which the docs of one screen block start, so a block
+# is at most 2048 rows plus the largest doc's; the index's prefilter cuts its
+# blocks of centroid columns at the same width.
 _SCREEN_BLOCK_ROWS = 2048
 
 # Queries screened together: each block is loaded once for all of them.
 _SCREEN_GROUP = 4
 
 
+def _run_positions(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """The ranges starts[i] .. starts[i] + sizes[i] concatenated; built in
+    place as a running sum of steps, so the output is the only array of its
+    length.  At least one size must be positive."""
+    keep = sizes > 0
+    starts, sizes = starts[keep], sizes[keep]
+    steps = np.ones(int(sizes.sum()), dtype=np.int64)
+    steps[0] = starts[0]
+    steps[np.cumsum(sizes[:-1])] = starts[1:] - (starts[:-1] + sizes[:-1] - 1)
+    return np.cumsum(steps, out=steps)
+
+
+def _screen(rows32: np.ndarray, offsets: np.ndarray, docs: np.ndarray, q32: np.ndarray,
+            row_bounds: Sequence[int]) -> np.ndarray:
+    """Late-interaction sums, (len(row_bounds) - 1, len(docs)), of the
+    ascending doc indices `docs` for each query: doc d is rows offsets[d] to
+    offsets[d + 1] of rows32, query g rows row_bounds[g] to row_bounds[g + 1]
+    of q32.  One float32 product of all the query rows per block of whole
+    docs (see _SCREEN_BLOCK_ROWS), maxima summed in float64 by
+    `_maxsim_sums`.  A block of consecutive docs is one run of rows, read as
+    a view; any other gathers only its own rows, to the same values."""
+    starts = offsets[docs]
+    sizes = offsets[docs + 1] - starts
+    cols = np.cumsum(sizes) - sizes  # each doc's first column
+
+    def block_sims(lo: int, hi: int) -> np.ndarray:
+        a, b = np.searchsorted(cols, (lo, hi)).tolist()
+        if docs[b - 1] - docs[a] == b - 1 - a:
+            return q32 @ rows32[starts[a]:starts[b - 1] + sizes[b - 1]].T
+        return q32 @ rows32.take(_run_positions(starts[a:b], sizes[a:b]), axis=0).T
+
+    return _maxsim_sums(sizes, _SCREEN_BLOCK_ROWS, block_sims, row_bounds)
+
+
+def _screen_bound(m: int, dim: int, magnitude: float) -> float:
+    """E, with |screen - rescored score| <= E for every doc `_screen` scores
+    against m query rows, whatever the BLAS summation order, if each float32
+    row element is within 3u * a[d] of the float64 row that the rescoring
+    reads (u = 2**-24), with sum |q[d]| * a[d] <= |q| * magnitude for every
+    query row q.  To first order in u, a query row and a doc row err by:
+    - the float32 row: 3u * sum |q[d]| * a[d];
+    - rounding q to float32: u * the same sum;
+    - the float32 dot product: dim * u * the same sum;
+    - the float64 rescoring's product and any dequantization before it,
+      (dim + 3) * 2**-53 of the same sum, and the float64 sums of the row
+      maxima on both sides, 2 * 2**-53 per row: below u together.
+    So (dim + 5) * u * |q| * magnitude.  A max over a doc's rows errs no
+    more than its worst row, and m query rows add m such errors; the factor
+    2 covers the second-order terms, norms within UNIT_ATOL of 1 and the
+    float64 rounding of magnitude.  Screening queries together changes
+    none of this: each similarity is still one float32 dot product."""
+    return 2.0 * m * (dim + 5) * 2.0 ** -24 * magnitude
+
+
 class StackedCorpus:
     """A corpus with its rows copied once, doc by doc in doc_id order, into
-    one float32 (N, dim) matrix for the screen of `top_k`.  The float64
-    feature sets of the mapping it was built from stay the source of every
-    reported score."""
+    one float32 (N, dim) matrix for the screen of `top_k`, doc d being
+    rows[offsets[d]:offsets[d + 1]].  The float64 feature sets of the
+    mapping it was built from stay the source of every reported score."""
 
     def __init__(self, corpus: Mapping[str, FeatureSet]):
         self._docs = corpus
-        self.doc_ids, self.rows, self.sizes = stack_rows(corpus, np.float32, "rank over")
+        self.doc_ids, self.rows, sizes = stack_rows(corpus, np.float32, "rank over")
+        self.offsets = np.concatenate(([0], np.cumsum(sizes)))
         self.dim = self.rows.shape[1]
 
     def error_bound(self, n_query_rows: int) -> float:
-        """E, with |screen - late_interaction_score| <= E for every doc.
-
-        Rounding both unit vectors to float32 and taking their float32 dot
-        product errs by at most (dim + 2) * 2**-24 to first order, whatever
-        the summation order; a max over doc rows errs no more than its worst
-        row, and the sum over m query rows adds m such errors.  The factor 2
-        covers the second-order terms, norms within UNIT_ATOL of 1 and the
-        float64 rounding of both the screen's sum and the exact score.
-        Screening queries together changes none of this: each similarity is
-        still one float32 dot product of one query row and one doc row.
-        """
-        return 2.0 * n_query_rows * (self.dim + 2) * 2.0 ** -24
+        """E, with |screen - late_interaction_score| <= E for every doc:
+        `_screen_bound` at magnitude 1.  Casting a row v to float32 errs by
+        u * |v[d]| <= 3u * |v[d]| per element, and sum |q[d]| * |v[d]| <=
+        |q| * |v|, with |v| within UNIT_ATOL of 1."""
+        return _screen_bound(n_query_rows, self.dim, 1.0)
 
     def screen(self, queries: Sequence[FeatureSet]) -> np.ndarray:
         """Every doc's late-interaction score for each query, (len(queries),
-        n_docs) with docs in doc_id order, from one float32 product of all
-        the queries' rows per block of whole docs (see _SCREEN_BLOCK_ROWS),
-        each query's maxima summed in float64."""
+        n_docs) with docs in doc_id order: `_screen` over every doc, all the
+        queries' rows in one float32 product per block."""
         q = np.concatenate([query.vectors for query in queries]).astype(np.float32)
         bounds = np.cumsum([0] + [len(query) for query in queries])
-        return _maxsim_sums(self.sizes, _SCREEN_BLOCK_ROWS,
-                            lambda lo, hi: q @ self.rows[lo:hi].T, bounds)
+        return _screen(self.rows, self.offsets, np.arange(len(self.doc_ids)), q, bounds)
 
     def top_k(self, queries: Sequence[FeatureSet], k: int) -> list[list[ScoredDoc]]:
         """Per query, the k best docs by late_interaction_score, ties by

@@ -339,10 +339,10 @@ def single_pass_search(index, query, params):
     scored in float64, with one reconstruct and one product per block of
     whole docs.  The prefilter is the library's; `search` must equal this in
     ids, order and score bits."""
-    from mvli import index as index_mod
+    from mvli import index as index_mod, scoring as scoring_mod
 
     q = query.vectors
-    width = index_mod._SEARCH_BLOCK_COLS
+    width = scoring_mod._SCREEN_BLOCK_ROWS
     nprobe = min(params.nprobe, index.centroids.shape[0])
     cent_sims = q @ index.centroids.T
     probed = np.unique(np.argpartition(-cent_sims, nprobe - 1, axis=1)[:, :nprobe])

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import mvli.index as index_mod
+import mvli.scoring as scoring_mod
 from _oracles import (
     decode_rows32,
     naive_centroid_update,
@@ -32,7 +33,7 @@ from mvli.index import (
     save_index,
     search,
 )
-from mvli.scoring import rank_exact
+from mvli.scoring import StackedCorpus, rank_exact
 
 
 def make_corpus(seed=0, n_docs=12, dim=8, min_tokens=4, max_tokens=20):
@@ -270,10 +271,10 @@ def rerank_invariance(seed: int = 0) -> tuple[list[str], str]:
     """Docs whose exhaustive re-rank score changes bits between being scored
     among all docs and alone (in a one-doc index with the same codebook, and
     as the only candidate left by cap 1), plus a digest of every score.  The
-    corpus spans three blocks of _SEARCH_BLOCK_COLS columns."""
+    corpus spans three blocks of _SCREEN_BLOCK_ROWS columns."""
     corpus = make_corpus(seed=seed, n_docs=120, dim=16, min_tokens=10, max_tokens=80)
     index = build_index(corpus, kmeans_iters=5, seed=seed)
-    assert index.n_vectors > 2 * index_mod._SEARCH_BLOCK_COLS
+    assert index.n_vectors > 2 * scoring_mod._SCREEN_BLOCK_ROWS
     k_cent, n_docs = index.centroids.shape[0], len(index.doc_ids)
     failures: list[str] = []
     digest = []
@@ -306,7 +307,7 @@ class TestBlockedSearch:
     @pytest.mark.parametrize("block_cols", [5, 64, None])
     def test_matches_per_doc_oracle(self, monkeypatch, nbits, block_cols):
         if block_cols is not None:  # docs of 4-20 vectors: blocks of one doc, or a few
-            monkeypatch.setattr(index_mod, "_SEARCH_BLOCK_COLS", block_cols)
+            monkeypatch.setattr(scoring_mod, "_SCREEN_BLOCK_ROWS", block_cols)
         corpus = make_corpus(seed=31, n_docs=40)
         index = build_index(corpus, k_centroids=24, nbits=nbits, kmeans_iters=5, seed=3)
         n_docs = len(corpus)
@@ -358,13 +359,14 @@ class TestBlockedSearch:
         owners = np.repeat(np.arange(len(corpus)), index.doc_sizes)
         sets = [set(index.assignments[owners == d].tolist()) for d in range(len(corpus))]
         recorded = []
-        real = index_mod._maxsim_sums
+        real = scoring_mod._maxsim_sums
 
         def recording(sizes, width, block_sims, row_bounds):
             recorded.append(sizes.copy())
             return real(sizes, width, block_sims, row_bounds)
 
-        monkeypatch.setattr(index_mod, "_maxsim_sums", recording)
+        monkeypatch.setattr(index_mod, "_maxsim_sums", recording)  # the prefilter's
+        monkeypatch.setattr(scoring_mod, "_maxsim_sums", recording)  # the screen's
         for i in range(8):
             q = random_feature_set(Rng(300 + i), 3 + i % 4, 8)
             probed = set()
@@ -397,7 +399,7 @@ class TestBlockedSearch:
         some = 0
         for i in range(6):
             q = random_feature_set(Rng(300 + i), 3 + i % 4, 8)
-            screened = index_mod._screen(index, q.vectors, every, index.doc_sizes)
+            screened = screen(index, q.vectors, every)
             for k in (1, 3, n_docs):
                 kth = np.sort(screened)[::-1][k - 1]
                 survivors = np.flatnonzero(screened >= kth - 2.0 * index.error_bound(len(q)))
@@ -407,7 +409,7 @@ class TestBlockedSearch:
                 ids = np.concatenate(asked)
                 assert len(np.unique(ids)) == len(ids)  # no row decompressed twice
                 assert len(ids) == index.doc_sizes[survivors].sum()
-                np.testing.assert_array_equal(np.sort(ids), index_mod._run_positions(
+                np.testing.assert_array_equal(np.sort(ids), scoring_mod._run_positions(
                     index.doc_offsets[survivors], index.doc_sizes[survivors]))
         assert some
 
@@ -425,12 +427,12 @@ class TestBlockedSearch:
         assert reconstruct(index, ids).tobytes() == want.tobytes()
 
     def test_run_positions_concatenate_and_pad(self):
-        got = index_mod._run_positions(np.array([5, 0, 9]), np.array([2, 3, 1]))
+        got = scoring_mod._run_positions(np.array([5, 0, 9]), np.array([2, 3, 1]))
         np.testing.assert_array_equal(got, [5, 6, 0, 1, 2, 9])
-        got = index_mod._run_positions(np.array([7]), np.array([4]))
+        got = scoring_mod._run_positions(np.array([7]), np.array([4]))
         np.testing.assert_array_equal(got, [7, 8, 9, 10])
         # empty runs (empty clusters' doc lists) contribute nothing
-        got = index_mod._run_positions(np.array([3, 8, 5, 1, 6]), np.array([0, 2, 0, 1, 0]))
+        got = scoring_mod._run_positions(np.array([3, 8, 5, 1, 6]), np.array([0, 2, 0, 1, 0]))
         np.testing.assert_array_equal(got, [8, 9, 1])
 
     def test_score_alone_equals_score_among_all_docs(self):
@@ -457,8 +459,7 @@ class TestBlockedSearch:
         """One search over 204,800 vectors, all re-ranked, and one whose
         prefilter keeps a quarter of the docs.  A one-pass re-rank would hold
         every candidate row and its similarities at once (78.6 MB here); the
-        blocked one holds a block of each, its maxima and one int64 row id
-        per candidate row (1.6 MB here)."""
+        blocked one holds a block of each and its maxima."""
         n_docs, per_doc, dim, k_cent, m = 400, 512, 16, 64, 32
         n = n_docs * per_doc
         gen = Rng(9).generator()
@@ -471,7 +472,7 @@ class TestBlockedSearch:
             doc_ids=[f"doc{i:04d}" for i in range(n_docs)],
             doc_sizes=np.full(n_docs, per_doc))
         query = random_feature_set(Rng(10), m, dim)
-        block = index_mod._SEARCH_BLOCK_COLS
+        block = scoring_mod._SCREEN_BLOCK_ROWS
         # a unit of a block's working memory; a gathered float32 block and its
         # similarities take under half of it
         block_bytes = block * (dim + 8 * 2 * dim + 8 * m)
@@ -486,11 +487,17 @@ class TestBlockedSearch:
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
-            assert peak < 3 * block_bytes, (cap, peak)
+            assert peak < 2 * block_bytes, (cap, peak)
 
 
 def _bits(ranked) -> list[tuple[str, str]]:
     return [(s.doc_id, s.score.hex()) for s in ranked]
+
+
+def screen(index, q: np.ndarray, docs: np.ndarray) -> np.ndarray:
+    """The screen of search over the given ascending doc indices."""
+    return scoring_mod._screen(index.rows32, index.doc_offsets, docs, q.astype(np.float32),
+                               (0, len(q)))[0]
 
 
 def _screen_errors(index, q: FeatureSet) -> np.ndarray:
@@ -498,7 +505,7 @@ def _screen_errors(index, q: FeatureSet) -> np.ndarray:
     n_docs = len(index.doc_ids)
     every = SearchParams(k=n_docs, nprobe=index.centroids.shape[0], candidate_doc_cap=n_docs)
     exact = {s.doc_id: s.score for s in single_pass_search(index, q, every)}
-    screened = index_mod._screen(index, q.vectors, np.arange(n_docs), index.doc_sizes)
+    screened = screen(index, q.vectors, np.arange(n_docs))
     return np.abs(screened - [exact[d] for d in index.doc_ids])
 
 
@@ -511,7 +518,7 @@ class TestTwoPassSearch:
     @pytest.mark.parametrize("block_cols", [5, 64, None])
     def test_matches_single_pass_oracle_to_the_bit(self, monkeypatch, nbits, block_cols):
         if block_cols is not None:
-            monkeypatch.setattr(index_mod, "_SEARCH_BLOCK_COLS", block_cols)
+            monkeypatch.setattr(scoring_mod, "_SCREEN_BLOCK_ROWS", block_cols)
         corpus = make_corpus(seed=31, n_docs=40)
         index = build_index(corpus, k_centroids=24, nbits=nbits, kmeans_iters=5, seed=3)
         n_docs = len(corpus)
@@ -552,7 +559,7 @@ class TestTwoPassSearch:
                                 k_centroids=1, nbits=0, seed=0)
             every = single_pass_search(index, q, SearchParams(k=2))
             exact = {s.doc_id: s.score for s in every}
-            screened = index_mod._screen(index, q.vectors, np.arange(2), index.doc_sizes)
+            screened = screen(index, q.vectors, np.arange(2))
             if (exact["a"] - exact["b"]) * (screened[0] - screened[1]) < 0:
                 break
         else:
@@ -587,6 +594,13 @@ class TestTwoPassSearch:
                 params = SearchParams(k=k, nprobe=2, candidate_doc_cap=cap)
                 assert _bits(search(index, q, params)) == _bits(
                     single_pass_search(index, q, params))
+
+
+# Ascending doc indices of a 300-doc corpus for the screen tests: one run,
+# every third doc, and a run followed by every other doc.
+SCREEN_PICKS = {"consecutive": np.arange(50, 250),
+                "scattered": np.arange(0, 300, 3),
+                "mixed": np.concatenate((np.arange(150), np.arange(150, 300, 2)))}
 
 
 class TestScreenRows:
@@ -625,33 +639,63 @@ class TestScreenRows:
     @pytest.mark.parametrize("width", [5, 2048])
     @pytest.mark.parametrize("pick", ["consecutive", "scattered", "mixed"])
     def test_screen_equals_per_block_decode(self, monkeypatch, width, pick):
+        """The screen's own blocks are recorded: each block whose rows are
+        one run of the index is read as a view, and only the others gather
+        their rows (`_run_positions`)."""
         corpus = make_corpus(seed=23, n_docs=300, min_tokens=1, max_tokens=40)
         index = build_index(corpus, kmeans_iters=3, seed=4)
         assert index.n_vectors > 2 * 2048
-        docs = {"consecutive": np.arange(50, 250),
-                "scattered": np.arange(0, 300, 3),
-                "mixed": np.concatenate((np.arange(150), np.arange(150, 300, 2)))}[pick]
-        sizes = index.doc_sizes[docs]
-        ids = index_mod._run_positions(index.doc_offsets[docs], sizes)
-        runs = []
-        real = index_mod._maxsim_sums
+        docs = SCREEN_PICKS[pick]
+        ids = scoring_mod._run_positions(index.doc_offsets[docs], index.doc_sizes[docs])
+        runs, gathers = [], []
+        real_sums, real_positions = scoring_mod._maxsim_sums, scoring_mod._run_positions
 
-        def recording(sizes, width, block_sims, row_bounds):
+        def recording_sums(sizes, width, block_sims, row_bounds):
             def sims(lo, hi):
                 runs.append(ids[hi - 1] - ids[lo] == hi - lo - 1)
                 return block_sims(lo, hi)
-            return real(sizes, width, sims, row_bounds)
+            return real_sums(sizes, width, sims, row_bounds)
 
-        monkeypatch.setattr(index_mod, "_SEARCH_BLOCK_COLS", width)
-        monkeypatch.setattr(index_mod, "_maxsim_sums", recording)
+        def recording_positions(starts, sizes):
+            gathers.append(len(starts))
+            return real_positions(starts, sizes)
+
+        monkeypatch.setattr(scoring_mod, "_SCREEN_BLOCK_ROWS", width)
+        monkeypatch.setattr(scoring_mod, "_maxsim_sums", recording_sums)
+        monkeypatch.setattr(scoring_mod, "_run_positions", recording_positions)
         for i in range(4):
             q = random_feature_set(Rng(70 + i), 2 + 5 * i, 8).vectors
-            got = index_mod._screen(index, q, docs, sizes)
+            got = screen(index, q, docs)
             want = per_block_screen(index, q, docs, width)
             assert [x.hex() for x in got.tolist()] == [x.hex() for x in want.tolist()]
-        views, gathers = runs.count(True), runs.count(False)
+        views = runs.count(True)
+        assert len(gathers) == runs.count(False)
         assert {"consecutive": views and not gathers, "scattered": gathers,
                 "mixed": views and gathers}[pick]
+
+    @pytest.mark.parametrize("width", [1, 5, 2048])
+    @pytest.mark.parametrize("pick", ["consecutive", "scattered", "mixed"])
+    def test_both_rankers_screen_alike(self, monkeypatch, width, pick):
+        """A lossless index and a stacked corpus of one corpus hold the same
+        float32 rows and offsets, and the one screen gives the same bits
+        over either, for one query and for a group of four."""
+        corpus = make_corpus(seed=23, n_docs=300, min_tokens=1, max_tokens=40)
+        index = build_index(corpus, nbits=0, kmeans_iters=3, seed=4)
+        stacked = StackedCorpus(corpus)
+        assert index.rows32.tobytes() == stacked.rows.tobytes()
+        assert index.doc_offsets.tobytes() == stacked.offsets.tobytes()
+        monkeypatch.setattr(scoring_mod, "_SCREEN_BLOCK_ROWS", width)
+        docs = SCREEN_PICKS[pick]
+        queries = [random_feature_set(Rng(90 + i), 2 + 5 * i, 8) for i in range(5)]
+        for group in (queries[:1], queries[1:]):
+            q32 = np.concatenate([q.vectors for q in group]).astype(np.float32)
+            bounds = np.cumsum([0] + [len(q) for q in group])
+            got = [scoring_mod._screen(rows, offsets, docs, q32, bounds)
+                   for rows, offsets in ((index.rows32, index.doc_offsets),
+                                         (stacked.rows, stacked.offsets))]
+            assert got[0].shape == (len(group), len(docs))
+            assert [x.hex() for x in got[0].ravel().tolist()] == [
+                x.hex() for x in got[1].ravel().tolist()]
 
     @pytest.mark.parametrize("nbits", [0, 8])
     def test_derived_arrays_are_read_only(self, nbits):

@@ -1,6 +1,7 @@
 """Every name the package re-exports has a caller outside the package root,
-every name an engine module imports is used in it, and every private
-module-level name of the engine is used in the engine.
+every name an engine module imports is used in it, every private
+module-level name of the engine is used in the engine, and no module-level
+name is defined in two engine modules.
 
 A re-exported name passes when the engine itself uses it (an identifier in a `src/mvli`
 module other than `__init__`), when the benchmark harness under `perfbench/`
@@ -79,6 +80,19 @@ def test_every_import_is_used():
     assert unused == []
 
 
+def module_level_names(tree: ast.Module) -> list[str]:
+    """Names a module defines at its top level by `def`, `class` or
+    assignment, dunders aside."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [t.id for t in targets if isinstance(t, ast.Name)]
+    return [name for name in names if not (name.startswith("__") and name.endswith("__"))]
+
+
 def test_every_private_name_is_used():
     """Each private module-level name (`_x`, not a dunder) that a `src/mvli`
     module defines, by `def`, `class` or assignment, is read somewhere in
@@ -87,16 +101,8 @@ def test_every_private_name_is_used():
     defined, read = [], set()
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
-        for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                names = [node.name]
-            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-                names = [t.id for t in targets if isinstance(t, ast.Name)]
-            else:
-                names = []
-            defined += [(path.name, name) for name in names
-                        if name.startswith("_") and not name.endswith("__")]
+        defined += [(path.name, name) for name in module_level_names(tree)
+                    if name.startswith("_")]
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 read.add(node.id)
@@ -105,6 +111,17 @@ def test_every_private_name_is_used():
             elif isinstance(node, ast.alias):
                 read.add(node.name.split(".")[-1])
     assert [f"{module}: {name}" for module, name in defined if name not in read] == []
+
+
+def test_no_name_is_defined_in_two_modules():
+    """No module-level function, class or constant name is defined in two
+    `src/mvli` modules: a helper or a setting has one home, and any other
+    module that needs it imports it from there."""
+    homes: dict[str, list[str]] = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for name in set(module_level_names(ast.parse(path.read_text(encoding="utf-8")))):
+            homes.setdefault(name, []).append(path.name)
+    assert {name: files for name, files in homes.items() if len(files) > 1} == {}
 
 
 def test_only_core_handles_binary_files():
