@@ -12,7 +12,7 @@ from __future__ import annotations
 import logging
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
-from typing import Callable, Mapping
+from typing import Mapping
 
 from .core import (ConfigError, DataError, DocumentError, FormatError, InputError, iter_jsonl,
                    str_fields, tokenize, write_jsonl)
@@ -80,7 +80,6 @@ class TitleTable:
     document's scan, so each title is tokenized once.
     """
 
-    titles: Mapping[str, str]  # title -> doc_id, as given
     title_tokens: Mapping[str, tuple[str, ...]]  # title -> normalized tokens
     by_tokens: Mapping[tuple[str, ...], tuple[str, str]]  # tokens -> (title, doc_id)
     max_len: int
@@ -97,8 +96,7 @@ def build_title_table(kb_titles: Mapping[str, str]) -> TitleTable:
         key = title_tokens[title]
         if key and key not in by_tokens:
             by_tokens[key] = (title, doc_id)
-    return TitleTable(dict(kb_titles), title_tokens, by_tokens,
-                      max((len(key) for key in by_tokens), default=0))
+    return TitleTable(title_tokens, by_tokens, max((len(key) for key in by_tokens), default=0))
 
 
 def _kb_title_table(kb: Mapping[str, RawDocument]) -> TitleTable:
@@ -152,38 +150,9 @@ class DictionaryLinker:
         return [merged[doc_id] for doc_id in order]
 
 
-class LlmEntityLinker:
-    """Adapter for an external model that proposes related entities.
-
-    The callable receives (title, body) and must return records shaped like
-    {"entity": str, "entity_type": str, "relation": str | None}.  Proposals
-    are grounded back onto the document with the dictionary scan, so every
-    accepted mention still satisfies the span invariants; ungrounded or
-    unknown entities are dropped.
-    """
-
-    def __init__(self, extract: Callable[[str, str], list[dict]]):
-        self.extract = extract
-
-    def link(self, doc: RawDocument, table: TitleTable) -> list[LinkedMention]:
-        kb_titles = table.titles
-        proposed = []
-        lowered = {title.lower(): title for title in kb_titles}
-        for record in self.extract(doc.title, doc.body):
-            entity = str(record.get("entity", "")).strip()
-            title = lowered.get(entity.lower())
-            if title is not None and title.lower() != doc.title.lower():
-                proposed.append(title)
-        if not proposed:
-            return []
-        restricted = {title: kb_titles[title] for title in proposed}
-        return DictionaryLinker().link(doc, build_title_table(restricted))
-
-
 def augment_document(
     doc: RawDocument,
     kb: Mapping[str, RawDocument],
-    linker: DictionaryLinker | LlmEntityLinker | None = None,
     cap: int | None = None,
     *,
     table: TitleTable | None = None,
@@ -204,7 +173,7 @@ def augment_document(
         raise DocumentError(f"document {doc.doc_id!r} has no main image")
     if table is None:
         table = _kb_title_table(kb)
-    mentions = (linker or DictionaryLinker()).link(doc, table)
+    mentions = DictionaryLinker().link(doc, table)
     related: list[RelatedEntity] = []
     warnings: list[str] = []
     for mention in mentions:
@@ -232,12 +201,11 @@ def augment_document(
 
 def augment_kb(
     kb: Mapping[str, RawDocument],
-    linker: DictionaryLinker | LlmEntityLinker | None = None,
     cap: int | None = None,
 ) -> dict[str, AugmentedDocument]:
     """Augment every document of `kb` against one shared title table."""
     table = _kb_title_table(kb)
-    return {doc_id: augment_document(kb[doc_id], kb, linker, cap, table=table)
+    return {doc_id: augment_document(kb[doc_id], kb, cap, table=table)
             for doc_id in sorted(kb)}
 
 

@@ -7,9 +7,9 @@ render a question from a deterministic template, paraphrase it, validate the
 surface rules, and finally drop anything a BM25 top-k search can still link
 back to its ground-truth document.
 
-The template generator and the paraphraser are pluggable so an external
-language model can replace either; plugged-in outputs are re-validated
-against the same invariants.
+`draft_pool` is the one drafting loop: `mvli synth` runs it with a share of
+legacy shortcut drafts, whose image shows the document's own main entity,
+and `mvli datagen` runs it without them, through `generate_samples`.
 """
 
 from __future__ import annotations
@@ -274,7 +274,17 @@ def render_question(sg: TargetSubgraph, typemap: Mapping[str, str]) -> tuple[str
     return question, answer
 
 
-QuestionGenerator = Callable[[TargetSubgraph, Mapping[str, str]], tuple[str, str]]
+def _render_shortcut_question(
+    graph: OneHopGraph, neighbor_index: int, typemap: Mapping[str, str]
+) -> tuple[str, str]:
+    """Legacy-style question: the image shows the ground-truth main entity."""
+    neighbor = graph.neighbors[neighbor_index]
+    pred = relation_predicate(
+        neighbor.relation_sentence, graph.main_entity, stop_at=neighbor.entity
+    )
+    question = (f"Name the {type_of(neighbor.entity, typemap)} that this "
+                f"{type_of(graph.main_entity, typemap)} {pred}.")
+    return question, neighbor.entity
 
 
 def validate_sample(
@@ -448,44 +458,81 @@ def leak_index(kb_aug: Mapping[str, AugmentedDocument]) -> Bm25Index:
     return Bm25Index({doc_id: adoc.raw.body for doc_id, adoc in kb_aug.items()})
 
 
+def draft_pool(
+    kb_aug: Mapping[str, AugmentedDocument],
+    typemap: Mapping[str, str],
+    rng: Rng,
+    samples_per_doc: int,
+    fraction_shortcut: float,
+) -> tuple[list[QaSample], list[RejectedSample]]:
+    """Kept samples, sorted by sample id, plus the rejected sidecar records.
+
+    Each document, in id order, drafts `samples_per_doc` slots on its own
+    stream `rng.split(doc_id)`.  A slot is a shortcut draft with probability
+    `fraction_shortcut` (`<doc>:s<slot>`: a neighbor named from an image of
+    the document's main entity), else the next of the document's target
+    subgraphs (`<doc>:f<slot>`).  Only the shortcut-free drafts pass through
+    the BM25 leak filter; shortcut drafts emulate legacy benchmarks and keep
+    their lexical overlap.
+    """
+    if samples_per_doc < 1:
+        raise ConfigError("samples_per_doc must be >= 1")
+    graphs = build_graphs(kb_aug)
+    paraphraser = RuleParaphraser()
+    type_nouns = set(typemap.values())
+    free_drafts: list[QaSample] = []
+    shortcut_samples: list[QaSample] = []
+    rejected: list[RejectedSample] = []
+    for doc_id in sorted(graphs):
+        graph = graphs[doc_id]
+        if not graph.neighbors:
+            rejected.append(RejectedSample(f"{doc_id}:0", doc_id, REJECT_NO_QUALIFIER))
+            continue
+        doc_rng = rng.split(doc_id)
+        style_gen = doc_rng.split("style").generator()
+        subgraphs = enumerate_target_subgraphs(graph, doc_rng.split("subgraphs"), samples_per_doc)
+        free_cursor = 0
+        pick_gen = doc_rng.split("shortcut-pick").generator()
+        for slot in range(samples_per_doc):
+            if style_gen.uniform() < fraction_shortcut:
+                n_idx = int(pick_gen.integers(len(graph.neighbors)))
+                draft = draft_sample(
+                    f"{doc_id}:s{slot}", doc_id,
+                    lambda: _render_shortcut_question(graph, n_idx, typemap), paraphraser,
+                    graph.main_entity, kb_aug[doc_id].raw.main_image_key, type_nouns,
+                )
+                (shortcut_samples if isinstance(draft, QaSample) else rejected).append(draft)
+                continue
+            if free_cursor >= len(subgraphs):
+                if slot == 0:
+                    rejected.append(RejectedSample(f"{doc_id}:f0", doc_id, REJECT_NO_QUALIFIER))
+                continue
+            sg = subgraphs[free_cursor]
+            free_cursor += 1
+            draft = draft_sample(
+                f"{doc_id}:f{slot}", doc_id, lambda: render_question(sg, typemap), paraphraser,
+                sg.query_entity, image_key_for_entity(sg.query_entity), type_nouns,
+            )
+            (free_drafts if isinstance(draft, QaSample) else rejected).append(draft)
+    kept_free, leaks = bm25_leak_filter(free_drafts, leak_index(kb_aug))
+    rejected.extend(leaks)
+    return sorted(kept_free + shortcut_samples, key=lambda s: s.sample_id), rejected
+
+
 def generate_samples(
     kb_aug: Mapping[str, AugmentedDocument],
     typemap: Mapping[str, str],
     seed: int,
     samples_per_doc: int = 4,
-    leak_top_k: int = 5,
-    paraphraser: Callable[[str], str] | None = None,
-    question_generator: QuestionGenerator | None = None,
 ) -> tuple[list[QaSample], list[RejectedSample]]:
-    """Untagged samples plus the rejected sidecar records.
+    """Untagged shortcut-free samples plus the rejected sidecar records.
 
-    Deterministic for a fixed (KB, seed, typemap): per-document random streams
-    are derived from the seed and documents are processed in id order.
+    This is `draft_pool` without shortcut drafts, on the stream
+    `generate_benchmark` drafts from, so on a synth KB and its typemap, at
+    synth's seed and `samples_per_doc` and a `fraction_shortcut` of 0, it
+    returns the pool synth splits and synth's rejected records.
     """
-    if samples_per_doc < 1:
-        raise ConfigError("samples_per_doc must be >= 1")
-    graphs = build_graphs(kb_aug)
-    rng = Rng(seed).split("datagen")
-    transformer = paraphraser if paraphraser is not None else RuleParaphraser()
-    type_nouns = set(typemap.values())
-
-    drafts: list[QaSample] = []
-    rejected: list[RejectedSample] = []
-    for doc_id in sorted(graphs):
-        subgraphs = enumerate_target_subgraphs(graphs[doc_id], rng.split(doc_id), samples_per_doc)
-        if not subgraphs:
-            rejected.append(RejectedSample(f"{doc_id}:0", doc_id, REJECT_NO_QUALIFIER))
-            continue
-        for i, sg in enumerate(subgraphs):
-            draft = draft_sample(
-                f"{doc_id}:{i}", doc_id,
-                lambda: (question_generator or render_question)(sg, typemap), transformer,
-                sg.query_entity, image_key_for_entity(sg.query_entity), type_nouns,
-            )
-            (drafts if isinstance(draft, QaSample) else rejected).append(draft)
-    kept, leaks = bm25_leak_filter(drafts, leak_index(kb_aug), leak_top_k)
-    rejected.extend(leaks)
-    return kept, rejected
+    return draft_pool(kb_aug, typemap, Rng(seed).split("benchmark"), samples_per_doc, 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -9,9 +9,9 @@ linkability, plus benchmark splits mixing two sample styles:
 * shortcut-free samples run the full qualifying-entity pipeline, so the query
   image always shows a related, non-main entity.
 
-Both styles draft through the same datagen steps as `mvli datagen`: the graph
-builder, the render-paraphrase-validate helper `draft_sample`, and the BM25
-leak filter; only the question template and the pictured entity differ.
+Both styles are drafted by `datagen.draft_pool`, the loop `mvli datagen`
+runs without shortcut drafts; this module partitions the drafted pool into
+the splits.
 """
 
 from __future__ import annotations
@@ -22,23 +22,7 @@ from typing import Mapping, Sequence
 
 from .augment import AugmentedDocument, RawDocument, augment_kb, image_key_for_entity
 from .core import ConfigError, DataError, GenerationError, Rng
-from .datagen import (
-    DEFAULT_SYNONYMS,
-    REJECT_NO_QUALIFIER,
-    OneHopGraph,
-    QaSample,
-    RejectedSample,
-    RuleParaphraser,
-    bm25_leak_filter,
-    build_graphs,
-    draft_sample,
-    enumerate_target_subgraphs,
-    leak_index,
-    relation_predicate,
-    render_question,
-    split_seen_unseen,
-    type_of,
-)
+from .datagen import DEFAULT_SYNONYMS, QaSample, RejectedSample, draft_pool, split_seen_unseen
 
 VERB_PHRASES: tuple[str, ...] = (
     "feeds upon", "guards", "borders", "orbits", "rivals", "mirrors",
@@ -174,19 +158,6 @@ class BenchmarkSplits:
     rejected: tuple[RejectedSample, ...]
 
 
-def _render_shortcut_question(
-    graph: OneHopGraph, neighbor_index: int, typemap: Mapping[str, str]
-) -> tuple[str, str]:
-    """Legacy-style question: the image shows the ground-truth main entity."""
-    neighbor = graph.neighbors[neighbor_index]
-    pred = relation_predicate(
-        neighbor.relation_sentence, graph.main_entity, stop_at=neighbor.entity
-    )
-    question = (f"Name the {type_of(neighbor.entity, typemap)} that this "
-                f"{type_of(graph.main_entity, typemap)} {pred}.")
-    return question, neighbor.entity
-
-
 def generate_benchmark(
     kb: Mapping[str, RawDocument],
     cfg: SynthConfig,
@@ -198,19 +169,20 @@ def generate_benchmark(
 
     Unseen-test documents contribute no training samples, so unseen split
     ground truths are disjoint from training ground truths by construction.
-    Shortcut-free drafts pass through the BM25 leak filter; shortcut drafts
-    emulate legacy benchmarks and keep their lexical overlap.  `augmented` is
-    `augment_kb(kb)`, for callers that already hold it; it is computed here
-    when not given.
+    The pool comes from `draft_pool`.  `augmented` is `augment_kb(kb)`, for
+    callers that already hold it; it is computed here when not given, and a
+    given one whose documents are not `kb`'s is a DataError.
     """
     if typemap is None:
         typemap = assign_typemap([doc.title for doc in kb.values()], cfg)
-    type_nouns = set(typemap.values())
     if augmented is None:
         augmented = augment_kb(kb)
     elif set(augmented) != set(kb):
         raise DataError("augmented KB does not cover the same documents as the KB")
-    graphs = build_graphs(augmented)
+    else:
+        for doc_id in sorted(kb):
+            if augmented[doc_id].raw != kb[doc_id]:
+                raise DataError(f"augmented KB holds another version of document {doc_id!r}")
     rng = Rng(cfg.seed).split("benchmark")
 
     doc_ids = sorted(kb)
@@ -219,47 +191,8 @@ def generate_benchmark(
     n_unseen_docs = max(1, round(cfg.unseen_doc_fraction * len(doc_ids)))
     unseen_docs = set(shuffled[:n_unseen_docs])
 
-    paraphraser = RuleParaphraser()
-    free_drafts: list[QaSample] = []
-    shortcut_samples: list[QaSample] = []
-    rejected: list[RejectedSample] = []
-    for doc_id in doc_ids:
-        graph = graphs[doc_id]
-        if not graph.neighbors:
-            rejected.append(RejectedSample(f"{doc_id}:0", doc_id, REJECT_NO_QUALIFIER))
-            continue
-        doc_rng = rng.split(doc_id)
-        style_gen = doc_rng.split("style").generator()
-        subgraphs = enumerate_target_subgraphs(
-            graph, doc_rng.split("subgraphs"), cfg.samples_per_doc
-        )
-        free_cursor = 0
-        pick_gen = doc_rng.split("shortcut-pick").generator()
-        for slot in range(cfg.samples_per_doc):
-            if style_gen.uniform() < cfg.fraction_shortcut:
-                n_idx = int(pick_gen.integers(len(graph.neighbors)))
-                draft = draft_sample(
-                    f"{doc_id}:s{slot}", doc_id,
-                    lambda: _render_shortcut_question(graph, n_idx, typemap), paraphraser,
-                    graph.main_entity, kb[doc_id].main_image_key, type_nouns,
-                )
-                (shortcut_samples if isinstance(draft, QaSample) else rejected).append(draft)
-                continue
-            if free_cursor >= len(subgraphs):
-                if slot == 0:
-                    rejected.append(RejectedSample(f"{doc_id}:f0", doc_id, REJECT_NO_QUALIFIER))
-                continue
-            sg = subgraphs[free_cursor]
-            free_cursor += 1
-            draft = draft_sample(
-                f"{doc_id}:f{slot}", doc_id, lambda: render_question(sg, typemap), paraphraser,
-                sg.query_entity, image_key_for_entity(sg.query_entity), type_nouns,
-            )
-            (free_drafts if isinstance(draft, QaSample) else rejected).append(draft)
-
-    kept_free, leaks = bm25_leak_filter(free_drafts, leak_index(augmented))
-    rejected.extend(leaks)
-    pool = sorted(kept_free + shortcut_samples, key=lambda s: s.sample_id)
+    pool, rejected = draft_pool(augmented, typemap, rng, cfg.samples_per_doc,
+                                cfg.fraction_shortcut)
 
     train_pool: list[QaSample] = []
     seen_candidates: list[QaSample] = []

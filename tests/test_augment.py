@@ -5,7 +5,6 @@ import mvli.augment as augment_mod
 from _oracles import naive_link
 from mvli.augment import (
     DictionaryLinker,
-    LlmEntityLinker,
     RawDocument,
     augment_document,
     augment_kb,
@@ -146,27 +145,6 @@ class TestAugmentDocument:
                 assert rel.source_doc_id in kb
 
 
-class TestLlmLinker:
-    def test_proposals_are_grounded_and_validated(self):
-        kb = _kb(
-            RawDocument("a", "Alpha", "Alpha guards Beta and watches Gama.", "img::Alpha"),
-            RawDocument("b", "Beta", "Beta rests.", "img::Beta"),
-            RawDocument("g", "Gama", "Gama rests.", "img::Gama"),
-        )
-
-        def extract(title, body):
-            return [
-                {"entity": "beta", "entity_type": "place", "relation": "Alpha guards Beta."},
-                {"entity": "Alpha", "entity_type": "place", "relation": None},  # self
-                {"entity": "Unknown", "entity_type": "x", "relation": None},  # not in KB
-            ]
-
-        linker = LlmEntityLinker(extract)
-        adoc = augment_document(kb["a"], kb, linker)
-        assert [r.entity for r in adoc.related] == ["Beta"]
-        assert adoc.related[0].span == (2,)
-
-
 _WORDS = ("koro", "vale", "tomat", "solan", "ridge", "new", "york", "lema")
 # duplicate titles, two titles with one token key, overlapping multi-token titles
 _FIXED_TITLES = ("Koro.", "koro", "New York", "York Vale", "New York", "Vale")
@@ -200,41 +178,19 @@ def _random_kb(seed: int) -> dict[str, RawDocument]:
     return _kb(*docs)
 
 
-def _proposals(title: str, body: str) -> list[dict]:
-    """A stand-in external linker: every body word, in turn, as one entity."""
-    words = body.replace(",", " ").replace(".", " ").replace("!", " ").split()
-    return [{"entity": w, "entity_type": "x", "relation": None} for w in words] + [
-        {"entity": " ".join(words[:2]), "entity_type": "x", "relation": None},
-        {"entity": "Nowhere", "entity_type": "x", "relation": None},
-    ]
-
-
-def _oracle_augment(kb, cap=None, extract=None):
+def _oracle_augment(kb, cap=None):
     kb_titles = {d.title: d.doc_id for d in kb.values()}
-    out = {}
-    for doc_id in sorted(kb):
-        doc = kb[doc_id]
-        titles = kb_titles
-        if extract is not None:
-            lowered = {t.lower(): t for t in kb_titles}
-            proposed = [lowered[r["entity"].lower()] for r in extract(doc.title, doc.body)
-                        if r["entity"].lower() in lowered
-                        and r["entity"].lower() != doc.title.lower()]
-            titles = {t: kb_titles[t] for t in proposed}
-        out[doc_id] = naive_link(doc, titles)[:cap] if titles else []
-    return out
+    return {doc_id: naive_link(kb[doc_id], kb_titles)[:cap] for doc_id in sorted(kb)}
 
 
 class TestLinkerOracle:
     @pytest.mark.parametrize("seed", range(40))
-    @pytest.mark.parametrize("run", ["dictionary", "capped", "llm"])
+    @pytest.mark.parametrize("run", ["dictionary", "capped"])
     def test_augment_kb_matches_naive_linker(self, seed, run):
         kb = _random_kb(seed)
         cap = 2 if run == "capped" else None
-        extract = _proposals if run == "llm" else None
-        linker = LlmEntityLinker(extract) if extract is not None else None
-        augmented = augment_kb(kb, linker, cap)
-        expected = _oracle_augment(kb, cap, extract)
+        augmented = augment_kb(kb, cap=cap)
+        expected = _oracle_augment(kb, cap)
         assert list(augmented) == sorted(kb)
         for doc_id, adoc in augmented.items():
             assert adoc.raw == kb[doc_id]

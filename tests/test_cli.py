@@ -53,6 +53,16 @@ class TestSynthCommand:
         for name in ("kb.jsonl", "train.jsonl", "test_seen.jsonl", "test_unseen.jsonl"):
             assert (out / name).read_bytes() == (out2 / name).read_bytes()
 
+    def test_datagen_rejects_what_synth_rejects(self, workdir, tmp_path):
+        # synth runs at fraction_shortcut 0, so every draft is shortcut-free
+        _, _, out = workdir
+        dg_out = tmp_path / "generated.jsonl"
+        assert run_cli("datagen", "--kb", str(out / "kb.jsonl"),
+                       "--typemap", str(out / "typemap.json"), "--out", str(dg_out),
+                       "--seed", "13", "--samples-per-doc", "8") == 0
+        sidecar = dg_out.with_suffix(".rejected.jsonl").read_bytes()
+        assert sidecar and sidecar == (out / "rejected.jsonl").read_bytes()
+
 
 class TestPipelineCommands:
     def test_augment_datagen_train_index_search_eval(self, workdir, tmp_path):

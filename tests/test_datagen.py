@@ -1,8 +1,10 @@
+from dataclasses import replace
+
 import pytest
 
 import mvli.datagen as datagen_mod
 from _oracles import naive_enumerate_target_subgraphs
-from mvli.augment import RawDocument, augment_kb, entity_from_image_key
+from mvli.augment import RawDocument, augment_kb
 from mvli.bm25 import Bm25Index
 from mvli.core import ConfigError, GenerationError, Rng
 from mvli.datagen import (
@@ -26,7 +28,7 @@ from mvli.datagen import (
     split_sentences,
     validate_sample,
 )
-from mvli.synth import SynthConfig, generate_benchmark
+from mvli.synth import SynthConfig, assign_typemap, generate_benchmark, generate_kb
 
 
 def _graph_kb():
@@ -250,23 +252,6 @@ class TestQuestionTemplate:
                               {"beetle", "plant"})
         assert zero == "surface_violation" and two == "surface_violation"
 
-    def test_pluggable_generator_is_used(self):
-        calls = []
-
-        def fake_generator(sg, typemap):
-            calls.append(sg)
-            return f"What is this {typemap[sg.query_entity]}?", sg.answer_entity
-
-        kb_aug, typemap = TestPipeline()._world()
-        samples, _ = generate_samples(kb_aug, typemap, seed=5, samples_per_doc=3,
-                                      paraphraser=lambda q: q,
-                                      question_generator=fake_generator)
-        assert samples and len(samples) == len(calls)
-        for s in samples:
-            noun = typemap[entity_from_image_key(s.query_image_key)]
-            assert s.question == f"What is this {noun}?"
-            assert s.answer == kb_aug[s.gt_doc_id].raw.title
-
 
 class TestParaphrase:
     Q = "Which beetle feeds on this plant, given that it is native to North America?"
@@ -367,11 +352,19 @@ class TestPipeline:
             "castle", "tower", "temple", "harbor", "bridge", "forest"])}
         return augment_kb(kb), typemap
 
+    @staticmethod
+    def _synth_world(cfg):
+        kb = generate_kb(cfg)
+        return kb, augment_kb(kb), assign_typemap([d.title for d in kb.values()], cfg)
+
+    def _synth_samples(self):
+        """Samples of a synth KB large enough that drafts survive the top-5
+        leak filter."""
+        _, kb_aug, typemap = self._synth_world(SynthConfig(n_docs=16, seed=5))
+        return kb_aug, typemap, generate_samples(kb_aug, typemap, seed=5, samples_per_doc=3)
+
     def test_samples_pass_all_invariants(self):
-        kb_aug, typemap = self._world()
-        samples, rejected = generate_samples(
-            kb_aug, typemap, seed=5, samples_per_doc=3, leak_top_k=1
-        )
+        kb_aug, typemap, (samples, rejected) = self._synth_samples()
         assert samples, "pipeline produced no samples"
         nouns = set(typemap.values())
         for s in samples:
@@ -385,9 +378,8 @@ class TestPipeline:
             assert s.query_image_key != gt.raw.main_image_key
 
     def test_pipeline_deterministic(self, tmp_path):
-        kb_aug, typemap = self._world()
-        a, ra = generate_samples(kb_aug, typemap, seed=5, samples_per_doc=3, leak_top_k=1)
-        b, rb = generate_samples(kb_aug, typemap, seed=5, samples_per_doc=3, leak_top_k=1)
+        kb_aug, typemap, (a, ra) = self._synth_samples()
+        b, rb = generate_samples(kb_aug, typemap, seed=5, samples_per_doc=3)
         assert a == b and ra == rb
         pa, pb = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
         save_samples(a, pa)
@@ -395,8 +387,7 @@ class TestPipeline:
         assert pa.read_bytes() == pb.read_bytes()
 
     def test_sample_file_round_trip(self, tmp_path):
-        kb_aug, typemap = self._world()
-        samples, _ = generate_samples(kb_aug, typemap, seed=5, samples_per_doc=3, leak_top_k=1)
+        _, _, (samples, _) = self._synth_samples()
         tagged = split_seen_unseen(samples, {samples[0].gt_doc_id})
         path = tmp_path / "samples.jsonl"
         save_samples(tagged, path)
@@ -408,7 +399,7 @@ class TestPipeline:
             generate_samples(kb_aug, typemap, seed=5, samples_per_doc=0)
 
     @pytest.mark.parametrize("run, expected_ids", [
-        ("datagen", ["x:0", "x:1"]),
+        ("datagen", ["x:f0", "x:f1"]),
         ("free", ["x:f0", "x:f1"]),
         ("shortcut", ["x:s0", "x:s1", "x:s2"]),
     ])
@@ -428,3 +419,13 @@ class TestPipeline:
         strips = [r for r in rejected if r.reason == REJECT_STRIP]
         assert [r.sample_id for r in strips] == expected_ids
         assert all(r.gt_doc_id == "x" and r.question == "" for r in strips)
+
+    @pytest.mark.parametrize("seed", [1, 5])
+    def test_datagen_draws_the_synth_shortcut_free_pool(self, seed):
+        cfg = SynthConfig(n_docs=80, samples_per_doc=6, seed=seed)
+        kb, kb_aug, typemap = self._synth_world(cfg)
+        samples, rejected = generate_samples(kb_aug, typemap, seed, 6)
+        splits = generate_benchmark(kb, cfg, typemap, augmented=kb_aug)
+        assert rejected == list(splits.rejected)
+        split_samples = splits.train + splits.test_seen + splits.test_unseen
+        assert split_samples and {replace(s, split="") for s in split_samples} <= set(samples)

@@ -1,13 +1,16 @@
-"""Every name the package re-exports has a caller outside the package root,
-every name an engine module imports is used in it, every private
-module-level name of the engine is used in the engine, and no module-level
-name is defined in two engine modules.
+"""Every public module-level name of the engine has a caller, the package's
+re-exports resolve, every name an engine module imports is used in it,
+every private module-level name of the engine is used in the engine, and no
+module-level name is defined in two engine modules.
 
-A re-exported name passes when the engine itself uses it (an identifier in a `src/mvli`
-module other than `__init__`), when the benchmark harness under `perfbench/`
-uses it, or when the README documents it (in backticks or in its import
-block).  Identifiers are found with `ast`, so a word in a docstring or a
-comment does not count, and neither does the name's own definition.
+A public name (a module-level `def`, `class` or assignment in `src/mvli`
+not starting with `_`) passes when the engine itself uses it (an identifier
+in a `src/mvli` module other than `__init__`, its own module included), when
+the benchmark harness under `perfbench/` uses it, or when the README
+documents it (in backticks or in its import block).  Re-exporting a name
+from `__init__` does not call it.  Identifiers are found with `ast`, so a
+word in a docstring or a comment does not count, and neither does the
+name's own definition.
 """
 
 import ast
@@ -47,12 +50,13 @@ def reexported() -> list[str]:
                   if isinstance(node, ast.ImportFrom) for alias in node.names)
 
 
-def test_every_reexport_has_a_caller():
-    engine = referenced_identifiers(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
-    bench = referenced_identifiers((ROOT / "perfbench").rglob("*.py"))
-    documented = readme_names()
-    uncalled = [name for name in reexported()
-                if name not in engine and name not in bench and name not in documented]
+def test_every_public_name_has_a_caller():
+    callers = (referenced_identifiers(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+               | referenced_identifiers((ROOT / "perfbench").rglob("*.py"))
+               | readme_names())
+    uncalled = [f"{path.stem}.{name}" for path in sorted(PACKAGE.glob("*.py"))
+                for name in module_level_names(ast.parse(path.read_text(encoding="utf-8")))
+                if not name.startswith("_") and name not in callers]
     assert uncalled == []
 
 

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -176,6 +178,17 @@ class TestGenerateBenchmark:
         del augmented[min(augmented)]
         with pytest.raises(DataError, match="augmented KB"):
             generate_benchmark(kb, cfg, augmented=augmented)
+
+    def test_augmented_kb_of_changed_documents_rejected(self):
+        # the shortcut drafts read the main image key from the augmented KB,
+        # so a changed raw document there must not pass silently
+        cfg = _bench_cfg(fraction_shortcut=0.5)
+        kb = generate_kb(cfg)
+        doc_id = sorted(kb)[3]
+        other = dict(kb)
+        other[doc_id] = replace(kb[doc_id], main_image_key="img::Elsewhere")
+        with pytest.raises(DataError, match=repr(doc_id)):
+            generate_benchmark(kb, cfg, augmented=augment_kb(other))
 
     def test_all_samples_pass_validators(self):
         cfg = _bench_cfg(fraction_shortcut=0.5)
