@@ -20,7 +20,6 @@ from .core import (
 )
 from .augment import (
     AugmentedDocument,
-    DictionaryLinker,
     RawDocument,
     RelatedEntity,
     TitleTable,
@@ -29,6 +28,7 @@ from .augment import (
     build_title_table,
     entity_from_image_key,
     image_key_for_entity,
+    link,
     load_kb,
     save_kb,
 )

@@ -103,51 +103,50 @@ def _kb_title_table(kb: Mapping[str, RawDocument]) -> TitleTable:
     return build_title_table({d.title: d.doc_id for d in kb.values()})
 
 
-class DictionaryLinker:
-    """Longest-match, case-insensitive scan of body tokens against KB titles.
+def link(doc: RawDocument, table: TitleTable) -> list[LinkedMention]:
+    """Entity mentions of `doc`: a longest-match, case-insensitive scan of
+    its body tokens against the KB titles of `table`.
 
     Overlapping matches resolve longest-first then leftmost; mentions of the
     document's own title are excluded; multiple mentions of one entity merge
     into a single record that keeps every span.
     """
+    by_tokens, max_len = table.by_tokens, table.max_len
+    tokens = tokenize(doc.body)
+    own = table.title_tokens.get(doc.title)
+    if own is None:
+        own = tuple(tokenize(doc.title))
 
-    def link(self, doc: RawDocument, table: TitleTable) -> list[LinkedMention]:
-        by_tokens, max_len = table.by_tokens, table.max_len
-        tokens = tokenize(doc.body)
-        own = table.title_tokens.get(doc.title)
-        if own is None:
-            own = tuple(tokenize(doc.title))
-
-        candidates: list[tuple[int, int, str, str]] = []  # (start, length, title, doc_id)
-        for start in range(len(tokens)):
-            for length in range(min(max_len, len(tokens) - start), 0, -1):
-                window = tuple(tokens[start:start + length])
-                hit = by_tokens.get(window)
-                if hit is None or window == own:
-                    continue
-                candidates.append((start, length, hit[0], hit[1]))
-        candidates.sort(key=lambda c: (-c[1], c[0]))
-
-        taken = [False] * len(tokens)
-        selected: list[tuple[int, int, str, str]] = []
-        for start, length, title, doc_id in candidates:
-            if any(taken[start:start + length]):
+    candidates: list[tuple[int, int, str, str]] = []  # (start, length, title, doc_id)
+    for start in range(len(tokens)):
+        for length in range(min(max_len, len(tokens) - start), 0, -1):
+            window = tuple(tokens[start:start + length])
+            hit = by_tokens.get(window)
+            if hit is None or window == own:
                 continue
-            for i in range(start, start + length):
-                taken[i] = True
-            selected.append((start, length, title, doc_id))
+            candidates.append((start, length, hit[0], hit[1]))
+    candidates.sort(key=lambda c: (-c[1], c[0]))
 
-        merged: dict[str, LinkedMention] = {}
-        order: list[str] = []
-        for start, length, title, doc_id in sorted(selected):
-            span = tuple(range(start, start + length))
-            if doc_id in merged:
-                prev = merged[doc_id]
-                merged[doc_id] = LinkedMention(prev.entity, prev.span + span, doc_id)
-            else:
-                merged[doc_id] = LinkedMention(title, span, doc_id)
-                order.append(doc_id)
-        return [merged[doc_id] for doc_id in order]
+    taken = [False] * len(tokens)
+    selected: list[tuple[int, int, str, str]] = []
+    for start, length, title, doc_id in candidates:
+        if any(taken[start:start + length]):
+            continue
+        for i in range(start, start + length):
+            taken[i] = True
+        selected.append((start, length, title, doc_id))
+
+    merged: dict[str, LinkedMention] = {}
+    order: list[str] = []
+    for start, length, title, doc_id in sorted(selected):
+        span = tuple(range(start, start + length))
+        if doc_id in merged:
+            prev = merged[doc_id]
+            merged[doc_id] = LinkedMention(prev.entity, prev.span + span, doc_id)
+        else:
+            merged[doc_id] = LinkedMention(title, span, doc_id)
+            order.append(doc_id)
+    return [merged[doc_id] for doc_id in order]
 
 
 def augment_document(
@@ -173,7 +172,7 @@ def augment_document(
         raise DocumentError(f"document {doc.doc_id!r} has no main image")
     if table is None:
         table = _kb_title_table(kb)
-    mentions = DictionaryLinker().link(doc, table)
+    mentions = link(doc, table)
     related: list[RelatedEntity] = []
     warnings: list[str] = []
     for mention in mentions:

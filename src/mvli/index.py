@@ -99,8 +99,10 @@ class RetrievalIndex:
             self.magnitude = float(np.sqrt(np.einsum("ij,ij->i", self.codes, self.codes).max()))
         else:
             rows32 *= step.astype(np.float32)
-            rows32 += (self.centroids + self.code_min).astype(np.float32).take(
-                self.assignments, axis=0)
+            table = (self.centroids + self.code_min).astype(np.float32)
+            rows = _block_rows(4 * self.dim)
+            for lo in range(0, self.n_vectors, rows):
+                rows32[lo:lo + rows] += table.take(self.assignments[lo:lo + rows], axis=0)
             self.magnitude = float(np.linalg.norm(self.centroids, axis=1).max()
                                    + np.linalg.norm(np.abs(self.code_min) + 255.0 * step))
         for derived in (self.doc_offsets, self.centroid_doc_ids, self.centroid_doc_offsets,
@@ -151,23 +153,28 @@ def _derive_layout(
     return offsets, docs, cent_doc_offsets
 
 
-# Bytes of one block of the assign step's similarity matrix; the build's
-# memory is O(N * dim) plus one such block, whatever the centroid count.
-_ASSIGN_BLOCK_BYTES = 16_000_000
+# Bytes of one block of the build's temporaries (similarities, gathered
+# members, gathered centroid rows): the build holds one float64 copy of the
+# vectors plus one such block, whatever the centroid count; 1 MB stays in cache.
+_ASSIGN_BLOCK_BYTES = 1_000_000
+
+
+def _block_rows(row_bytes: int) -> int:
+    """Rows of row_bytes each in one block of _ASSIGN_BLOCK_BYTES, at least one."""
+    return max(1, _ASSIGN_BLOCK_BYTES // row_bytes)
 
 
 def _assign(vectors: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Nearest centroid of every vector and its cosine similarity, computed
     over row blocks of at most _ASSIGN_BLOCK_BYTES of similarities."""
-    n = vectors.shape[0]
-    rows = max(1, _ASSIGN_BLOCK_BYTES // (8 * centroids.shape[0]))
+    n, rows = vectors.shape[0], _block_rows(8 * centroids.shape[0])
     assignments = np.empty(n, dtype=np.int64)
     best = np.empty(n)
-    for start in range(0, n, rows):
-        stop = min(start + rows, n)
-        sims = vectors[start:stop] @ centroids.T
-        assignments[start:stop] = sims.argmax(axis=1)
-        best[start:stop] = sims[np.arange(stop - start), assignments[start:stop]]
+    for lo in range(0, n, rows):
+        sims = vectors[lo:lo + rows] @ centroids.T
+        assignments[lo:lo + rows] = sims.argmax(axis=1)
+        best[lo:lo + rows] = sims.max(axis=1)
+        del sims  # so the next block's product does not run while it is alive
     return assignments, best
 
 
@@ -175,12 +182,22 @@ def _update_centroids(
     vectors: np.ndarray, assignments: np.ndarray, centroids: np.ndarray
 ) -> np.ndarray:
     """Renormalized member means by segment sums; a centroid whose cluster is
-    empty or whose member sum is near zero keeps its previous value."""
+    empty or whose member sum is near zero keeps its previous value.  Members
+    are gathered in blocks of whole clusters, each reduced alone on its own
+    rows, so the sums equal one reduceat over all of them."""
     counts = np.bincount(assignments, minlength=centroids.shape[0])
     order = np.argsort(assignments, kind="stable")
     used = np.flatnonzero(counts)
-    starts = np.concatenate(([0], np.cumsum(counts[used])[:-1]))
-    means = np.add.reduceat(vectors[order], starts, axis=0) / counts[used, None]
+    sizes = counts[used]
+    ends = np.cumsum(sizes)
+    starts = ends - sizes
+    sums = np.empty((used.size, vectors.shape[1]))
+    for a, b in scoring._run_blocks(starts, _block_rows(8 * vectors.shape[1])):
+        lo = starts[a]
+        # unnamed, so a block is freed before the next one is gathered
+        sums[a:b] = np.add.reduceat(vectors.take(order[lo:ends[b - 1]], axis=0),
+                                    starts[a:b] - lo, axis=0)
+    means = sums / sizes[:, None]
     norms = np.linalg.norm(means, axis=1)
     moved = norms > 1e-12
     updated = centroids.copy()
@@ -201,6 +218,7 @@ def _spherical_kmeans(
         assignments, best = _assign(vectors, centroids)
         trace.append(float(np.mean(1.0 - best)))
         centroids = _update_centroids(vectors, assignments, centroids)
+        del assignments, best  # freed before the next pass allocates its own
     assignments, best = _assign(vectors, centroids)
     trace.append(float(np.mean(1.0 - best)))
     return centroids, assignments, trace
@@ -222,30 +240,33 @@ def build_index(
     nbits=8 stores per-dimension uniform residual codes; nbits=0 stores exact
     float64 vectors (lossless mode).  Deterministic for a fixed seed.
     """
-    doc_ids, vectors, doc_sizes = stack_rows(corpus, np.float64, "index")
     if nbits not in (0, 8):
         raise ConfigError(f"nbits must be 0 (lossless) or 8, got {nbits}")
     if kmeans_iters < 0:
         raise ConfigError(f"kmeans_iters must be >= 0, got {kmeans_iters}")
-    n, dim = vectors.shape
+    n = sum(len(features) for features in corpus.values())
     k = default_k_centroids(n) if k_centroids is None else k_centroids
     if k < 1:
         raise ConfigError("k_centroids must be >= 1")
-    if k > n:
+    if k > n > 0:  # an empty corpus is stack_rows's InputError
         raise ConfigError(f"k_centroids ({k}) exceeds the vector count ({n})")
+    doc_ids, vectors, doc_sizes = stack_rows(corpus, np.float64, "index")
+    dim = vectors.shape[1]
 
     centroids, assignments, trace = _spherical_kmeans(vectors, k, kmeans_iters, Rng(seed))
-    residuals = vectors - centroids[assignments]
     if nbits == 0:
-        codes = vectors.astype(np.float64)
-        code_min = np.zeros(dim)
-        code_max = np.zeros(dim)
+        codes, code_min, code_max = vectors, np.zeros(dim), np.zeros(dim)
     else:
-        code_min = residuals.min(axis=0)
-        code_max = residuals.max(axis=0)
+        # the residuals, then their codes, are formed in place in the stacked copy
+        rows = _block_rows(8 * dim)
+        for lo in range(0, n, rows):
+            vectors[lo:lo + rows] -= centroids.take(assignments[lo:lo + rows], axis=0)
+        code_min, code_max = vectors.min(axis=0), vectors.max(axis=0)
         spread = code_max - code_min
-        scale = np.where(spread > 0, 255.0 / np.where(spread > 0, spread, 1.0), 0.0)
-        codes = np.clip(np.rint((residuals - code_min) * scale), 0, 255).astype(np.uint8)
+        vectors -= code_min
+        vectors *= np.where(spread > 0, 255.0 / np.where(spread > 0, spread, 1.0), 0.0)
+        codes = np.clip(np.rint(vectors, out=vectors), 0, 255, out=vectors).astype(np.uint8)
+    del vectors  # with nbits 8, freed before the screen rows are derived
     return RetrievalIndex(
         dim=dim,
         nbits=nbits,

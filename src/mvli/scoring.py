@@ -33,6 +33,15 @@ def late_interaction_score(query: FeatureSet, doc: FeatureSet) -> float:
     return float((query.vectors @ doc.vectors.T).max(axis=1).sum())
 
 
+def _run_blocks(starts: np.ndarray, width: int) -> list[tuple[int, int]]:
+    """(a, b) of each block of whole runs, for runs given by their ascending
+    first positions: runs a to b - 1 are those whose first position falls in
+    one `width`-wide window, so a block spans at most width plus the longest
+    run."""
+    firsts = np.flatnonzero(np.diff(starts // width, prepend=-1)).tolist()
+    return list(zip(firsts, firsts[1:] + [len(starts)]))
+
+
 def _maxsim_sums(
     sizes: np.ndarray, width: int, block_sims: Callable[[int, int], np.ndarray],
     row_bounds: Sequence[int],
@@ -43,20 +52,18 @@ def _maxsim_sums(
     array of, per query and doc, the sum over the query's rows of the max
     over the doc's columns.
 
-    The columns are walked in blocks of whole docs: a block holds the docs
-    whose first column falls in one `width`-wide window, so it spans at most
-    width plus the largest doc.  block_sims(lo, hi) returns the similarities
-    of columns lo to hi, and one maximum.reduceat cuts them at the block's
-    doc starts; the maxima keep the similarities' dtype, which a max does
-    not round.  They are summed in float64, each query's per doc over one
-    contiguous row, so for float64 similarities its bits equal
-    sims[rows, doc].max(axis=1).sum(), whatever the other queries.
+    The columns are walked in the `_run_blocks` of whole docs at `width`.
+    block_sims(lo, hi) returns the similarities of columns lo to hi, and one
+    maximum.reduceat cuts them at the block's doc starts; the maxima keep the
+    similarities' dtype, which a max does not round.  They are summed in
+    float64, each query's per doc over one contiguous row, so for float64
+    similarities its bits equal sims[rows, doc].max(axis=1).sum(), whatever
+    the other queries.
     """
     ends = np.cumsum(sizes)
     starts = ends - sizes
-    firsts = np.append(np.flatnonzero(np.diff(starts // width, prepend=-1)), len(sizes))
     maxima = None
-    for a, b in zip(firsts[:-1].tolist(), firsts[1:].tolist()):
+    for a, b in _run_blocks(starts, width):
         lo = starts[a]
         # no name holds a block's similarities, so the next block's product
         # does not run while they are still alive

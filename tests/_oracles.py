@@ -208,6 +208,47 @@ def naive_centroid_update(
     return updated
 
 
+def one_shot_centroid_update(
+    vectors: np.ndarray, assignments: np.ndarray, centroids: np.ndarray
+) -> np.ndarray:
+    """The centroid update as one segment sum over every member row, gathered
+    at once in cluster order: np.add.reduceat(vectors[order], starts)."""
+    counts = np.bincount(assignments, minlength=centroids.shape[0])
+    order = np.argsort(assignments, kind="stable")
+    used = np.flatnonzero(counts)
+    starts = np.concatenate(([0], np.cumsum(counts[used])[:-1]))
+    means = np.add.reduceat(vectors[order], starts, axis=0) / counts[used, None]
+    norms = np.linalg.norm(means, axis=1)
+    moved = norms > 1e-12
+    updated = centroids.copy()
+    updated[used[moved]] = means[moved] / norms[moved, None]
+    return updated
+
+
+def one_shot_codes(vectors: np.ndarray, centroids: np.ndarray, assignments: np.ndarray):
+    """8-bit residual codes and codebook of the given clustering, each step
+    one whole-array expression: clip(rint((v - c[a] - code_min) * scale))."""
+    residuals = vectors - centroids[assignments]
+    code_min, code_max = residuals.min(axis=0), residuals.max(axis=0)
+    spread = code_max - code_min
+    scale = np.where(spread > 0, 255.0 / np.where(spread > 0, spread, 1.0), 0.0)
+    codes = np.clip(np.rint((residuals - code_min) * scale), 0, 255).astype(np.uint8)
+    return codes, code_min, code_max
+
+
+def one_shot_rows32(index) -> np.ndarray:
+    """The screen rows of an index with every centroid row gathered in one
+    take: codes * float32 step + float32(centroids + code_min)[assignments]
+    (the stored rows cast when nbits == 0)."""
+    rows = index.codes.astype(np.float32)
+    if index.nbits != 0:
+        spread = index.code_max - index.code_min
+        rows *= np.where(spread > 0, spread / 255.0, 0.0).astype(np.float32)
+        rows += (index.centroids + index.code_min).astype(np.float32).take(
+            index.assignments, axis=0)
+    return rows
+
+
 def naive_link(doc, kb_titles):
     """Per-document dictionary scan that re-tokenizes every KB title.
 

@@ -4,13 +4,13 @@ import pytest
 import mvli.augment as augment_mod
 from _oracles import naive_link
 from mvli.augment import (
-    DictionaryLinker,
     RawDocument,
     augment_document,
     augment_kb,
     build_title_table,
     entity_from_image_key,
     image_key_for_entity,
+    link,
     load_augmented,
     load_kb,
     save_augmented,
@@ -25,43 +25,43 @@ def _kb(*docs):
     return {d.doc_id: d for d in docs}
 
 
-def link(doc, titles):
-    return DictionaryLinker().link(doc, build_title_table(titles))
+def link_titles(doc, titles):
+    return link(doc, build_title_table(titles))
 
 
 class TestLinkEntities:
     def test_exact_dictionary_hit(self):
         doc = RawDocument("a", "Beetle", "it feeds on potato plants", "img::Beetle")
-        hits = link(doc, {"Potato": "p", "Beetle": "a"})
+        hits = link_titles(doc, {"Potato": "p", "Beetle": "a"})
         assert len(hits) == 1
         assert hits[0].entity == "Potato"
         assert hits[0].span == (3,)
 
     def test_self_mention_excluded(self):
         doc = RawDocument("a", "Beetle", "the beetle rests", "img::Beetle")
-        assert link(doc, {"Beetle": "a"}) == []
+        assert link_titles(doc, {"Beetle": "a"}) == []
 
     def test_longest_match_wins(self):
         doc = RawDocument("a", "Thing", "visiting new york today", "img::Thing")
-        hits = link(doc, {"New York": "ny", "York": "y", "Thing": "a"})
+        hits = link_titles(doc, {"New York": "ny", "York": "y", "Thing": "a"})
         assert [h.entity for h in hits] == ["New York"]
         assert hits[0].span == (1, 2)
 
     def test_duplicate_mentions_merge_spans(self):
         doc = RawDocument("a", "Thing", "koro here and koro there", "img::Thing")
-        hits = link(doc, {"Koro": "k", "Thing": "a"})
+        hits = link_titles(doc, {"Koro": "k", "Thing": "a"})
         assert len(hits) == 1
         assert hits[0].span == (0, 3)
 
     def test_punctuated_mentions_match(self):
         doc = RawDocument("a", "Thing", "it guards Koro, always.", "img::Thing")
-        hits = link(doc, {"Koro": "k"})
+        hits = link_titles(doc, {"Koro": "k"})
         assert hits and hits[0].span == (2,)
 
     def test_empty_titles_rejected(self):
         doc = RawDocument("a", "Thing", "body", "img::Thing")
         with pytest.raises(InputError):
-            link(doc, {})
+            link_titles(doc, {})
 
     def test_spans_redetokenize_to_surface(self):
         doc = RawDocument(
@@ -70,7 +70,7 @@ class TestLinkEntities:
         )
         titles = {"Solan Ridge": "s", "Tomat Vale": "t"}
         tokens = tokenize(doc.body)
-        for hit in link(doc, titles):
+        for hit in link_titles(doc, titles):
             runs = []
             current = [hit.span[0]]
             for idx in hit.span[1:]:

@@ -15,6 +15,9 @@ from _oracles import (
     decode_rows32,
     naive_centroid_update,
     naive_search,
+    one_shot_centroid_update,
+    one_shot_codes,
+    one_shot_rows32,
     per_block_screen,
     single_pass_search,
 )
@@ -33,7 +36,7 @@ from mvli.index import (
     save_index,
     search,
 )
-from mvli.scoring import StackedCorpus, rank_exact
+from mvli.scoring import StackedCorpus, rank_exact, stack_rows
 
 
 def make_corpus(seed=0, n_docs=12, dim=8, min_tokens=4, max_tokens=20):
@@ -99,6 +102,21 @@ class TestBuild:
         assert default_k_centroids(2500) == 100
         assert default_k_centroids(1) == 2
 
+    @pytest.mark.parametrize("settings", [
+        lambda n: {"nbits": 4}, lambda n: {"kmeans_iters": -1},
+        lambda n: {"k_centroids": 0}, lambda n: {"k_centroids": n + 1}],
+        ids=["nbits", "kmeans_iters", "k_zero", "k_over_n"])
+    def test_bad_config_rejected_before_the_copy(self, monkeypatch, settings):
+        """n is the vector count, summed over the docs."""
+        corpus = make_corpus(n_docs=5)
+
+        def copy_rows(*args):
+            raise AssertionError("the vectors were stacked before the config was checked")
+
+        monkeypatch.setattr(index_mod, "stack_rows", copy_rows)
+        with pytest.raises(ConfigError):
+            build_index(corpus, **settings(sum(len(v) for v in corpus.values())))
+
 
 class TestKmeansSteps:
     """The blockwise assign and the segment-sum update against dense oracles."""
@@ -125,7 +143,7 @@ class TestKmeansSteps:
 
     @pytest.mark.parametrize("seed", range(3))
     @pytest.mark.parametrize("k", ["one", "default", "all"])
-    def test_segment_update_matches_loop(self, seed, k):
+    def test_segment_update_matches_loop(self, monkeypatch, seed, k):
         gen = Rng(seed).generator()
         n = 150
         vectors = gen.standard_normal((n, 6))
@@ -141,7 +159,11 @@ class TestKmeansSteps:
             assignments[assignments == used[0]] = used[1]
             assignments[[0, 1]] = used[0]
             vectors[1] = -vectors[0]
+        # members gathered 5 rows at a time: the one cluster of k "one" spans
+        # 30 windows, and the bits are those of one reduceat over all members
+        monkeypatch.setattr(index_mod, "_ASSIGN_BLOCK_BYTES", 5 * 8 * 6)
         got = index_mod._update_centroids(vectors, assignments, centroids)
+        assert got.tobytes() == one_shot_centroid_update(vectors, assignments, centroids).tobytes()
         want = naive_centroid_update(vectors, assignments, centroids)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
         empty = np.setdiff1d(np.arange(n_cent), assignments)
@@ -166,7 +188,40 @@ class TestKmeansSteps:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < dense_bytes / 2
+        # one float64 copy of the vectors, half as much again for the codes,
+        # screen rows and per-vector ids, and one block
+        assert peak <= 1.5 * n * dim * 8 + index_mod._ASSIGN_BLOCK_BYTES
+
+
+class TestBlockwiseBuild:
+    """The block-wise build against the one-shot formulas it replaces,
+    compared by bytes, with blocks of 5 float64 rows of dim 8: a cluster
+    spans several windows and the last row block is partial."""
+
+    BLOCK = 5 * 8 * 8 + 3
+
+    @pytest.mark.parametrize("nbits", [8, 0])
+    @pytest.mark.parametrize("seed", range(2))
+    def test_build_equals_one_shot_formulas(self, monkeypatch, nbits, seed):
+        corpus = make_corpus(seed=seed, n_docs=30, dim=8)
+        vectors = stack_rows(corpus, np.float64, "index")[1]
+        whole = build_index(corpus, k_centroids=7, kmeans_iters=4, nbits=nbits, seed=seed)
+        monkeypatch.setattr(index_mod, "_ASSIGN_BLOCK_BYTES", self.BLOCK)
+        assert len(vectors) % index_mod._block_rows(8 * 8) != 0
+        assert len(vectors) % index_mod._block_rows(4 * 8) != 0
+        index = build_index(corpus, k_centroids=7, kmeans_iters=4, nbits=nbits, seed=seed)
+        assert np.bincount(index.assignments).max() > 3 * index_mod._block_rows(8 * 8)
+        for name in ("centroids", "assignments", "codes", "code_min", "code_max"):
+            assert getattr(index, name).tobytes() == getattr(whole, name).tobytes()
+        if nbits == 0:
+            codes, code_min, code_max = vectors, np.zeros(8), np.zeros(8)
+        else:
+            codes, code_min, code_max = one_shot_codes(vectors, index.centroids,
+                                                       index.assignments)
+        assert index.codes.tobytes() == codes.tobytes()
+        assert index.code_min.tobytes() == code_min.tobytes()
+        assert index.code_max.tobytes() == code_max.tobytes()
+        assert index.rows32.tobytes() == one_shot_rows32(index).tobytes()
 
 
 class TestDerivedLayout:
