@@ -82,7 +82,7 @@ class TitleTable:
 
     title_tokens: Mapping[str, tuple[str, ...]]  # title -> normalized tokens
     by_tokens: Mapping[tuple[str, ...], tuple[str, str]]  # tokens -> (title, doc_id)
-    max_len: int
+    lengths: Mapping[str, tuple[int, ...]]  # first token -> lengths of its keys, longest first
 
 
 def build_title_table(kb_titles: Mapping[str, str]) -> TitleTable:
@@ -92,37 +92,39 @@ def build_title_table(kb_titles: Mapping[str, str]) -> TitleTable:
         raise InputError("kb_titles must not be empty")
     title_tokens = {title: tuple(tokenize(title)) for title in kb_titles}
     by_tokens: dict[tuple[str, ...], tuple[str, str]] = {}
+    lengths: dict[str, set[int]] = {}
     for title, doc_id in kb_titles.items():
         key = title_tokens[title]
         if key and key not in by_tokens:
             by_tokens[key] = (title, doc_id)
-    return TitleTable(title_tokens, by_tokens, max((len(key) for key in by_tokens), default=0))
+            lengths.setdefault(key[0], set()).add(len(key))
+    return TitleTable(title_tokens, by_tokens,
+                      {first: tuple(sorted(ls, reverse=True)) for first, ls in lengths.items()})
 
 
 def _kb_title_table(kb: Mapping[str, RawDocument]) -> TitleTable:
     return build_title_table({d.title: d.doc_id for d in kb.values()})
 
 
-def link(doc: RawDocument, table: TitleTable) -> list[LinkedMention]:
-    """Entity mentions of `doc`: a longest-match, case-insensitive scan of
-    its body tokens against the KB titles of `table`.
+def link(tokens: list[str], own_title: str, table: TitleTable) -> list[LinkedMention]:
+    """Entity mentions in the `tokenize`d body of a document titled
+    `own_title`: a longest-match, case-insensitive scan against the KB
+    titles of `table`, which looks a window up only at the lengths of the
+    titles that start with its first token.
 
     Overlapping matches resolve longest-first then leftmost; mentions of the
     document's own title are excluded; multiple mentions of one entity merge
     into a single record that keeps every span.
     """
-    by_tokens, max_len = table.by_tokens, table.max_len
-    tokens = tokenize(doc.body)
-    own = table.title_tokens.get(doc.title)
-    if own is None:
-        own = tuple(tokenize(doc.title))
+    by_tokens, lengths = table.by_tokens, table.lengths
+    own = table.title_tokens.get(own_title) or tuple(tokenize(own_title))
 
     candidates: list[tuple[int, int, str, str]] = []  # (start, length, title, doc_id)
-    for start in range(len(tokens)):
-        for length in range(min(max_len, len(tokens) - start), 0, -1):
+    for start, first in enumerate(tokens):
+        for length in lengths.get(first, ()):
             window = tuple(tokens[start:start + length])
             hit = by_tokens.get(window)
-            if hit is None or window == own:
+            if hit is None or len(window) < length or window == own:
                 continue
             candidates.append((start, length, hit[0], hit[1]))
     candidates.sort(key=lambda c: (-c[1], c[0]))
@@ -136,17 +138,10 @@ def link(doc: RawDocument, table: TitleTable) -> list[LinkedMention]:
             taken[i] = True
         selected.append((start, length, title, doc_id))
 
-    merged: dict[str, LinkedMention] = {}
-    order: list[str] = []
+    merged: dict[str, tuple[str, list[int]]] = {}  # doc_id -> (entity, span), first mention first
     for start, length, title, doc_id in sorted(selected):
-        span = tuple(range(start, start + length))
-        if doc_id in merged:
-            prev = merged[doc_id]
-            merged[doc_id] = LinkedMention(prev.entity, prev.span + span, doc_id)
-        else:
-            merged[doc_id] = LinkedMention(title, span, doc_id)
-            order.append(doc_id)
-    return [merged[doc_id] for doc_id in order]
+        merged.setdefault(doc_id, (title, []))[1].extend(range(start, start + length))
+    return [LinkedMention(title, tuple(span), doc_id) for doc_id, (title, span) in merged.items()]
 
 
 def augment_document(
@@ -172,7 +167,8 @@ def augment_document(
         raise DocumentError(f"document {doc.doc_id!r} has no main image")
     if table is None:
         table = _kb_title_table(kb)
-    mentions = link(doc, table)
+    tokens = tokenize(doc.body)
+    mentions = link(tokens, doc.title, table)
     related: list[RelatedEntity] = []
     warnings: list[str] = []
     for mention in mentions:
@@ -192,7 +188,7 @@ def augment_document(
         related = related[:cap]
     return AugmentedDocument(
         raw=doc,
-        text_tokens=tuple(tokenize(doc.body)),
+        text_tokens=tuple(tokens),
         related=tuple(related),
         warnings=tuple(warnings),
     )

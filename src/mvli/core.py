@@ -19,6 +19,7 @@ from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 UNIT_ATOL = 1e-6
 
@@ -306,6 +307,20 @@ def seeded_unit_vector(key: str | bytes, dim: int, rng_domain: str) -> np.ndarra
     raise NumericError("could not draw a non-degenerate vector")  # pragma: no cover
 
 
+class _PhiloxKey(ISeedSequence):
+    """A Philox key as a seed sequence: Philox keys itself with
+    generate_state(2, uint64), so its state is that of Philox(key=words),
+    without the OS entropy Philox(key=) draws for a seed sequence it drops."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 2 or np.dtype(dtype) != np.uint64:
+            raise NotImplementedError("a Philox key is two uint64 words")
+        return self.words
+
+
 class Rng:
     """Splittable deterministic random stream.
 
@@ -330,7 +345,7 @@ class Rng:
         key = np.frombuffer(
             hashlib.blake2b(self._material, digest_size=16).digest(), dtype=np.uint64
         )
-        return np.random.Generator(np.random.Philox(key=key))
+        return np.random.Generator(np.random.Philox(_PhiloxKey(key)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -377,16 +392,10 @@ class FeatureSet:
 _EDGE_CHARS = string.punctuation
 
 
-def normalize_token(token: str) -> str:
-    """Token with surrounding punctuation stripped, for surface matching."""
-    stripped = token.strip(_EDGE_CHARS)
-    return stripped if stripped else token
-
-
 def tokenize(text: str) -> list[str]:
     """Lowercased whitespace tokens with edge punctuation removed.
 
     Token count matches plain whitespace splitting, so token indices line up
     with character offsets of the raw words.
     """
-    return [normalize_token(tok) for tok in text.lower().split()]
+    return [tok.strip(_EDGE_CHARS) or tok for tok in text.lower().split()]

@@ -20,7 +20,7 @@ import re
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from types import MappingProxyType
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import AbstractSet, Callable, Mapping, Sequence
 
 from .augment import AugmentedDocument, image_key_for_entity
 from .bm25 import Bm25Index
@@ -46,6 +46,11 @@ class OneHopGraph:
     doc_id: str
     main_entity: str
     neighbors: tuple[Neighbor, ...]
+
+    @functools.cached_property
+    def image_positions(self) -> tuple[int, ...]:
+        """Positions of the neighbors with an image, found once per graph."""
+        return tuple(i for i, n in enumerate(self.neighbors) if n.has_image)
 
 
 @dataclass(frozen=True)
@@ -155,16 +160,14 @@ def extract_target_subgraph(graph: OneHopGraph, rng: Rng) -> TargetSubgraph | No
     Returns None when the graph has fewer than two neighbors or none with an
     image, in which case the caller skips the document.
     """
-    if len(graph.neighbors) < 2:
-        return None
-    with_image = [i for i, n in enumerate(graph.neighbors) if n.has_image]
-    if not with_image:
+    with_image = graph.image_positions
+    if len(graph.neighbors) < 2 or not with_image:
         return None
     gen = rng.generator()
-    q_idx = int(gen.choice(len(with_image)))
-    query = graph.neighbors[with_image[q_idx]]
-    rest = [n for n in graph.neighbors if n is not query]
-    qual = rest[int(gen.choice(len(rest)))]
+    q_pos = with_image[int(gen.integers(len(with_image)))]
+    k_pos = int(gen.integers(len(graph.neighbors) - 1))
+    query = graph.neighbors[q_pos]
+    qual = graph.neighbors[k_pos + (k_pos >= q_pos)]
     return TargetSubgraph(
         answer_entity=graph.main_entity,
         query_entity=query.entity,
@@ -291,22 +294,21 @@ def validate_sample(
     question: str,
     answer: str,
     query_entity: str,
-    type_nouns: Iterable[str],
+    type_nouns: AbstractSet[str],
 ) -> str | None:
     """None when the question satisfies every surface rule, else a reason code.
 
     Rules: the query entity surface must not appear (it is shown only in the
     image), the answer surface must not appear, and exactly one demonstrative
-    "this <type>" phrase must be present.
+    "this <type>" phrase, <type> among the lower-cased `type_nouns`, is present.
     """
     lowered = question.lower()
     if query_entity.lower() in lowered:
         return REJECT_SURFACE
     if answer.lower() in lowered:
         return REJECT_SURFACE
-    nouns = {n.lower() for n in type_nouns}
     demonstratives = [
-        m.group(1) for m in re.finditer(r"\bthis\s+(\w+)", lowered) if m.group(1) in nouns
+        m.group(1) for m in re.finditer(r"\bthis\s+(\w+)", lowered) if m.group(1) in type_nouns
     ]
     if len(demonstratives) != 1:
         return REJECT_SURFACE
@@ -434,7 +436,7 @@ def draft_sample(
     paraphraser: Callable[[str], str],
     query_entity: str,
     query_image_key: str,
-    type_nouns: Iterable[str],
+    type_nouns: AbstractSet[str],
 ) -> QaSample | RejectedSample:
     """Render, paraphrase and validate one draft.
 
@@ -479,7 +481,7 @@ def draft_pool(
         raise ConfigError("samples_per_doc must be >= 1")
     graphs = build_graphs(kb_aug)
     paraphraser = RuleParaphraser()
-    type_nouns = set(typemap.values())
+    type_nouns = {noun.lower() for noun in typemap.values()}
     free_drafts: list[QaSample] = []
     shortcut_samples: list[QaSample] = []
     rejected: list[RejectedSample] = []

@@ -178,13 +178,31 @@ def _assign(vectors: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np.
     return assignments, best
 
 
+_PAIRWISE_ROWS = 128  # the rows numpy's pairwise sum adds up alone
+
+
+def _pairwise_sum(vectors: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """numpy's pairwise column sums of vectors[ids], which a reduceat adds to
+    a segment's first row: runs of at most _PAIRWISE_ROWS rows summed alone,
+    longer ones cut in halves, the first a multiple of 8 rows.  At most
+    _PAIRWISE_ROWS rows are gathered at a time."""
+    n = len(ids)
+    if n > _PAIRWISE_ROWS:
+        half = n // 2 - n // 2 % 8
+        return _pairwise_sum(vectors, ids[:half]) + _pairwise_sum(vectors, ids[half:])
+    rows = np.full((n + 1, vectors.shape[1]), -0.0)  # a first row of -0.0 adds nothing
+    vectors.take(ids, axis=0, out=rows[1:])
+    return np.add.reduceat(rows, [0], axis=0)[0]
+
+
 def _update_centroids(
     vectors: np.ndarray, assignments: np.ndarray, centroids: np.ndarray
 ) -> np.ndarray:
     """Renormalized member means by segment sums; a centroid whose cluster is
     empty or whose member sum is near zero keeps its previous value.  Members
     are gathered in blocks of whole clusters, each reduced alone on its own
-    rows, so the sums equal one reduceat over all of them."""
+    rows, and a cluster longer than a block (the last of its block) is summed
+    by `_pairwise_sum`, so the sums equal one reduceat over all of them."""
     counts = np.bincount(assignments, minlength=centroids.shape[0])
     order = np.argsort(assignments, kind="stable")
     used = np.flatnonzero(counts)
@@ -192,7 +210,14 @@ def _update_centroids(
     ends = np.cumsum(sizes)
     starts = ends - sizes
     sums = np.empty((used.size, vectors.shape[1]))
-    for a, b in scoring._run_blocks(starts, _block_rows(8 * vectors.shape[1])):
+    width = _block_rows(8 * vectors.shape[1])
+    for a, b in scoring._run_blocks(starts, width):
+        if sizes[b - 1] > width:
+            b -= 1
+            ids = order[starts[b]:ends[b]]
+            sums[b] = vectors[ids[0]] + _pairwise_sum(vectors, ids[1:])
+            if a == b:
+                continue
         lo = starts[a]
         # unnamed, so a block is freed before the next one is gathered
         sums[a:b] = np.add.reduceat(vectors.take(order[lo:ends[b - 1]], axis=0),

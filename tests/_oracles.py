@@ -191,6 +191,37 @@ def naive_bm25(query_terms, doc_terms, all_doc_terms, k1=1.2, b=0.75) -> float:
     return score
 
 
+def per_posting_top_k(bodies, query_terms, k: int, k1=1.2, b=0.75):
+    """BM25 top-k by a loop over tf postings, each contribution computed when
+    its posting is read: per distinct query term in order of first
+    occurrence, per doc in ascending id order, score += qtf * contribution.
+    Docs sharing no term with the query are not scored; the ranking is by
+    descending score then ascending id."""
+    from collections import Counter
+
+    from mvli.core import tokenize
+
+    doc_len, postings = {}, {}
+    for doc_id in sorted(bodies):
+        terms = tokenize(bodies[doc_id])
+        doc_len[doc_id] = len(terms)
+        for term, f in Counter(terms).items():
+            postings.setdefault(term, {})[doc_id] = f
+    avgdl = sum(doc_len.values()) / len(bodies)
+    scores = {}
+    for term, qtf in Counter(query_terms).items():
+        posting = postings.get(term)
+        if not posting:
+            continue
+        df = len(posting)
+        idf = math.log((len(bodies) - df + 0.5) / (df + 0.5))
+        for doc_id, f in posting.items():
+            norm = k1 * (1.0 - b + b * doc_len[doc_id] / avgdl)
+            contrib = idf * f * (k1 + 1.0) / (f + norm)
+            scores[doc_id] = scores.get(doc_id, 0.0) + qtf * contrib
+    return sorted(scores.items(), key=lambda kv: (-kv[1], kv[0]))[:k]
+
+
 def naive_centroid_update(
     vectors: np.ndarray, assignments: np.ndarray, centroids: np.ndarray
 ) -> np.ndarray:
@@ -256,16 +287,16 @@ def naive_link(doc, kb_titles):
     longest match first, then leftmost; the document's own title is skipped;
     when titles share a token tuple the first one in `kb_titles` wins.
     """
-    from mvli.core import normalize_token, tokenize
+    from mvli.core import tokenize
 
     by_tokens = {}
     for title, doc_id in kb_titles.items():
-        key = tuple(normalize_token(t) for t in tokenize(title))
+        key = tuple(tokenize(title))
         if key and key not in by_tokens:
             by_tokens[key] = (title, doc_id)
     max_len = max((len(key) for key in by_tokens), default=0)
-    tokens = [normalize_token(t) for t in tokenize(doc.body)]
-    own = tuple(normalize_token(t) for t in tokenize(doc.title))
+    tokens = tokenize(doc.body)
+    own = tuple(tokenize(doc.title))
 
     candidates = []
     for start in range(len(tokens)):

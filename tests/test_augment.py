@@ -16,8 +16,7 @@ from mvli.augment import (
     save_augmented,
     save_kb,
 )
-from mvli.core import (ConfigError, DataError, FormatError, InputError, normalize_token,
-                       tokenize)
+from mvli.core import ConfigError, DataError, FormatError, InputError, tokenize
 from mvli.synth import SynthConfig, generate_kb
 
 
@@ -26,7 +25,7 @@ def _kb(*docs):
 
 
 def link_titles(doc, titles):
-    return link(doc, build_title_table(titles))
+    return link(tokenize(doc.body), doc.title, build_title_table(titles))
 
 
 class TestLinkEntities:
@@ -81,7 +80,7 @@ class TestLinkEntities:
                     current = [idx]
             runs.append(current)
             for run in runs:
-                surface = " ".join(normalize_token(tokens[i]) for i in run)
+                surface = " ".join(tokens[i] for i in run)
                 assert surface == hit.entity.lower()
 
 
@@ -156,6 +155,10 @@ def _random_kb(seed: int) -> dict[str, RawDocument]:
     for _ in range(int(gen.integers(2, 8))):
         words = gen.choice(len(_WORDS), size=int(gen.integers(1, 4)))
         titles.append(" ".join(_WORDS[w] for w in words).title())
+    for _ in range(int(gen.integers(1, 4))):
+        # a longer title sharing its first token with a shorter one
+        longer = f"{titles[int(gen.integers(len(titles)))]} {_WORDS[int(gen.integers(len(_WORDS)))]}"
+        titles.append(longer.title())
     order = gen.permutation(len(titles))
     titles = [titles[i] for i in order]
     docs = []
@@ -213,6 +216,20 @@ class TestLinkerOracle:
                 shared_key += any(e in ("Koro.", "koro") for e, _, _ in links)
                 overlap += "new york vale" in " ".join(tokens)
         assert own and shared_key and overlap
+
+    def test_random_kbs_share_first_tokens(self):
+        """The oracle runs above see mentions of a title whose first token
+        also starts a longer title, so the scan falls back to the shorter."""
+        fallback = 0
+        for seed in range(40):
+            kb = _random_kb(seed)
+            kb_titles = {d.title: d.doc_id for d in kb.values()}
+            table = build_title_table(kb_titles)
+            for doc in kb.values():
+                for entity, _, _ in naive_link(doc, kb_titles):
+                    key = table.title_tokens[entity]
+                    fallback += max(table.lengths[key[0]]) > len(key)
+        assert fallback
 
     def test_each_title_tokenized_once(self, monkeypatch):
         kb = generate_kb(SynthConfig(n_docs=300, entities_per_doc=3.0, seed=4))

@@ -2,9 +2,9 @@ import math
 
 import pytest
 
-from _oracles import naive_bm25
+from _oracles import naive_bm25, per_posting_top_k
 from mvli.bm25 import Bm25Index
-from mvli.core import InputError, Rng, tokenize
+from mvli.core import ConfigError, InputError, Rng, tokenize
 
 
 def all_scores(index: Bm25Index, query) -> dict[str, float]:
@@ -99,3 +99,64 @@ class TestBm25Index:
                 assert scores.get(doc_id, 0.0) == pytest.approx(
                     naive_bm25(query, tokenize(bodies[doc_id]), all_terms), abs=1e-12
                 )
+
+
+def hexed(ranked):
+    return [(doc_id, float.hex(score)) for doc_id, score in ranked]
+
+
+class TestTopKOracle:
+    """`top_k` from contributions computed at build time against the
+    per-posting loop that computes each one when it is read: the same ids,
+    order and score bits."""
+
+    def check(self, bodies, query, k, **okapi):
+        got = Bm25Index(bodies, **okapi).top_k(query, k)
+        terms = tokenize(query) if isinstance(query, str) else list(query)
+        assert hexed(got) == hexed(per_posting_top_k(bodies, terms, k, **okapi))
+        return got
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_random_corpora(self, seed):
+        gen = Rng(seed).split("top-k").generator()
+        vocab = [f"w{i}" for i in range(int(gen.integers(3, 25)))]
+        bodies = {
+            f"d{i:02d}": " ".join(vocab[int(gen.integers(len(vocab)))]
+                                  for _ in range(int(gen.integers(1, 30))))
+            for i in range(int(gen.integers(1, 40)))
+        }
+        okapi = {"k1": float(gen.uniform(0.5, 2.0)), "b": float(gen.uniform(0.0, 1.0))}
+        for _ in range(10):
+            query = [vocab[int(gen.integers(len(vocab)))] for _ in range(int(gen.integers(1, 9)))]
+            self.check(bodies, query, int(gen.integers(1, len(bodies) + 3)), **okapi)
+
+    def test_negative_idf(self):
+        bodies = {"a": "koro velmo", "b": "koro tharn", "c": "koro koro solen"}
+        got = self.check(bodies, "koro", 3)
+        assert [d for d, _ in got] == ["a", "b", "c"] and all(s < 0 for _, s in got)
+
+    def test_idf_exactly_zero_lists_only_docs_with_the_term(self):
+        # df = N / 2: idf = log(1) = 0, so both docs holding the term score 0.0
+        bodies = {"a": "koro velmo", "b": "koro tharn", "c": "solen", "d": "tharn"}
+        got = self.check(bodies, ["koro"], 4)
+        assert [(d, float.hex(s)) for d, s in got] == [("a", "0x0.0p+0"), ("b", "0x0.0p+0")]
+
+    def test_repeated_query_terms(self):
+        bodies = {"a": "koro velmo koro", "b": "velmo tharn", "c": "solen", "d": "x", "e": "y"}
+        once = self.check(bodies, "velmo koro", 5)
+        thrice = self.check(bodies, "koro velmo koro koro", 5)
+        assert dict(thrice)["a"] > dict(once)["a"] and dict(thrice)["b"] == dict(once)["b"]
+
+    def test_k_past_the_scored_docs(self):
+        bodies = {"a": "koro velmo", "b": "velmo tharn", "c": "solen"}
+        assert len(self.check(bodies, "velmo", 10)) == 2
+
+    def test_all_unknown_query(self):
+        assert self.check({"a": "koro", "b": "velmo"}, "zzz yyy", 2) == []
+        assert self.check({"a": "koro", "b": "velmo"}, [], 2) == []
+
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_k_below_one_rejected(self, k):
+        index = Bm25Index({"a": "koro velmo", "b": "velmo tharn", "c": "velmo solen"})
+        with pytest.raises(ConfigError, match="k must be >= 1"):
+            index.top_k("velmo", k)

@@ -1,3 +1,4 @@
+import string
 import struct
 
 import numpy as np
@@ -16,7 +17,6 @@ from mvli.core import (
     Rng,
     ShapeError,
     UnsupportedVersionError,
-    normalize_token,
     read_sections,
     seeded_unit_vector,
     iter_jsonl,
@@ -127,6 +127,20 @@ class TestSeededUnitVector:
 
 
 class TestRng:
+    @pytest.mark.parametrize("label", ["x", 3, "benchmark/d007"])
+    def test_generator_is_the_keyed_philox(self, label):
+        """The stream of Philox(key=) on the first 16 bytes of the node's
+        blake2b, with every bit generator field equal."""
+        import hashlib
+
+        node = Rng(11).split(label)
+        key = np.frombuffer(hashlib.blake2b(node._material, digest_size=16).digest(),
+                            dtype=np.uint64)
+        got, want = node.generator(), np.random.Generator(np.random.Philox(key=key))
+        assert repr(got.bit_generator.state) == repr(want.bit_generator.state)
+        assert got.integers(0, 2**62, size=50).tolist() == want.integers(0, 2**62, size=50).tolist()
+        assert got.random(7).tobytes() == want.random(7).tobytes()
+
     def test_same_seed_same_stream(self):
         a = Rng(7).split("x").generator().integers(0, 1_000_000, size=10)
         b = Rng(7).split("x").generator().integers(0, 1_000_000, size=10)
@@ -177,9 +191,16 @@ class TestTokenize:
     def test_pure_punctuation_token_kept(self):
         assert tokenize("a -- b") == ["a", "--", "b"]
 
-    def test_normalize_token(self):
-        assert normalize_token("Potato.") == "Potato"
-        assert normalize_token("--") == "--"
+    def test_matches_per_token_strip(self):
+        gen = Rng(2).generator()
+        chars = "aZ9.,!?-'\"()[] \t\n"
+        for _ in range(200):
+            text = "".join(chars[int(i)] for i in gen.integers(len(chars), size=int(gen.integers(40))))
+            want = []
+            for token in text.lower().split():
+                stripped = token.strip(string.punctuation)
+                want.append(stripped if stripped else token)
+            assert tokenize(text) == want
 
 
 class TestIterJsonl:

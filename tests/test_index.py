@@ -171,10 +171,11 @@ class TestKmeansSteps:
         if n_cent > 1:
             np.testing.assert_array_equal(got[used[0]], centroids[used[0]])
 
-    def test_build_memory_bounded_by_block(self):
-        n, dim, k = 40_000, 16, 400
-        dense_bytes = n * k * 8
-        assert dense_bytes >= 8 * index_mod._ASSIGN_BLOCK_BYTES
+    @staticmethod
+    def build_peak(k: int) -> int:
+        """The tracemalloc peak of a 2-iteration build at k centroids on
+        40,000 unit vectors of dim 16, in 400 docs."""
+        n, dim = 40_000, 16
         vectors = Rng(3).generator().standard_normal((n, dim))
         vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
         corpus = {
@@ -188,9 +189,35 @@ class TestKmeansSteps:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
+        return peak
+
+    def test_build_memory_bounded_by_block(self):
+        n, dim, k = 40_000, 16, 400
+        dense_bytes = n * k * 8
+        assert dense_bytes >= 8 * index_mod._ASSIGN_BLOCK_BYTES
         # one float64 copy of the vectors, half as much again for the codes,
         # screen rows and per-vector ids, and one block
-        assert peak <= 1.5 * n * dim * 8 + index_mod._ASSIGN_BLOCK_BYTES
+        assert self.build_peak(k) <= 1.5 * n * dim * 8 + index_mod._ASSIGN_BLOCK_BYTES
+
+    def test_one_cluster_build_memory_bounded_by_block(self):
+        # the one cluster holds every vector, more than 5 times the rows of a block
+        n, dim = 40_000, 16
+        assert n > 5 * index_mod._block_rows(8 * dim)
+        assert self.build_peak(1) <= 1.5 * n * dim * 8 + index_mod._ASSIGN_BLOCK_BYTES
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_pairwise_sum_equals_reduceat(self, seed):
+        """A segment's first row plus `_pairwise_sum` of the others has the
+        bits of np.add.reduceat over the segment, at every length up to
+        three pairwise blocks and at a few longer ones, in any row order."""
+        gen = Rng(seed).generator()
+        vectors = gen.standard_normal((6_000, 5))
+        vectors[:50, 2] = -0.0
+        for n in [*range(1, 3 * index_mod._PAIRWISE_ROWS + 9), 1_000, 5_999]:
+            ids = gen.permutation(len(vectors))[:n] if n % 2 else np.arange(n)
+            got = vectors[ids[0]] + index_mod._pairwise_sum(vectors, ids[1:])
+            want = np.add.reduceat(vectors[ids], [0], axis=0)[0]
+            assert got.tobytes() == want.tobytes(), n
 
 
 class TestBlockwiseBuild:

@@ -1,3 +1,4 @@
+import hashlib
 from dataclasses import replace
 
 import numpy as np
@@ -16,7 +17,7 @@ from mvli.synth import (
     generate_benchmark,
     generate_kb,
 )
-from mvli.datagen import DEFAULT_SYNONYMS
+from mvli.datagen import DEFAULT_SYNONYMS, save_rejected, save_samples
 
 
 class TestVocabulary:
@@ -225,3 +226,45 @@ class TestGenerateBenchmark:
         cfg = _bench_cfg(**{knob: 100_000})
         with pytest.raises(GenerationError, match=f"synth.{knob}"):
             generate_benchmark(generate_kb(cfg), cfg)
+
+
+# blake2b-8 digests of kb.jsonl, augmented.jsonl, train.jsonl,
+# test_seen.jsonl, test_unseen.jsonl and rejected.jsonl, keyed by
+# (n_docs, entities_per_doc, fraction_shortcut, samples_per_doc, seed)
+GOLDEN_WORLDS = {
+    (60, 6.0, 0.0, 8, 1): ("16a4df82487356ad", "f3f57c005f80c01d", "29487e8abf5c72d6",
+                           "7acccf867cbac092", "e762731de98bd783", "6bdb22168c34b504"),
+    (60, 6.0, 0.5, 8, 2): ("4dd05fcacc3dfe79", "736c6c32b90806dc", "a476ab49830bde79",
+                           "fb9be8946d990de0", "e4f3e4181d7c225e", "c68b20aa64c58ab9"),
+    (60, 6.0, 1.0, 8, 3): ("8bb574e2d5397a7d", "b848ba1814242efd", "41d2fcde10ec3750",
+                           "466e61938435460f", "fe2d4e9c709daa00", "e4a6a0577479b2b4"),
+    (200, 6.0, 0.0, 8, 5): ("b7c801d903462d1c", "7b4a4a0b46e8ddde", "99c2e95eafd2c67d",
+                            "4dd3d633c2383d3d", "2acf2c6952a02f6c", "896c599b6d1b52f6"),
+    (200, 12.0, 0.0, 8, 5): ("74bd06abe29f2896", "9b7aee051c67926a", "18e6bde1975bdb9a",
+                             "781fbbf07ed7bc61", "0f2b07f7f43709e9", "b7ef78d7265fd129"),
+}
+
+
+@pytest.mark.parametrize("key", sorted(GOLDEN_WORLDS))
+def test_golden_world(tmp_path, key):
+    """The files of `generate_kb` + `generate_benchmark` (and `augment_kb`,
+    which it runs) hash to digests recorded with numpy 2.4.6.  They rest on
+    numpy's `Generator` streams (Philox, `integers`, `choice`, `poisson`,
+    `permutation`, `shuffle`), so a numpy upgrade that changes a stream
+    changes them too; the numpy version is printed by CI."""
+    n_docs, entities_per_doc, fraction_shortcut, samples_per_doc, seed = key
+    cfg = SynthConfig(n_docs=n_docs, entities_per_doc=entities_per_doc,
+                      fraction_shortcut=fraction_shortcut,
+                      samples_per_doc=samples_per_doc, seed=seed)
+    kb = generate_kb(cfg)
+    splits = generate_benchmark(kb, cfg)
+    augment_mod.save_kb(kb, tmp_path / "kb.jsonl")
+    augment_mod.save_augmented(augment_kb(kb), tmp_path / "augmented.jsonl")
+    save_samples(splits.train, tmp_path / "train.jsonl")
+    save_samples(splits.test_seen, tmp_path / "test_seen.jsonl")
+    save_samples(splits.test_unseen, tmp_path / "test_unseen.jsonl")
+    save_rejected(splits.rejected, tmp_path / "rejected.jsonl")
+    names = ("kb", "augmented", "train", "test_seen", "test_unseen", "rejected")
+    got = tuple(hashlib.blake2b((tmp_path / f"{name}.jsonl").read_bytes(), digest_size=8)
+                .hexdigest() for name in names)
+    assert got == GOLDEN_WORLDS[key]
