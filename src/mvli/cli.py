@@ -1,7 +1,8 @@
 """Command-line entry point wiring all modules into reproducible pipelines.
 
-Configuration comes from an INI-style file (sections of key=value pairs);
-unknown sections or keys are rejected.  Command-line flags override file
+Configuration comes from an INI-style file (sections of key=value pairs)
+whose keys are the keywords with defaults of the library's config types;
+unknown sections or keys are rejected.  `--seed` and `--flags` override file
 values.  Exit codes: 0 ok, 2 configuration error, 3 data error, 4 numeric
 error.  The MVLI_CONFIG environment variable supplies a default config path.
 """
@@ -10,10 +11,11 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import dataclasses
+import inspect
 import json
 import os
 import sys
+import typing
 from pathlib import Path
 
 from . import augment as aug
@@ -39,26 +41,25 @@ from .train import TrainConfig, train
 
 CONFIG_ENV_VAR = "MVLI_CONFIG"
 
+
+def _config_keys(target) -> dict[str, type]:
+    """The config keys of a dataclass or function: each keyword with a
+    default but `seed`, typed by its hint, `X | None` read as X."""
+    hints = typing.get_type_hints(target)
+    return {name: next((t for t in typing.get_args(hints[name]) if t is not type(None)),
+                       hints[name])
+            for name, param in inspect.signature(target).parameters.items()
+            if param.default is not param.empty and name != "seed"}
+
+
 _SCHEMA: dict[str, dict[str, type]] = {
-    "engine": {
-        "dim": int, "text_dim": int, "image_dim": int, "n_patches": int,
-        "n_heads": int, "attn_dim": int, "ff_dim": int, "n_mm_tokens": int,
-    },
-    "index": {
-        "k_centroids": int, "kmeans_iters": int, "nbits": int,
-        "nprobe": int, "candidate_doc_cap": int,
-    },
-    "train": {
-        "batch_size": int, "learning_rate": float, "epochs": int,
-        "flags": str, "adam": bool, "image_only": bool,
-    },
-    "synth": {
-        "n_docs": int, "entities_per_doc": float, "fraction_shortcut": float,
-        "typemap_size": int, "samples_per_doc": int, "unseen_doc_fraction": float,
-        "n_train": int, "n_test_seen": int, "n_test_unseen": int,
-    },
-    "run": {"seed": int},
+    section: {key: kind for target in targets for key, kind in _config_keys(target).items()}
+    for section, targets in (("engine", (EncoderConfig,)),
+                             ("index", (idx.build_index, idx.SearchParams)),
+                             ("train", (TrainConfig,)),
+                             ("synth", (sy.SynthConfig,)))
 }
+_SCHEMA["run"] = {"seed": int}
 
 
 class RunConfig:
@@ -73,10 +74,13 @@ class RunConfig:
         if path:
             if not Path(path).is_file():
                 raise ConfigError(f"config file not found: {path}")
-            parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
+            # values are literal text; no header can name section "", so [DEFAULT]
+            # is an ordinary, unknown section rather than keys copied into every one
+            parser = configparser.ConfigParser(
+                inline_comment_prefixes=(";", "#"), interpolation=None, default_section="")
             try:
-                parser.read(path)
-            except configparser.Error as exc:
+                parser.read(path, encoding="utf-8")
+            except (configparser.Error, UnicodeDecodeError) as exc:
                 raise ConfigError(f"unreadable config file {path}: {exc}") from exc
             for section in parser.sections():
                 if section not in _SCHEMA:
@@ -94,27 +98,20 @@ class RunConfig:
     def get(self, section: str, key: str, default=None):
         return self.values.get((section, key), default)
 
-    def section(self, name: str, keys: tuple[str, ...] = ()) -> dict:
-        """Values set in one section (or in its `keys`); unset keys keep library defaults."""
-        return {key: self.values[(name, key)] for key in (keys or _SCHEMA[name])
-                if (name, key) in self.values}
-
-    def encoder_config(self) -> EncoderConfig:
-        return EncoderConfig(**self.section("engine"))
-
-    def train_config(self, seed: int) -> TrainConfig:
-        kwargs = self.section("train")
-        if "flags" in kwargs:
-            kwargs["flags"] = EncoderFlags.parse(kwargs["flags"])
-        return TrainConfig(seed=seed, **kwargs)
-
-    def synth_config(self, seed: int) -> sy.SynthConfig:
-        return sy.SynthConfig(seed=seed, **self.section("synth"))
+    def kwargs(self, section: str, target) -> dict:
+        """The values set in section for target's keywords; unset ones keep target's defaults."""
+        params = inspect.signature(target).parameters
+        return {key: value for (name, key), value in self.values.items()
+                if name == section and key in params}
 
     def seed(self, args_seed: int | None) -> int:
         if args_seed is not None:
             return args_seed
         return int(self.get("run", "seed", 0))
+
+
+_BOOLS = {"1": True, "true": True, "yes": True, "on": True,
+          "0": False, "false": False, "no": False, "off": False}
 
 
 def _parse_value(section: str, key: str, raw: str):
@@ -127,14 +124,9 @@ def _parse_value(section: str, key: str, raw: str):
     raw = raw.strip()
     try:
         if kind is bool:
-            lowered = raw.lower()
-            if lowered in ("1", "true", "yes", "on"):
-                return True
-            if lowered in ("0", "false", "no", "off"):
-                return False
-            raise ValueError(raw)
-        return kind(raw)
-    except ValueError as exc:
+            return _BOOLS[raw.lower()]
+        return EncoderFlags.parse(raw) if kind is EncoderFlags else kind(raw)
+    except (KeyError, ValueError, ConfigError) as exc:
         raise ConfigError(f"bad value for {section}.{key}: {raw!r}") from exc
 
 
@@ -147,8 +139,7 @@ def _require_files(*paths: str | None) -> None:
 def _flags(args, cfg: RunConfig) -> EncoderFlags:
     if getattr(args, "flags", None) is not None:
         return EncoderFlags.parse(args.flags)
-    configured = cfg.get("train", "flags")
-    return EncoderFlags.parse(configured) if configured is not None else EncoderFlags()
+    return cfg.get("train", "flags", EncoderFlags())
 
 
 def _load_world(kb_path: str, cap: int | None = None):
@@ -163,8 +154,7 @@ def _load_world(kb_path: str, cap: int | None = None):
 
 
 def cmd_synth(args, cfg: RunConfig) -> int:
-    seed = cfg.seed(args.seed)
-    scfg = cfg.synth_config(seed)
+    scfg = sy.SynthConfig(seed=cfg.seed(args.seed), **cfg.kwargs("synth", sy.SynthConfig))
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     kb = sy.generate_kb(scfg)
@@ -195,11 +185,11 @@ def cmd_augment(args, cfg: RunConfig) -> int:
 
 def cmd_datagen(args, cfg: RunConfig) -> int:
     _require_files(args.kb, args.typemap)
-    seed = cfg.seed(args.seed)
+    scfg = sy.SynthConfig(seed=cfg.seed(args.seed), **cfg.kwargs("synth", sy.SynthConfig))
     _, kb_aug = _load_world(args.kb)
     typemap = dg.load_typemap(args.typemap)
     samples, rejected = dg.generate_samples(
-        kb_aug, typemap, seed, samples_per_doc=args.samples_per_doc
+        kb_aug, typemap, scfg.seed, samples_per_doc=scfg.samples_per_doc
     )
     dg.save_samples(samples, args.out)
     rejected_path = args.rejected or str(Path(args.out).with_suffix(".rejected.jsonl"))
@@ -211,9 +201,9 @@ def cmd_datagen(args, cfg: RunConfig) -> int:
 def cmd_train(args, cfg: RunConfig) -> int:
     _require_files(args.kb, args.samples)
     seed = cfg.seed(args.seed)
-    encoder_config = cfg.encoder_config()
-    tcfg = cfg.train_config(seed)
-    tcfg = dataclasses.replace(tcfg, flags=_flags(args, cfg))
+    encoder_config = EncoderConfig(**cfg.kwargs("engine", EncoderConfig))
+    tcfg = TrainConfig(**{**cfg.kwargs("train", TrainConfig), "seed": seed,
+                          "flags": _flags(args, cfg)})
     _, kb_aug = _load_world(args.kb)
     samples = dg.load_samples(args.samples)
     provider = SeededEmbeddingProvider(encoder_config)
@@ -239,9 +229,7 @@ def cmd_index(args, cfg: RunConfig) -> int:
     _, kb_aug = _load_world(args.kb)
     provider = SeededEmbeddingProvider(encoder_config)
     corpus = encode_corpus(kb_aug, params, encoder_config, provider, _flags(args, cfg))
-    built = idx.build_index(
-        corpus, seed=seed, **cfg.section("index", ("k_centroids", "kmeans_iters", "nbits"))
-    )
+    built = idx.build_index(corpus, seed=seed, **cfg.kwargs("index", idx.build_index))
     idx.save_index(built, args.out)
     print(f"index: {built.n_vectors} vectors, {built.centroids.shape[0]} centroids "
           f"-> {args.out}")
@@ -250,7 +238,7 @@ def cmd_index(args, cfg: RunConfig) -> int:
 
 def _search_params(cfg: RunConfig, k: int) -> idx.SearchParams:
     """The [index] search settings for a top-k search."""
-    return idx.SearchParams.at_depth(k, **cfg.section("index", ("nprobe", "candidate_doc_cap")))
+    return idx.SearchParams.at_depth(k, **cfg.kwargs("index", idx.SearchParams))
 
 
 def cmd_search(args, cfg: RunConfig) -> int:
@@ -297,9 +285,8 @@ def _study_inputs(args, cfg: RunConfig):
     """What ablate and probe both read: the encoder and train configs, then
     the kb, its augmentation and the train and test samples."""
     _require_files(args.kb, args.train_samples, args.test_samples)
-    seed = cfg.seed(args.seed)
-    encoder_config = cfg.encoder_config()
-    tcfg = cfg.train_config(seed)
+    encoder_config = EncoderConfig(**cfg.kwargs("engine", EncoderConfig))
+    tcfg = TrainConfig(seed=cfg.seed(args.seed), **cfg.kwargs("train", TrainConfig))
     world = (*_load_world(args.kb), dg.load_samples(args.train_samples),
              dg.load_samples(args.test_samples))
     return encoder_config, tcfg, world
@@ -358,7 +345,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--typemap", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--rejected")
-    p.add_argument("--samples-per-doc", type=int, default=4)
     p.add_argument("--seed", type=int)
     p.set_defaults(func=cmd_datagen)
 

@@ -259,6 +259,7 @@ _PARAMS_LAYOUT = {"encoder_shape": ("<u8", "8"), **{
 
 
 def save_params(params: EncoderParams, config: EncoderConfig, path: str | Path) -> None:
+    check_params_finite(params)  # the check load_params runs, before the file is opened
     tensors = named_tensors(params)
     header = astuple(replace(config, ff_dim=config.ffn_dim))
     write_sections(path, *_PARAMS_FILE, [("encoder_shape", "<u8", header)]

@@ -428,9 +428,9 @@ def run_pipeline(root, threads: int = 1) -> None:
     cli("synth", "--out-dir", str(root / "world"))
     cli("augment", "--kb", str(root / "world/kb.jsonl"),
         "--out", str(root / "augmented.jsonl"))
-    cli("datagen", "--kb", str(root / "world/kb.jsonl"),
+    cli("--set", "synth.samples_per_doc=2", "datagen", "--kb", str(root / "world/kb.jsonl"),
         "--typemap", str(root / "world/typemap.json"),
-        "--out", str(root / "generated.jsonl"), "--samples-per-doc", "2")
+        "--out", str(root / "generated.jsonl"))
     cli("train", "--kb", str(root / "world/kb.jsonl"),
         "--samples", str(root / "world/train.jsonl"),
         "--out", str(root / "params.mprm"), "--stats", str(root / "stats.json"),

@@ -1,3 +1,5 @@
+import dataclasses
+import inspect
 import json
 import os
 import re
@@ -8,8 +10,12 @@ from pathlib import Path
 import pytest
 
 from conftest import run_cli_capped
-from mvli.cli import build_parser, main
-from mvli.encoder import EncoderConfig, init_encoder_params, save_params
+from mvli.cli import _SCHEMA, RunConfig, build_parser, main
+from mvli.core import ConfigError
+from mvli.encoder import EncoderConfig, EncoderFlags, init_encoder_params, save_params
+from mvli.index import SearchParams, build_index
+from mvli.synth import SynthConfig
+from mvli.train import TrainConfig
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -54,12 +60,12 @@ class TestSynthCommand:
             assert (out / name).read_bytes() == (out2 / name).read_bytes()
 
     def test_datagen_rejects_what_synth_rejects(self, workdir, tmp_path):
-        # synth runs at fraction_shortcut 0, so every draft is shortcut-free
-        _, _, out = workdir
+        # synth runs at fraction_shortcut 0, so every draft is shortcut-free; datagen
+        # reads the seed and samples_per_doc from the config synth ran with
+        _, cfg, out = workdir
         dg_out = tmp_path / "generated.jsonl"
-        assert run_cli("datagen", "--kb", str(out / "kb.jsonl"),
-                       "--typemap", str(out / "typemap.json"), "--out", str(dg_out),
-                       "--seed", "13", "--samples-per-doc", "8") == 0
+        assert run_cli("--config", str(cfg), "datagen", "--kb", str(out / "kb.jsonl"),
+                       "--typemap", str(out / "typemap.json"), "--out", str(dg_out)) == 0
         sidecar = dg_out.with_suffix(".rejected.jsonl").read_bytes()
         assert sidecar and sidecar == (out / "rejected.jsonl").read_bytes()
 
@@ -74,9 +80,8 @@ class TestPipelineCommands:
 
         dg_out = tmp_path / "generated.jsonl"
         assert run_cli(
-            "--config", str(cfg), "datagen", "--kb", kb,
+            "--config", str(cfg), "--set", "synth.samples_per_doc=2", "datagen", "--kb", kb,
             "--typemap", str(out / "typemap.json"), "--out", str(dg_out),
-            "--samples-per-doc", "2",
         ) == 0
         assert dg_out.is_file()
         assert dg_out.with_suffix(".rejected.jsonl").is_file()
@@ -204,9 +209,9 @@ class TestExitCodes:
     def test_samples_per_doc_below_one_is_config_error(self, workdir, tmp_path):
         _, _, out = workdir
         dg_out = tmp_path / "generated.jsonl"
-        assert run_cli("datagen", "--kb", str(out / "kb.jsonl"),
-                       "--typemap", str(out / "typemap.json"), "--out", str(dg_out),
-                       "--samples-per-doc", "0") == 2
+        assert run_cli("--set", "synth.samples_per_doc=0", "datagen",
+                       "--kb", str(out / "kb.jsonl"), "--typemap", str(out / "typemap.json"),
+                       "--out", str(dg_out)) == 2
         assert not dg_out.exists()
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
@@ -284,6 +289,36 @@ class TestExitCodes:
                        "--samples", str(few), "--out", str(params)) == 3
         assert not params.exists()
 
+    def test_overflowing_update_is_numeric_error(self, workdir, tmp_path):
+        """One step at a learning rate near the float maximum takes mm_proj.b2
+        to infinity in this shape: train fails as load_params would, and writes
+        neither checkpoint nor stats."""
+        root, cfg, out = workdir  # cfg sets batch_size = 4
+        one_batch = tmp_path / "batch.jsonl"
+        one_batch.write_text("".join((out / "train.jsonl").read_text().splitlines(True)[:4]))
+        params, stats = tmp_path / "p.mprm", tmp_path / "stats.json"
+        proc = run_cli_capped(["--config", str(cfg), "--set", "train.learning_rate=1.79e308",
+                               "--set", "engine.attn_dim=2", "--set", "engine.n_heads=1",
+                               "train", "--kb", str(out / "kb.jsonl"),
+                               "--samples", str(one_batch), "--out", str(params),
+                               "--stats", str(stats)])
+        assert proc.returncode == 4, proc.stderr
+        assert "non-finite values in parameter tensor 'mm_proj.b2'" in proc.stderr
+        assert not params.exists() and not stats.exists()
+
+    @pytest.mark.parametrize("content,message", [
+        (b"[synth]\nn_docs = 20%\n", "bad value for synth.n_docs: '20%'"),
+        (b"[synth]\nn_docs = 2\xff0\n", "unreadable config file"),
+        (b"[DEFAULT]\nseed = 3\n", "unknown config section [DEFAULT]"),
+    ], ids=["percent_sign", "not_utf8", "default_section"])
+    def test_bad_config_file_is_config_error(self, tmp_path, content, message):
+        cfg = tmp_path / "run.ini"
+        cfg.write_bytes(content)
+        proc = run_cli_capped(["--config", str(cfg), "synth", "--out-dir", str(tmp_path / "w")])
+        assert proc.returncode == 2, proc.stderr
+        assert "config error" in proc.stderr and message in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_corrupt_index_is_data_error(self, workdir, tmp_path):
         root, cfg, out = workdir
         kb = str(out / "kb.jsonl")
@@ -296,16 +331,74 @@ class TestExitCodes:
                        "--image-key", "img::x") == 3
 
 
+def _readme_run_ini() -> str:
+    match = re.search(r"Example `run\.ini`:\s*```ini\n(.*?)```", README.read_text(), re.S)
+    assert match, "README.md has no fenced run.ini example"
+    return match.group(1)
+
+
 class TestReadmeConfig:
     def test_readme_run_ini_runs_synth(self, tmp_path):
         """The README's example config, inline comments included, runs as written."""
-        match = re.search(r"Example `run\.ini`:\s*```ini\n(.*?)```", README.read_text(), re.S)
-        assert match, "README.md has no fenced run.ini example"
         cfg = tmp_path / "run.ini"
-        cfg.write_text(match.group(1))
+        cfg.write_text(_readme_run_ini())
         out = tmp_path / "world"
         assert run_cli("--config", str(cfg), "synth", "--out-dir", str(out)) == 0
         assert (out / "test_seen.jsonl").read_text().strip()
+
+
+    def test_readme_run_ini_names_every_key(self):
+        """Every config key in schema order, a key left unset as a comment."""
+        named: dict[str, list[str]] = {}
+        for line in _readme_run_ini().splitlines():
+            if header := re.fullmatch(r"\[(\w+)\]", line.strip()):
+                section = named.setdefault(header[1], [])
+            elif key := re.match(r"[;#]?\s*(\w+)\s*=", line.strip()):
+                section.append(key[1])
+        assert named == {name: list(keys) for name, keys in _SCHEMA.items()}
+
+
+MISSING = dataclasses.MISSING
+
+
+def _library_keys():
+    """(section, target, key, default) for each field or keyword with a
+    default of the library's config types and of build_index, but seed."""
+    for section, targets in (("engine", (EncoderConfig,)),
+                             ("index", (build_index, SearchParams)),
+                             ("train", (TrainConfig,)),
+                             ("synth", (SynthConfig,))):
+        for target in targets:
+            if dataclasses.is_dataclass(target):
+                defaults = {f.name: f.default_factory() if f.default is MISSING else f.default
+                            for f in dataclasses.fields(target)
+                            if f.default is not MISSING or f.default_factory is not MISSING}
+            else:
+                defaults = {name: param.default
+                            for name, param in inspect.signature(target).parameters.items()
+                            if param.default is not param.empty}
+            for key, default in defaults.items():
+                if key != "seed":
+                    yield pytest.param(section, target, key, default, id=f"{section}.{key}")
+
+
+class TestConfigKeys:
+    @pytest.mark.parametrize("section,target,key,default",
+                             [p for p in _library_keys() if p.values[3] is not None])
+    def test_key_set_to_its_default_reads_as_the_default(self, section, target, key, default):
+        """A key whose default is None is set by leaving it out."""
+        text = default.label() if isinstance(default, EncoderFlags) else str(default)
+        kwargs = RunConfig.load(None, [f"{section}.{key}={text}"]).kwargs(section, target)
+        assert kwargs == {key: default} and type(kwargs[key]) is type(default)
+        if dataclasses.is_dataclass(target):
+            required = {f.name: 1 for f in dataclasses.fields(target)
+                        if f.default is MISSING and f.default_factory is MISSING}
+            assert target(**required, **kwargs) == target(**required)
+
+    @pytest.mark.parametrize("section,target,key,default", list(_library_keys()))
+    def test_bad_value_names_its_key(self, section, target, key, default):
+        with pytest.raises(ConfigError, match=re.escape(f"{section}.{key}")):
+            RunConfig.load(None, [f"{section}.{key}=@"])
 
 
 class TestHelp:
@@ -316,7 +409,7 @@ class TestHelp:
             with pytest.raises(SystemExit) as exc:
                 parser.parse_args([command, "--help"])
             assert exc.value.code == 0
-            assert command in capsys.readouterr().out or True
+            assert f"usage: mvli {command}" in capsys.readouterr().out
 
 
 class TestEnvConfig:

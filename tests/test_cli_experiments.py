@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from conftest import rewrite_sections
 from mvli.cli import main
 from mvli.encoder import EncoderConfig, init_encoder_params, named_tensors, save_params
 
@@ -127,9 +128,10 @@ class TestNumericExitCode:
         config = EncoderConfig(dim=8, text_dim=12, image_dim=12, n_patches=2,
                                n_heads=2, attn_dim=8, n_mm_tokens=2)
         params = init_encoder_params(config, seed=1)
-        named_tensors(params)["text_proj.w1"][0, 0] = np.nan
         bad = tmp_path / "bad.mprm"
-        save_params(params, config, bad)
+        save_params(params, config, bad)  # which refuses a non-finite tensor
+        named_tensors(params)["text_proj.w1"][0, 0] = np.nan
+        rewrite_sections(bad, "checkpoint", **{"text_proj.w1": params.text_proj.w1})
         code = run_cli("index", "--kb", str(out / "kb.jsonl"),
                        "--params", str(bad), "--out", str(tmp_path / "x.mvli"))
         assert code == 4

@@ -23,6 +23,7 @@ from mvli.core import (
     tokenize,
     write_sections,
 )
+from mvli import encoder
 from mvli.encoder import init_encoder_params, rownorm_forward, save_params
 from mvli.index import build_index, save_index
 from mvli.scoring import late_interaction_score
@@ -298,7 +299,8 @@ class TestSections:
             _read(path)
 
     @pytest.mark.parametrize("kind", ["index", "checkpoint"])
-    def test_save_failing_midway_leaves_earlier_file(self, tmp_path, tiny_config, kind):
+    def test_save_failing_midway_leaves_earlier_file(self, tmp_path, tiny_config, kind,
+                                                     monkeypatch):
         """A save that raises after some sections are written leaves the
         earlier file byte-identical and no .tmp file behind."""
         path = tmp_path / "x"
@@ -314,6 +316,9 @@ class TestSections:
             params = init_encoder_params(tiny_config, seed=1)
             save_params(params, tiny_config, path)
             params.xattn.wv = np.full(params.xattn.wv.shape, "junk")  # the last section
+            # save_params checks its tensors before the file opens (test_encoder's
+            # TestCheckpoint); without that check the junk reaches the writer
+            monkeypatch.setattr(encoder, "check_params_finite", lambda params: None)
 
             def save():
                 save_params(params, tiny_config, path)

@@ -524,6 +524,18 @@ class TestCheckpoint:
             np.testing.assert_array_equal(arr, named_tensors(loaded)[name])
         assert params_checksum(params) == params_checksum(loaded)
 
+    def test_non_finite_tensor_is_not_saved(self, tmp_path, tiny_config):
+        """save_params runs load_params's check before it opens the file, so an
+        earlier checkpoint at the path stays as it was."""
+        params = init_encoder_params(tiny_config, seed=9)
+        path = tmp_path / "params.mprm"
+        save_params(params, tiny_config, path)
+        before = path.read_bytes()
+        named_tensors(params)["mm_proj.b2"][0] = np.inf
+        with pytest.raises(NumericError, match="mm_proj.b2"):
+            save_params(params, tiny_config, path)
+        assert path.read_bytes() == before
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.mprm"
         path.write_bytes(b"NOPE" + b"\x00" * 64)
