@@ -18,6 +18,8 @@ import sys
 import typing
 from pathlib import Path
 
+import numpy as np
+
 from . import augment as aug
 from . import datagen as dg
 from . import evaluation as ev
@@ -30,7 +32,9 @@ from .encoder import (
     EncoderFlags,
     QueryInput,
     SeededEmbeddingProvider,
+    check_params_finite,
     encode_corpus,
+    encode_document,
     encode_query,
     init_encoder_params,
     load_params,
@@ -209,6 +213,20 @@ def cmd_train(args, cfg: RunConfig) -> int:
     provider = SeededEmbeddingProvider(encoder_config)
     params = init_encoder_params(encoder_config, seed)
     params, stats = train(samples, kb_aug, tcfg, params, encoder_config, provider)
+    check_params_finite(params)
+    if samples:
+        # finite parameters can still overflow the forward, which every command
+        # that loads this checkpoint would meet; train fails here instead
+        sample = samples[0]
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                encode_query(QueryInput(sample.question, sample.query_image_key), params,
+                             encoder_config, provider, tcfg.image_only)
+                encode_document(kb_aug[sample.gt_doc_id], params, encoder_config, provider,
+                                tcfg.flags)
+        except NumericError as exc:
+            raise NumericError(f"trained parameters cannot encode sample "
+                               f"{sample.sample_id!r}: {exc}") from None
     save_params(params, encoder_config, args.out)
     checksum = params_checksum(params)
     if args.stats:

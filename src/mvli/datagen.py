@@ -525,7 +525,7 @@ def generate_samples(
     kb_aug: Mapping[str, AugmentedDocument],
     typemap: Mapping[str, str],
     seed: int,
-    samples_per_doc: int = 4,
+    samples_per_doc: int,
 ) -> tuple[list[QaSample], list[RejectedSample]]:
     """Untagged shortcut-free samples plus the rejected sidecar records.
 

@@ -227,10 +227,6 @@ def named_tensors(params: EncoderParams) -> dict[str, np.ndarray]:
     return {**out, "ete": params.ete, "null_text": params.null_text}
 
 
-def zero_grads(params: EncoderParams) -> dict[str, np.ndarray]:
-    return {name: np.zeros_like(arr) for name, arr in named_tensors(params).items()}
-
-
 def params_checksum(params: EncoderParams) -> str:
     h = hashlib.blake2b(digest_size=16)
     for name, arr in sorted(named_tensors(params).items()):
@@ -439,9 +435,26 @@ def gelu(x: np.ndarray) -> np.ndarray:
 
 
 def gelu_grad(x: np.ndarray) -> np.ndarray:
+    """d gelu / dx: 0.5 (1 + t) + 0.5 x (1 - t^2) C (1 + 3 * 0.044715 x^2),
+    t = tanh(C (x + 0.044715 x^3)), evaluated left to right in four buffers."""
     sq = x * x
-    t = np.tanh(_GELU_C * (x + 0.044715 * (sq * x)))
-    return 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * _GELU_C * (1.0 + 3 * 0.044715 * sq)
+    t = sq * x
+    np.multiply(0.044715, t, out=t)
+    np.add(x, t, out=t)
+    np.multiply(_GELU_C, t, out=t)
+    np.tanh(t, out=t)
+    right = 0.5 * x
+    tt = t * t
+    np.subtract(1.0, tt, out=tt)
+    right *= tt
+    right *= _GELU_C
+    np.multiply(3 * 0.044715, sq, out=sq)
+    np.add(1.0, sq, out=sq)
+    right *= sq
+    np.add(1.0, t, out=t)
+    np.multiply(0.5, t, out=t)
+    t += right
+    return t
 
 
 def mlp_forward(x: np.ndarray, p: MlpParams) -> tuple[np.ndarray, dict]:

@@ -34,8 +34,6 @@ from .encoder import (
     project_batch,
     split_heads,
     stack_text_rows,
-    tile_matmul,
-    zero_grads,
 )
 
 
@@ -117,15 +115,27 @@ def _flat(a: np.ndarray) -> np.ndarray:
     return a.reshape(-1, a.shape[-1])
 
 
+def _grad_buffers(params: EncoderParams) -> dict[str, np.ndarray]:
+    """One gradient buffer per tensor, in `named_tensors` order.  Each
+    projection's buffers start unfilled: `_mlp_backward` writes them whole.
+    The rest accumulate over a batch's items from zero."""
+    written = tuple(f"{name}." for _, name in SOURCES)
+    return {name: (np.empty_like if name.startswith(written) else np.zeros_like)(tensor)
+            for name, tensor in named_tensors(params).items()}
+
+
 def _mlp_backward(dy: np.ndarray, cache: dict, p: MlpParams, grads: dict, prefix: str):
+    """Each projection runs once per batch, so its gradients are written, not
+    accumulated.  The products are plain GEMMs: no step needs a row's input
+    gradient to carry the bits it would get in another batch."""
     x, pre, act = cache["x"], cache["pre"], cache["act"]
-    grads[prefix + ".w2"] += act.T @ dy
-    grads[prefix + ".b2"] += dy.sum(axis=0)
-    dpre = tile_matmul(dy, p.w2.T)
+    np.matmul(act.T, dy, out=grads[prefix + ".w2"])
+    dy.sum(axis=0, out=grads[prefix + ".b2"])
+    dpre = dy @ p.w2.T
     dpre *= gelu_grad(pre)
-    grads[prefix + ".w1"] += x.T @ dpre
-    grads[prefix + ".b1"] += dpre.sum(axis=0)
-    return tile_matmul(dpre, p.w1.T)
+    np.matmul(x.T, dpre, out=grads[prefix + ".w1"])
+    dpre.sum(axis=0, out=grads[prefix + ".b1"])
+    return dpre @ p.w1.T
 
 
 def _rownorm_backward(dy: np.ndarray, cache: dict) -> np.ndarray:
@@ -240,7 +250,7 @@ def loss_and_grads(
     scores, argmax = score_matrix(q_feats, d_feats)
     loss, dscores = softmax_cross_entropy(scores)
 
-    grads = zero_grads(params)
+    grads = _grad_buffers(params)
     dq_rows = [np.zeros_like(f.vectors) for f in q_feats]
     dd_rows = [np.zeros_like(f.vectors) for f in d_feats]
     for i in range(b):
@@ -265,6 +275,15 @@ def loss_and_grads(
 # ---------------------------------------------------------------------------
 
 
+def _sgd_step(tensors: Mapping[str, np.ndarray], grads: Mapping[str, np.ndarray],
+              lr: float) -> None:
+    """tensor -= lr * grad, scaling each gradient in place."""
+    for name, tensor in tensors.items():
+        g = grads[name]
+        g *= lr
+        tensor -= g
+
+
 class _Adam:
     def __init__(self, tensors: Mapping[str, np.ndarray], lr: float):
         self.lr = lr
@@ -274,14 +293,27 @@ class _Adam:
         self.t = 0
 
     def step(self, tensors: Mapping[str, np.ndarray], grads: Mapping[str, np.ndarray]):
+        """m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g g;
+        tensor -= lr * m_hat / (sqrt(v_hat) + eps), with m, v and each
+        gradient updated in place and one scratch buffer per tensor."""
         self.t += 1
+        b1, b2 = self.beta1, self.beta2
         for name, tensor in tensors.items():
-            g = grads[name]
-            self.m[name] = self.beta1 * self.m[name] + (1 - self.beta1) * g
-            self.v[name] = self.beta2 * self.v[name] + (1 - self.beta2) * g * g
-            mhat = self.m[name] / (1 - self.beta1**self.t)
-            vhat = self.v[name] / (1 - self.beta2**self.t)
-            tensor -= self.lr * mhat / (np.sqrt(vhat) + self.eps)
+            g, m, v = grads[name], self.m[name], self.v[name]
+            m *= b1
+            scratch = (1 - b1) * g
+            m += scratch
+            v *= b2
+            np.multiply(1 - b2, g, out=scratch)
+            scratch *= g
+            v += scratch
+            np.divide(v, 1 - b2**self.t, out=scratch)  # v_hat
+            np.sqrt(scratch, out=scratch)
+            scratch += self.eps
+            np.divide(m, 1 - b1**self.t, out=g)  # m_hat
+            np.multiply(self.lr, g, out=g)
+            g /= scratch
+            tensor -= g
 
 
 def train(
@@ -319,12 +351,11 @@ def train(
             loss, grads = loss_and_grads(
                 params, queries, docs, config, provider, cfg.flags, cfg.image_only
             )
-            norm = math.sqrt(sum(float((g * g).sum()) for g in grads.values()))
+            norm = math.sqrt(sum(float(np.vdot(g, g)) for g in grads.values()))
             stats.losses.append(loss)
             stats.grad_norms.append(norm)
             if optimizer is not None:
                 optimizer.step(tensors, grads)
             else:
-                for name, tensor in tensors.items():
-                    tensor -= cfg.learning_rate * grads[name]
+                _sgd_step(tensors, grads, cfg.learning_rate)
     return params, stats

@@ -45,6 +45,32 @@ def _gelu(z: np.ndarray) -> np.ndarray:
     return 0.5 * z * (1.0 + np.tanh(math.sqrt(2.0 / math.pi) * (z + 0.044715 * z**3)))
 
 
+def gelu_grad_expression(x: np.ndarray) -> np.ndarray:
+    """d gelu / dx as one out-of-place expression, in the operation order
+    `encoder.gelu_grad` keeps in place: its byte reference."""
+    c = math.sqrt(2.0 / math.pi)
+    sq = x * x
+    t = np.tanh(c * (x + 0.044715 * (sq * x)))
+    return 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * c * (1.0 + 3 * 0.044715 * sq)
+
+
+def sgd_update(tensor: np.ndarray, grad: np.ndarray, lr: float) -> np.ndarray:
+    """One out-of-place SGD step."""
+    return tensor - lr * grad
+
+
+def adam_updates(tensor, grads, lr: float, beta1=0.9, beta2=0.999, eps=1e-8) -> np.ndarray:
+    """The tensor after one out-of-place Adam step per gradient in `grads`."""
+    m = v = np.zeros_like(tensor)
+    for t, g in enumerate(grads, start=1):
+        m = beta1 * m + (1 - beta1) * g
+        v = beta2 * v + (1 - beta2) * g * g
+        mhat = m / (1 - beta1**t)
+        vhat = v / (1 - beta2**t)
+        tensor = tensor - lr * mhat / (np.sqrt(vhat) + eps)
+    return tensor
+
+
 def naive_cross_attention(
     patches: np.ndarray, text: np.ndarray, p, n_heads: int
 ) -> np.ndarray:

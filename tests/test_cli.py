@@ -306,6 +306,24 @@ class TestExitCodes:
         assert "non-finite values in parameter tensor 'mm_proj.b2'" in proc.stderr
         assert not params.exists() and not stats.exists()
 
+    def test_finite_checkpoint_that_cannot_encode_is_numeric_error(self, workdir, tmp_path):
+        """At a learning rate of 1e308 one step leaves every parameter finite,
+        but the forward overflows on them: train fails as `mvli index` on the
+        checkpoint would, with no RuntimeWarning first, and writes neither
+        checkpoint nor stats."""
+        root, cfg, out = workdir  # cfg sets batch_size = 4
+        one_batch = tmp_path / "batch.jsonl"
+        one_batch.write_text("".join((out / "train.jsonl").read_text().splitlines(True)[:4]))
+        params, stats = tmp_path / "p.mprm", tmp_path / "stats.json"
+        proc = run_cli_capped(["--config", str(cfg), "--set", "train.learning_rate=1e308",
+                               "train", "--kb", str(out / "kb.jsonl"),
+                               "--samples", str(one_batch), "--out", str(params),
+                               "--stats", str(stats)])
+        assert proc.returncode == 4, proc.stderr
+        assert "trained parameters cannot encode sample" in proc.stderr
+        assert "Warning" not in proc.stderr
+        assert not params.exists() and not stats.exists()
+
     @pytest.mark.parametrize("content,message", [
         (b"[synth]\nn_docs = 20%\n", "bad value for synth.n_docs: '20%'"),
         (b"[synth]\nn_docs = 2\xff0\n", "unreadable config file"),

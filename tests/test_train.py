@@ -1,9 +1,21 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from _oracles import finite_diff, grad_rel_error, maxsim_margin
+import mvli.encoder as encoder_mod
+from _oracles import (
+    adam_updates,
+    finite_diff,
+    gelu_grad_expression,
+    grad_rel_error,
+    maxsim_margin,
+    sgd_update,
+)
 from conftest import random_feature_set
 from mvli.augment import RawDocument, augment_kb
 from mvli.core import ConfigError, DataError, Rng
@@ -12,12 +24,16 @@ from mvli.encoder import (
     EncoderFlags,
     QueryInput,
     SeededEmbeddingProvider,
+    gelu_grad,
     init_encoder_params,
     named_tensors,
     params_checksum,
 )
 from mvli.synth import SynthConfig, assign_typemap, generate_benchmark, generate_kb
-from mvli.train import TrainConfig, contrastive_loss, loss_and_grads, train
+from mvli.train import TrainConfig, _Adam, _sgd_step, contrastive_loss, loss_and_grads, train
+
+TESTS = Path(__file__).resolve().parent
+SRC = Path(encoder_mod.__file__).resolve().parents[1]
 
 
 def tiny_world(n_docs=8, seed=1):
@@ -307,3 +323,74 @@ class TestTrainLoop:
         for rate in (0.0, float("nan"), float("inf")):
             with pytest.raises(ConfigError):
                 TrainConfig(learning_rate=rate)
+
+
+def three_step_checksum() -> str:
+    """`params_checksum` after 3 SGD steps of batch 4 at the default encoder."""
+    kb, kb_aug, splits = bench_world()
+    config = EncoderConfig()
+    params = init_encoder_params(config, seed=1)
+    cfg = TrainConfig(batch_size=4, epochs=1, seed=5, flags=EncoderFlags(True, True, True))
+    train(splits.train[:12], kb_aug, cfg, params, config, SeededEmbeddingProvider(config))
+    return params_checksum(params)
+
+
+def test_training_bits_at_four_threads():
+    """The backward's products are plain GEMMs; trained in a child process
+    whose BLAS runs 4 threads, the parameters carry this process's bits."""
+    code = "import test_train as t; print(t.three_step_checksum())"
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="4", OMP_NUM_THREADS="4",
+               MKL_NUM_THREADS="4", PYTHONPATH=os.pathsep.join([str(SRC), str(TESTS)]))
+    proc = subprocess.run([sys.executable, "-c", code], cwd=TESTS, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == three_step_checksum(), "4 threads change the trained bits"
+
+
+class TestInPlaceBits:
+    """The backward and the optimizers run in place; each keeps the bits of
+    its out-of-place formula."""
+
+    def test_gelu_grad_bytes_equal_the_expression(self):
+        tiny, big = np.finfo(float).tiny, np.finfo(float).max
+        edges = np.array([0.0, 5e-324, tiny / 3, tiny, 1e-300, 1e-8, 20.0, 20.5, 1e3,
+                          1e154, 1.5e154, 1e300, big, np.inf])
+        magnitudes = np.concatenate([edges, np.geomspace(5e-324, 1e308, 4001)])
+        x = np.concatenate([magnitudes, -magnitudes, np.linspace(-60.0, 60.0, 300_001)])
+        before = x.tobytes()
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = gelu_grad_expression(x)
+            assert gelu_grad(x).tobytes() == want.tobytes()
+            rows = x[:300_000].reshape(300, 1000)  # the backward passes (rows, width)
+            assert gelu_grad(rows).tobytes() == want[:300_000].tobytes()
+        assert x.tobytes() == before
+
+    @staticmethod
+    def _tensors_and_grads(seed):
+        rng = np.random.default_rng(seed)
+        tensors = {"w": rng.standard_normal((37, 19)) * 1e3, "b": rng.standard_normal(23) * 1e-5}
+        grads = [{name: rng.standard_normal(t.shape) * 10.0 ** rng.integers(-12, 6, t.shape)
+                  for name, t in tensors.items()} for _ in range(3)]
+        return tensors, grads
+
+    @staticmethod
+    def _hex(a):
+        return [v.hex() for v in a.ravel().tolist()]
+
+    def test_sgd_step_equals_the_out_of_place_update(self):
+        tensors, grads = self._tensors_and_grads(4)
+        for g in grads:
+            want = {name: sgd_update(t, g[name], 3e-3) for name, t in tensors.items()}
+            _sgd_step(tensors, {name: a.copy() for name, a in g.items()}, 3e-3)
+            for name, t in tensors.items():
+                assert self._hex(t) == self._hex(want[name]), name
+
+    def test_adam_steps_equal_the_out_of_place_updates(self):
+        tensors, grads = self._tensors_and_grads(5)
+        want = {name: adam_updates(t, [g[name] for g in grads], 2e-3)
+                for name, t in tensors.items()}
+        adam = _Adam(tensors, 2e-3)
+        for g in grads:
+            adam.step(tensors, {name: a.copy() for name, a in g.items()})
+        for name, t in tensors.items():
+            assert self._hex(t) == self._hex(want[name]), name
