@@ -216,14 +216,24 @@ def save_kb(kb: Mapping[str, RawDocument], path: str | Path) -> None:
 _RAW_FIELDS = tuple(f.name for f in fields(RawDocument))
 
 
+def _read_docs(path: str | Path, kind: str, read_record) -> dict:
+    """read_record(rec, where) for every record of a JSON-lines file, keyed
+    by doc_id; a doc_id seen twice is a FormatError naming both lines."""
+    docs, first = {}, {}
+    for where, rec in iter_jsonl(path, kind):
+        doc = read_record(rec, where)
+        if doc.doc_id in first:
+            raise FormatError(f"{where}: bad {kind} record (doc_id {doc.doc_id!r} is "
+                              f"also at {first[doc.doc_id]})")
+        first[doc.doc_id], docs[doc.doc_id] = where, doc
+    if not docs:
+        raise InputError(f"{path}: {kind} file contains no documents")
+    return docs
+
+
 def load_kb(path: str | Path) -> dict[str, RawDocument]:
-    kb: dict[str, RawDocument] = {}
-    for where, rec in iter_jsonl(path, "KB"):
-        doc = RawDocument(*str_fields(rec, _RAW_FIELDS, where, "KB"))
-        kb[doc.doc_id] = doc
-    if not kb:
-        raise InputError(f"{path}: KB file contains no documents")
-    return kb
+    return _read_docs(path, "KB", lambda rec, where: RawDocument(
+        *str_fields(rec, _RAW_FIELDS, where, "KB")))
 
 
 def save_augmented(docs: Mapping[str, AugmentedDocument], path: str | Path) -> None:
@@ -238,27 +248,35 @@ def _list_of(value, kind: type) -> bool:
     return isinstance(value, list) and all(type(v) is kind for v in value)
 
 
-def _load_related(r, where: str) -> RelatedEntity:
+def _load_related(r, where: str, n_tokens: int) -> RelatedEntity:
     entity, image_key, source = str_fields(
-        r, ("entity", "image_key", "source_doc_id"), where, "augmented")
-    if not _list_of(r.get("span"), int):
-        raise FormatError(f"{where}: bad augmented record (span is not a list of integers)")
-    return RelatedEntity(entity, tuple(r["span"]), image_key, source)
+        r, ("entity", "image_key", "source_doc_id"), where, "augmented KB")
+    span = r.get("span")
+    if not _list_of(span, int):
+        raise FormatError(f"{where}: bad augmented KB record (span is not a list of integers)")
+    if not span or not all(0 <= i < n_tokens for i in span):
+        raise FormatError(f"{where}: bad augmented KB record (span {span} of {entity!r} is "
+                          f"not a non-empty list of indices into the body's {n_tokens} tokens)")
+    return RelatedEntity(entity, tuple(span), image_key, source)
+
+
+def _load_augmented_record(rec, where: str) -> AugmentedDocument:
+    raw = RawDocument(*str_fields(rec, _RAW_FIELDS, where, "augmented KB"))
+    if "related" not in rec:
+        raise FormatError(f"{where}: a raw KB record, not an augmented one (no 'related' "
+                          f"list); `mvli augment` writes the augmented KB")
+    related, warnings = rec["related"], rec.get("warnings", [])
+    if not isinstance(related, list) or not _list_of(warnings, str):
+        raise FormatError(f"{where}: bad augmented KB record (bad related or warnings list)")
+    tokens = tuple(tokenize(raw.body))
+    return AugmentedDocument(
+        raw=raw,
+        text_tokens=tokens,
+        related=tuple(_load_related(r, where, len(tokens)) for r in related),
+        warnings=tuple(warnings),
+    )
 
 
 def load_augmented(path: str | Path) -> dict[str, AugmentedDocument]:
-    docs: dict[str, AugmentedDocument] = {}
-    for where, rec in iter_jsonl(path, "augmented"):
-        raw = RawDocument(*str_fields(rec, _RAW_FIELDS, where, "augmented"))
-        related, warnings = rec.get("related"), rec.get("warnings", [])
-        if not isinstance(related, list) or not _list_of(warnings, str):
-            raise FormatError(f"{where}: bad augmented record (bad related or warnings list)")
-        docs[raw.doc_id] = AugmentedDocument(
-            raw=raw,
-            text_tokens=tuple(tokenize(raw.body)),
-            related=tuple(_load_related(r, where) for r in related),
-            warnings=tuple(warnings),
-        )
-    if not docs:
-        raise InputError(f"{path}: augmented KB file contains no documents")
-    return docs
+    """What `save_augmented` wrote; a raw KB record is a FormatError."""
+    return _read_docs(path, "augmented KB", _load_augmented_record)

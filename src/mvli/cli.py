@@ -2,9 +2,10 @@
 
 Configuration comes from an INI-style file (sections of key=value pairs)
 whose keys are the keywords with defaults of the library's config types;
-unknown sections or keys are rejected.  `--seed` and `--flags` override file
-values.  Exit codes: 0 ok, 2 configuration error, 3 data error, 4 numeric
-error.  The MVLI_CONFIG environment variable supplies a default config path.
+unknown sections or keys are rejected.  Commands after `augment` read the
+augmented KB it writes.  Exit codes: 0 ok, 2 configuration error, 3 data
+error, 4 numeric error.  The MVLI_CONFIG environment variable supplies a
+default config path.
 """
 
 from __future__ import annotations
@@ -108,10 +109,12 @@ class RunConfig:
         return {key: value for (name, key), value in self.values.items()
                 if name == section and key in params}
 
-    def seed(self, args_seed: int | None) -> int:
-        if args_seed is not None:
-            return args_seed
-        return int(self.get("run", "seed", 0))
+    def seed(self) -> int:
+        return self.get("run", "seed", 0)
+
+    def flags(self) -> EncoderFlags:
+        """[train] flags: what train trains under and index and eval encode under."""
+        return self.get("train", "flags", EncoderFlags())
 
 
 _BOOLS = {"1": True, "true": True, "yes": True, "on": True,
@@ -140,25 +143,13 @@ def _require_files(*paths: str | None) -> None:
             raise DataError(f"input file not found: {path}")
 
 
-def _flags(args, cfg: RunConfig) -> EncoderFlags:
-    if getattr(args, "flags", None) is not None:
-        return EncoderFlags.parse(args.flags)
-    return cfg.get("train", "flags", EncoderFlags())
-
-
-def _load_world(kb_path: str, cap: int | None = None):
-    kb = aug.load_kb(kb_path)
-    kb_aug = aug.augment_kb(kb, cap=cap)
-    return kb, kb_aug
-
-
 # ---------------------------------------------------------------------------
 # Commands.
 # ---------------------------------------------------------------------------
 
 
 def cmd_synth(args, cfg: RunConfig) -> int:
-    scfg = sy.SynthConfig(seed=cfg.seed(args.seed), **cfg.kwargs("synth", sy.SynthConfig))
+    scfg = sy.SynthConfig(seed=cfg.seed(), **cfg.kwargs("synth", sy.SynthConfig))
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     kb = sy.generate_kb(scfg)
@@ -180,7 +171,7 @@ def cmd_synth(args, cfg: RunConfig) -> int:
 
 def cmd_augment(args, cfg: RunConfig) -> int:
     _require_files(args.kb)
-    _, augmented = _load_world(args.kb, args.cap)
+    augmented = aug.augment_kb(aug.load_kb(args.kb), cap=args.cap)
     aug.save_augmented(augmented, args.out)
     total = sum(len(a.related) for a in augmented.values())
     print(f"augment: {len(augmented)} docs, {total} related-entity images -> {args.out}")
@@ -189,8 +180,8 @@ def cmd_augment(args, cfg: RunConfig) -> int:
 
 def cmd_datagen(args, cfg: RunConfig) -> int:
     _require_files(args.kb, args.typemap)
-    scfg = sy.SynthConfig(seed=cfg.seed(args.seed), **cfg.kwargs("synth", sy.SynthConfig))
-    _, kb_aug = _load_world(args.kb)
+    scfg = sy.SynthConfig(seed=cfg.seed(), **cfg.kwargs("synth", sy.SynthConfig))
+    kb_aug = aug.load_augmented(args.kb)
     typemap = dg.load_typemap(args.typemap)
     samples, rejected = dg.generate_samples(
         kb_aug, typemap, scfg.seed, samples_per_doc=scfg.samples_per_doc
@@ -204,14 +195,12 @@ def cmd_datagen(args, cfg: RunConfig) -> int:
 
 def cmd_train(args, cfg: RunConfig) -> int:
     _require_files(args.kb, args.samples)
-    seed = cfg.seed(args.seed)
     encoder_config = EncoderConfig(**cfg.kwargs("engine", EncoderConfig))
-    tcfg = TrainConfig(**{**cfg.kwargs("train", TrainConfig), "seed": seed,
-                          "flags": _flags(args, cfg)})
-    _, kb_aug = _load_world(args.kb)
+    tcfg = TrainConfig(seed=cfg.seed(), **cfg.kwargs("train", TrainConfig))
+    kb_aug = aug.load_augmented(args.kb)
     samples = dg.load_samples(args.samples)
     provider = SeededEmbeddingProvider(encoder_config)
-    params = init_encoder_params(encoder_config, seed)
+    params = init_encoder_params(encoder_config, tcfg.seed)
     params, stats = train(samples, kb_aug, tcfg, params, encoder_config, provider)
     check_params_finite(params)
     if samples:
@@ -242,12 +231,11 @@ def cmd_train(args, cfg: RunConfig) -> int:
 
 def cmd_index(args, cfg: RunConfig) -> int:
     _require_files(args.kb, args.params)
-    seed = cfg.seed(args.seed)
     params, encoder_config = load_params(args.params)
-    _, kb_aug = _load_world(args.kb)
+    kb_aug = aug.load_augmented(args.kb)
     provider = SeededEmbeddingProvider(encoder_config)
-    corpus = encode_corpus(kb_aug, params, encoder_config, provider, _flags(args, cfg))
-    built = idx.build_index(corpus, seed=seed, **cfg.kwargs("index", idx.build_index))
+    corpus = encode_corpus(kb_aug, params, encoder_config, provider, cfg.flags())
+    built = idx.build_index(corpus, seed=cfg.seed(), **cfg.kwargs("index", idx.build_index))
     idx.save_index(built, args.out)
     print(f"index: {built.n_vectors} vectors, {built.centroids.shape[0]} centroids "
           f"-> {args.out}")
@@ -283,7 +271,7 @@ def _write_report(report, path: str) -> None:
 def cmd_eval(args, cfg: RunConfig) -> int:
     _require_files(args.kb, args.params, args.samples, args.index)
     params, encoder_config = load_params(args.params)
-    kb, kb_aug = _load_world(args.kb)
+    kb_aug = aug.load_augmented(args.kb)
     samples = dg.load_samples(args.samples)
     provider = SeededEmbeddingProvider(encoder_config)
     built = search_params = None
@@ -291,7 +279,8 @@ def cmd_eval(args, cfg: RunConfig) -> int:
         built = idx.load_index(args.index)
         search_params = _search_params(cfg, max(ev.DEFAULT_KS))
     report = ev.evaluate_model(
-        kb, kb_aug, params, encoder_config, provider, samples, _flags(args, cfg),
+        {d: a.raw for d, a in kb_aug.items()}, kb_aug, params, encoder_config, provider,
+        samples, cfg.flags(),
         benchmark=args.benchmark, index=built, search_params=search_params,
     )
     _write_report(report, args.report_out)
@@ -301,11 +290,12 @@ def cmd_eval(args, cfg: RunConfig) -> int:
 
 def _study_inputs(args, cfg: RunConfig):
     """What ablate and probe both read: the encoder and train configs, then
-    the kb, its augmentation and the train and test samples."""
+    the raw and augmented KB and the train and test samples."""
     _require_files(args.kb, args.train_samples, args.test_samples)
     encoder_config = EncoderConfig(**cfg.kwargs("engine", EncoderConfig))
-    tcfg = TrainConfig(seed=cfg.seed(args.seed), **cfg.kwargs("train", TrainConfig))
-    world = (*_load_world(args.kb), dg.load_samples(args.train_samples),
+    tcfg = TrainConfig(seed=cfg.seed(), **cfg.kwargs("train", TrainConfig))
+    kb_aug = aug.load_augmented(args.kb)
+    world = ({d: a.raw for d, a in kb_aug.items()}, kb_aug, dg.load_samples(args.train_samples),
              dg.load_samples(args.test_samples))
     return encoder_config, tcfg, world
 
@@ -321,7 +311,7 @@ def cmd_ablate(args, cfg: RunConfig) -> int:
 def cmd_probe(args, cfg: RunConfig) -> int:
     encoder_config, tcfg, world = _study_inputs(args, cfg)
     report = ev.run_shortcut_probe(
-        *world, args.mode, _flags(args, cfg), encoder_config, tcfg, benchmark=args.benchmark)
+        *world, args.mode, tcfg.flags, encoder_config, tcfg, benchmark=args.benchmark)
     _write_report(report, args.report_out)
     return 0
 
@@ -349,7 +339,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate a synthetic KB and benchmark splits")
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--seed", type=int)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("augment", help="attach related-entity images to a KB")
@@ -363,7 +352,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--typemap", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--rejected")
-    p.add_argument("--seed", type=int)
     p.set_defaults(func=cmd_datagen)
 
     p = sub.add_parser("train", help="train encoder parameters")
@@ -371,16 +359,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--stats")
-    p.add_argument("--flags")
-    p.add_argument("--seed", type=int)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("index", help="encode documents and build the index")
     p.add_argument("--kb", required=True)
     p.add_argument("--params", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--flags")
-    p.add_argument("--seed", type=int)
     p.set_defaults(func=cmd_index)
 
     p = sub.add_parser("search", help="search an index for one query")
@@ -397,7 +381,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", required=True)
     p.add_argument("--report-out", required=True)
     p.add_argument("--index", help="use a saved index instead of exact scoring")
-    p.add_argument("--flags")
     p.add_argument("--benchmark", default="synthetic")
     p.set_defaults(func=cmd_eval)
 
@@ -407,7 +390,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--test-samples", required=True)
     p.add_argument("--report-out", required=True)
     p.add_argument("--benchmark", default="synthetic")
-    p.add_argument("--seed", type=int)
     p.set_defaults(func=cmd_ablate)
 
     p = sub.add_parser("probe", help="image-only vs image+text probe")
@@ -416,9 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--test-samples", required=True)
     p.add_argument("--report-out", required=True)
     p.add_argument("--mode", required=True, choices=["image_only", "image_text"])
-    p.add_argument("--flags")
     p.add_argument("--benchmark", default="synthetic")
-    p.add_argument("--seed", type=int)
     p.set_defaults(func=cmd_probe)
     return parser
 

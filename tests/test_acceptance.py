@@ -402,7 +402,8 @@ PIPELINE_INI = (
 PIPELINE_FILES = (
     "world/kb.jsonl", "world/typemap.json", "world/train.jsonl",
     "world/test_seen.jsonl", "world/test_unseen.jsonl", "world/rejected.jsonl",
-    "generated.jsonl", "generated.rejected.jsonl", "params.mprm", "stats.json",
+    "augmented.jsonl", "generated.jsonl", "generated.rejected.jsonl", "params.mprm",
+    "stats.json",
     "kb.mvli", "report.csv",
 )
 
@@ -428,20 +429,18 @@ def run_pipeline(root, threads: int = 1) -> None:
     cli("synth", "--out-dir", str(root / "world"))
     cli("augment", "--kb", str(root / "world/kb.jsonl"),
         "--out", str(root / "augmented.jsonl"))
-    cli("--set", "synth.samples_per_doc=2", "datagen", "--kb", str(root / "world/kb.jsonl"),
+    cli("--set", "synth.samples_per_doc=2", "datagen", "--kb", str(root / "augmented.jsonl"),
         "--typemap", str(root / "world/typemap.json"),
         "--out", str(root / "generated.jsonl"))
-    cli("train", "--kb", str(root / "world/kb.jsonl"),
+    cli("train", "--kb", str(root / "augmented.jsonl"),
         "--samples", str(root / "world/train.jsonl"),
-        "--out", str(root / "params.mprm"), "--stats", str(root / "stats.json"),
-        "--flags", "MI,MMF,ETE")
-    cli("index", "--kb", str(root / "world/kb.jsonl"),
-        "--params", str(root / "params.mprm"), "--out", str(root / "kb.mvli"),
-        "--flags", "MI,MMF,ETE")
-    cli("eval", "--kb", str(root / "world/kb.jsonl"),
+        "--out", str(root / "params.mprm"), "--stats", str(root / "stats.json"))
+    cli("index", "--kb", str(root / "augmented.jsonl"),
+        "--params", str(root / "params.mprm"), "--out", str(root / "kb.mvli"))
+    cli("eval", "--kb", str(root / "augmented.jsonl"),
         "--params", str(root / "params.mprm"),
         "--samples", str(root / "world/test_seen.jsonl"),
-        "--report-out", str(root / "report.csv"), "--flags", "MI,MMF,ETE")
+        "--report-out", str(root / "report.csv"))
 
 
 class TestCriterion7DeterminismAndPersistence:

@@ -3,6 +3,7 @@ import inspect
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -10,19 +11,31 @@ from pathlib import Path
 import pytest
 
 from conftest import run_cli_capped
+from mvli import cli
+from mvli.augment import load_augmented
 from mvli.cli import _SCHEMA, RunConfig, build_parser, main
 from mvli.core import ConfigError
 from mvli.encoder import EncoderConfig, EncoderFlags, init_encoder_params, save_params
-from mvli.index import SearchParams, build_index
+from mvli.index import SearchParams, build_index, load_index
 from mvli.synth import SynthConfig
 from mvli.train import TrainConfig
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+COMMANDS = ("synth", "augment", "datagen", "train", "index", "search", "eval", "ablate", "probe")
 
 
 def run_cli(*argv) -> int:
     return main(list(argv))
+
+
+# the [engine] section of the workdir config
+CLI_ENGINE = EncoderConfig(dim=8, text_dim=12, image_dim=12, n_patches=2,
+                           n_heads=2, attn_dim=8, n_mm_tokens=2)
+
+
+def save_untrained_params(path) -> None:
+    save_params(init_encoder_params(CLI_ENGINE, seed=0), CLI_ENGINE, path)
 
 
 @pytest.fixture(scope="module")
@@ -42,6 +55,8 @@ def workdir(tmp_path_factory):
     )
     out = root / "world"
     assert run_cli("--config", str(cfg), "synth", "--out-dir", str(out)) == 0
+    assert run_cli("augment", "--kb", str(out / "kb.jsonl"),
+                   "--out", str(out / "augmented.jsonl")) == 0
     return root, cfg, out
 
 
@@ -64,7 +79,7 @@ class TestSynthCommand:
         # reads the seed and samples_per_doc from the config synth ran with
         _, cfg, out = workdir
         dg_out = tmp_path / "generated.jsonl"
-        assert run_cli("--config", str(cfg), "datagen", "--kb", str(out / "kb.jsonl"),
+        assert run_cli("--config", str(cfg), "datagen", "--kb", str(out / "augmented.jsonl"),
                        "--typemap", str(out / "typemap.json"), "--out", str(dg_out)) == 0
         sidecar = dg_out.with_suffix(".rejected.jsonl").read_bytes()
         assert sidecar and sidecar == (out / "rejected.jsonl").read_bytes()
@@ -73,10 +88,9 @@ class TestSynthCommand:
 class TestPipelineCommands:
     def test_augment_datagen_train_index_search_eval(self, workdir, tmp_path):
         root, cfg, out = workdir
-        kb = str(out / "kb.jsonl")
         aug_out = tmp_path / "aug.jsonl"
-        assert run_cli("augment", "--kb", kb, "--out", str(aug_out)) == 0
-        assert aug_out.is_file()
+        assert run_cli("augment", "--kb", str(out / "kb.jsonl"), "--out", str(aug_out)) == 0
+        kb = str(aug_out)
 
         dg_out = tmp_path / "generated.jsonl"
         assert run_cli(
@@ -91,7 +105,7 @@ class TestPipelineCommands:
         assert run_cli(
             "--config", str(cfg), "train", "--kb", kb,
             "--samples", str(out / "train.jsonl"), "--out", str(params),
-            "--stats", str(stats), "--flags", "MI,MMF,ETE",
+            "--stats", str(stats),
         ) == 0
         assert params.is_file()
         payload = json.loads(stats.read_text())
@@ -100,7 +114,7 @@ class TestPipelineCommands:
         index = tmp_path / "kb.mvli"
         assert run_cli(
             "--config", str(cfg), "index", "--kb", kb, "--params", str(params),
-            "--out", str(index), "--flags", "MI,MMF,ETE",
+            "--out", str(index),
         ) == 0
         assert index.is_file()
 
@@ -115,14 +129,13 @@ class TestPipelineCommands:
         assert run_cli(
             "--config", str(cfg), "eval", "--kb", kb, "--params", str(params),
             "--samples", str(out / "test_seen.jsonl"), "--report-out", str(report),
-            "--flags", "MI,MMF,ETE",
         ) == 0
         text = report.read_text()
         assert text.splitlines()[0] == "benchmark,split,config_flags,metric,k,value"
 
     def test_eval_with_index_path(self, workdir, tmp_path):
         root, cfg, out = workdir
-        kb = str(out / "kb.jsonl")
+        kb = str(out / "augmented.jsonl")
         params = tmp_path / "p.mprm"
         assert run_cli("--config", str(cfg), "train", "--kb", kb,
                        "--samples", str(out / "train.jsonl"), "--out", str(params)) == 0
@@ -139,11 +152,9 @@ class TestPipelineCommands:
         """As `search` does, `eval --index` raises a configured cap below its
         ranking depth of 10 to it: cap 5 runs and reports what cap 10 does."""
         root, cfg, out = workdir
-        kb = str(out / "kb.jsonl")
+        kb = str(out / "augmented.jsonl")
         params = tmp_path / "p.mprm"
-        config = EncoderConfig(dim=8, text_dim=12, image_dim=12, n_patches=2,
-                               n_heads=2, attn_dim=8, n_mm_tokens=2)
-        save_params(init_encoder_params(config, seed=0), config, params)
+        save_untrained_params(params)
         index = tmp_path / "kb.mvli"
         assert run_cli("--config", str(cfg), "index", "--kb", kb,
                        "--params", str(params), "--out", str(index)) == 0
@@ -156,6 +167,68 @@ class TestPipelineCommands:
                            "--index", str(index), "--report-out", str(report)) == 0
             reports.append(report.read_bytes())
         assert reports[0] == reports[1]
+
+    def test_augment_cap_reaches_the_index(self, workdir, tmp_path):
+        """Under `augment --cap 0` each document keeps no related entity, so
+        index encodes its text rows and its main image's global and fused
+        rows alone."""
+        root, cfg, out = workdir
+        capped = tmp_path / "capped.jsonl"
+        assert run_cli("augment", "--kb", str(out / "kb.jsonl"), "--out", str(capped),
+                       "--cap", "0") == 0
+        params = tmp_path / "p.mprm"
+        save_untrained_params(params)
+        index = tmp_path / "kb.mvli"
+        assert run_cli("--config", str(cfg), "index", "--kb", str(capped),
+                       "--params", str(params), "--out", str(index)) == 0
+        kb_aug = load_augmented(capped)
+        assert any(a.related for a in load_augmented(out / "augmented.jsonl").values())
+        built = load_index(index)
+        assert built.doc_ids == sorted(kb_aug)
+        assert built.doc_sizes.tolist() == [
+            len(kb_aug[d].text_tokens) + 1 + CLI_ENGINE.n_mm_tokens for d in built.doc_ids]
+
+    def test_commands_after_augment_do_not_augment(self, workdir, tmp_path, monkeypatch):
+        root, cfg, out = workdir
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("augment_kb called after mvli augment")
+
+        monkeypatch.setattr(cli.aug, "augment_kb", refuse)
+        kb, params = str(out / "augmented.jsonl"), tmp_path / "p.mprm"
+        assert run_cli("--config", str(cfg), "datagen", "--kb", kb,
+                       "--typemap", str(out / "typemap.json"),
+                       "--out", str(tmp_path / "generated.jsonl")) == 0
+        assert run_cli("--config", str(cfg), "train", "--kb", kb,
+                       "--samples", str(out / "train.jsonl"), "--out", str(params)) == 0
+        assert run_cli("--config", str(cfg), "index", "--kb", kb, "--params", str(params),
+                       "--out", str(tmp_path / "kb.mvli")) == 0
+        assert run_cli("--config", str(cfg), "eval", "--kb", kb, "--params", str(params),
+                       "--samples", str(out / "test_seen.jsonl"),
+                       "--report-out", str(tmp_path / "report.csv")) == 0
+
+    @pytest.mark.parametrize("command", ["datagen", "train", "index", "eval", "ablate",
+                                         "probe"])
+    def test_raw_kb_names_augment(self, workdir, tmp_path, capsys, command):
+        """A raw KB where the augmented one belongs is a data error that says
+        which command writes the augmented KB."""
+        root, cfg, out = workdir
+        params = tmp_path / "p.mprm"
+        save_untrained_params(params)
+        train, test = str(out / "train.jsonl"), str(out / "test_seen.jsonl")
+        dest = str(tmp_path / "x")
+        study = ["--train-samples", train, "--test-samples", test, "--report-out", dest]
+        rest = {"datagen": ["--typemap", str(out / "typemap.json"), "--out", dest],
+                "train": ["--samples", train, "--out", dest],
+                "index": ["--params", str(params), "--out", dest],
+                "eval": ["--params", str(params), "--samples", test, "--report-out", dest],
+                "ablate": study,
+                "probe": [*study, "--mode", "image_only"]}[command]
+        capsys.readouterr()
+        assert run_cli("--config", str(cfg), command, "--kb", str(out / "kb.jsonl"), *rest) == 3
+        err = capsys.readouterr().err
+        assert "kb.jsonl:1: a raw KB record" in err and "`mvli augment`" in err
+        assert not Path(dest).exists()
 
 
 class TestExitCodes:
@@ -210,8 +283,8 @@ class TestExitCodes:
         _, _, out = workdir
         dg_out = tmp_path / "generated.jsonl"
         assert run_cli("--set", "synth.samples_per_doc=0", "datagen",
-                       "--kb", str(out / "kb.jsonl"), "--typemap", str(out / "typemap.json"),
-                       "--out", str(dg_out)) == 2
+                       "--kb", str(out / "augmented.jsonl"),
+                       "--typemap", str(out / "typemap.json"), "--out", str(dg_out)) == 2
         assert not dg_out.exists()
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
@@ -226,19 +299,17 @@ class TestExitCodes:
         root, cfg, out = workdir
         params = tmp_path / "p.mprm"
         assert run_cli("--config", str(cfg), "--set", f"train.learning_rate={value}", "train",
-                       "--kb", str(out / "kb.jsonl"), "--samples", str(out / "train.jsonl"),
+                       "--kb", str(out / "augmented.jsonl"), "--samples", str(out / "train.jsonl"),
                        "--out", str(params)) == 2
         assert not params.exists()
 
     def test_negative_kmeans_iters_is_config_error(self, workdir, tmp_path):
         root, cfg, out = workdir
         params = tmp_path / "p.mprm"
-        config = EncoderConfig(dim=8, text_dim=12, image_dim=12, n_patches=2,
-                               n_heads=2, attn_dim=8, n_mm_tokens=2)
-        save_params(init_encoder_params(config, seed=0), config, params)
+        save_untrained_params(params)
         index = tmp_path / "kb.mvli"
         assert run_cli("--config", str(cfg), "--set", "index.kmeans_iters=-5", "index",
-                       "--kb", str(out / "kb.jsonl"), "--params", str(params),
+                       "--kb", str(out / "augmented.jsonl"), "--params", str(params),
                        "--out", str(index)) == 2
         assert not index.exists()
 
@@ -248,31 +319,29 @@ class TestExitCodes:
         root, cfg, out = workdir
         params = tmp_path / "p.mprm"
         proc = run_cli_capped(["--config", str(cfg), "--set", override, "train",
-                               "--kb", str(out / "kb.jsonl"),
+                               "--kb", str(out / "augmented.jsonl"),
                                "--samples", str(out / "train.jsonl"), "--out", str(params)])
         assert proc.returncode == 2, proc.stderr
         assert "parameters" in proc.stderr
         assert not params.exists()
 
     def test_lone_surrogate_doc_id_is_data_error(self, workdir, tmp_path):
-        """Valid JSON, not text: rejected while the KB is read, before any
-        encoding, with no traceback and no index file."""
+        """Valid JSON, not text: rejected while the augmented KB is read,
+        before any encoding, with no traceback and no index file."""
         root, cfg, out = workdir
-        lines = (out / "kb.jsonl").read_text(encoding="utf-8").splitlines(True)
+        lines = (out / "augmented.jsonl").read_text(encoding="utf-8").splitlines(True)
         record = json.loads(lines[-1])
         record["doc_id"] = "\ud800x"
-        kb = tmp_path / "kb.jsonl"
+        kb = tmp_path / "augmented.jsonl"
         kb.write_text("".join(lines[:-1]) + json.dumps(record) + "\n", encoding="utf-8")
         params = tmp_path / "p.mprm"
-        config = EncoderConfig(dim=8, text_dim=12, image_dim=12, n_patches=2,
-                               n_heads=2, attn_dim=8, n_mm_tokens=2)
-        save_params(init_encoder_params(config, seed=0), config, params)
+        save_untrained_params(params)
         index = tmp_path / "kb.mvli"
         proc = run_cli_capped(["--config", str(cfg), "index", "--kb", str(kb),
                                "--params", str(params), "--out", str(index)])
         assert proc.returncode == 3, proc.stderr
         assert "Traceback" not in proc.stderr
-        assert f"kb.jsonl:{len(lines)}: bad KB record" in proc.stderr
+        assert f"augmented.jsonl:{len(lines)}: bad augmented KB record" in proc.stderr
         assert not index.exists()
 
     def test_config_without_section_is_config_error(self, tmp_path):
@@ -285,7 +354,7 @@ class TestExitCodes:
         few = tmp_path / "few.jsonl"
         few.write_text("".join((out / "train.jsonl").read_text().splitlines(True)[:3]))
         params = tmp_path / "p.mprm"
-        assert run_cli("--config", str(cfg), "train", "--kb", str(out / "kb.jsonl"),
+        assert run_cli("--config", str(cfg), "train", "--kb", str(out / "augmented.jsonl"),
                        "--samples", str(few), "--out", str(params)) == 3
         assert not params.exists()
 
@@ -299,7 +368,7 @@ class TestExitCodes:
         params, stats = tmp_path / "p.mprm", tmp_path / "stats.json"
         proc = run_cli_capped(["--config", str(cfg), "--set", "train.learning_rate=1.79e308",
                                "--set", "engine.attn_dim=2", "--set", "engine.n_heads=1",
-                               "train", "--kb", str(out / "kb.jsonl"),
+                               "train", "--kb", str(out / "augmented.jsonl"),
                                "--samples", str(one_batch), "--out", str(params),
                                "--stats", str(stats)])
         assert proc.returncode == 4, proc.stderr
@@ -316,7 +385,7 @@ class TestExitCodes:
         one_batch.write_text("".join((out / "train.jsonl").read_text().splitlines(True)[:4]))
         params, stats = tmp_path / "p.mprm", tmp_path / "stats.json"
         proc = run_cli_capped(["--config", str(cfg), "--set", "train.learning_rate=1e308",
-                               "train", "--kb", str(out / "kb.jsonl"),
+                               "train", "--kb", str(out / "augmented.jsonl"),
                                "--samples", str(one_batch), "--out", str(params),
                                "--stats", str(stats)])
         assert proc.returncode == 4, proc.stderr
@@ -339,7 +408,7 @@ class TestExitCodes:
 
     def test_corrupt_index_is_data_error(self, workdir, tmp_path):
         root, cfg, out = workdir
-        kb = str(out / "kb.jsonl")
+        kb = str(out / "augmented.jsonl")
         params = tmp_path / "p.mprm"
         assert run_cli("--config", str(cfg), "train", "--kb", kb,
                        "--samples", str(out / "train.jsonl"), "--out", str(params)) == 0
@@ -355,7 +424,21 @@ def _readme_run_ini() -> str:
     return match.group(1)
 
 
+def _readme_commands() -> list[list[str]]:
+    """The argument lists of the README's `mvli` pipeline, continuations joined."""
+    match = re.search(r"```sh\n(mvli .*?)```", README.read_text(), re.S)
+    assert match, "README.md has no fenced mvli pipeline"
+    return [shlex.split(line)[1:] for line in match.group(1).replace("\\\n", " ").splitlines()]
+
+
 class TestReadmeConfig:
+    def test_readme_pipeline_parses(self):
+        """Every `mvli` line of the README runs one command with options its
+        parser has; a stale option fails here rather than for a reader."""
+        parser = build_parser()
+        commands = [parser.parse_args(argv).command for argv in _readme_commands()]
+        assert sorted(commands) == sorted(COMMANDS)
+
     def test_readme_run_ini_runs_synth(self, tmp_path):
         """The README's example config, inline comments included, runs as written."""
         cfg = tmp_path / "run.ini"
@@ -422,8 +505,7 @@ class TestConfigKeys:
 class TestHelp:
     def test_every_command_has_help(self, capsys):
         parser = build_parser()
-        for command in ("synth", "augment", "datagen", "train", "index", "search",
-                        "eval", "ablate", "probe"):
+        for command in COMMANDS:
             with pytest.raises(SystemExit) as exc:
                 parser.parse_args([command, "--help"])
             assert exc.value.code == 0

@@ -30,6 +30,8 @@ def workdir(tmp_path_factory):
     )
     out = root / "world"
     assert run_cli("--config", str(cfg), "synth", "--out-dir", str(out)) == 0
+    assert run_cli("augment", "--kb", str(out / "kb.jsonl"),
+                   "--out", str(out / "augmented.jsonl")) == 0
     return root, cfg, out
 
 
@@ -38,7 +40,7 @@ class TestAblateCommand:
         root, cfg, out = workdir
         report = tmp_path / "ablation.csv"
         code = run_cli(
-            "--config", str(cfg), "ablate", "--kb", str(out / "kb.jsonl"),
+            "--config", str(cfg), "ablate", "--kb", str(out / "augmented.jsonl"),
             "--train-samples", str(out / "train.jsonl"),
             "--test-samples", str(out / "test_seen.jsonl"),
             "--report-out", str(report),
@@ -54,19 +56,20 @@ class TestProbeCommand:
         root, cfg, out = workdir
         report = tmp_path / "probe.csv"
         code = run_cli(
-            "--config", str(cfg), "probe", "--kb", str(out / "kb.jsonl"),
+            "--config", str(cfg), "--set", "train.flags=none",
+            "probe", "--kb", str(out / "augmented.jsonl"),
             "--train-samples", str(out / "train.jsonl"),
             "--test-samples", str(out / "test_seen.jsonl"),
-            "--report-out", str(report), "--mode", "image_only", "--flags", "none",
+            "--report-out", str(report), "--mode", "image_only",
         )
         assert code == 0
         rows = list(csv.DictReader(io.StringIO(report.read_text())))
-        assert rows and all("image-only" in r["config_flags"] for r in rows)
+        assert rows and {r["config_flags"] for r in rows} == {"none|image-only"}
 
     def test_invalid_mode_rejected_by_parser(self, workdir, tmp_path):
         root, cfg, out = workdir
         with pytest.raises(SystemExit):
-            run_cli("probe", "--kb", str(out / "kb.jsonl"),
+            run_cli("probe", "--kb", str(out / "augmented.jsonl"),
                     "--train-samples", str(out / "train.jsonl"),
                     "--test-samples", str(out / "test_seen.jsonl"),
                     "--report-out", str(tmp_path / "x.csv"), "--mode", "bogus")
@@ -83,8 +86,10 @@ class TestSearchSingleDoc:
                                n_heads=2, attn_dim=8, n_mm_tokens=2)
         params_path = tmp_path / "p.mprm"
         save_params(init_encoder_params(config, seed=1), config, params_path)
+        aug_path = tmp_path / "augmented.jsonl"
+        assert run_cli("augment", "--kb", str(kb_path), "--out", str(aug_path)) == 0
         index_path = tmp_path / "kb.mvli"
-        assert run_cli("index", "--kb", str(kb_path), "--params", str(params_path),
+        assert run_cli("index", "--kb", str(aug_path), "--params", str(params_path),
                        "--out", str(index_path)) == 0
         assert run_cli("search", "--index", str(index_path),
                        "--params", str(params_path), "--query-text", "anything",
@@ -94,7 +99,7 @@ class TestSearchSingleDoc:
 class TestExhaustiveIndexMatchesExactEval:
     def test_recall_rows_agree(self, workdir, tmp_path):
         root, cfg, out = workdir
-        kb = str(out / "kb.jsonl")
+        kb = str(out / "augmented.jsonl")
         params = tmp_path / "p.mprm"
         assert run_cli("--config", str(cfg), "train", "--kb", kb,
                        "--samples", str(out / "train.jsonl"), "--out", str(params)) == 0
@@ -132,6 +137,6 @@ class TestNumericExitCode:
         save_params(params, config, bad)  # which refuses a non-finite tensor
         named_tensors(params)["text_proj.w1"][0, 0] = np.nan
         rewrite_sections(bad, "checkpoint", **{"text_proj.w1": params.text_proj.w1})
-        code = run_cli("index", "--kb", str(out / "kb.jsonl"),
+        code = run_cli("index", "--kb", str(out / "augmented.jsonl"),
                        "--params", str(bad), "--out", str(tmp_path / "x.mvli"))
         assert code == 4

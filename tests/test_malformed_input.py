@@ -8,6 +8,7 @@ a reader that allocates from a corrupt length field fails fast.
 
 from __future__ import annotations
 
+import json
 import struct
 
 import pytest
@@ -130,14 +131,16 @@ def test_byte_flip_names_its_section(tmp_path, small_kb, small_kb_aug, tiny_conf
 
 
 @pytest.mark.parametrize("command", ["augment", "train"])
-def test_cli_non_utf8_input_exits_3(tmp_path, small_kb, capsys, command):
+def test_cli_non_utf8_input_exits_3(tmp_path, small_kb, small_kb_aug, capsys, command):
     kb_path, samples_path = tmp_path / "kb.jsonl", tmp_path / "train.jsonl"
+    aug_path = tmp_path / "augmented.jsonl"
     save_kb(small_kb, kb_path)
+    save_augmented(small_kb_aug, aug_path)
     save_samples(SAMPLES, samples_path)
     bad = kb_path if command == "augment" else samples_path
     bad.write_bytes(bad.read_bytes().replace(b"otato", b"ot\xffto", 1))
-    args = {"augment": ["augment", "--kb", str(kb_path), "--out", str(tmp_path / "aug.jsonl")],
-            "train": ["train", "--kb", str(kb_path), "--samples", str(samples_path),
+    args = {"augment": ["augment", "--kb", str(kb_path), "--out", str(tmp_path / "out.jsonl")],
+            "train": ["train", "--kb", str(aug_path), "--samples", str(samples_path),
                       "--out", str(tmp_path / "p.mprm")]}[command]
     capsys.readouterr()
     assert main(args) == 3
@@ -153,14 +156,49 @@ def test_typemap_not_object_of_strings(tmp_path, text):
 
 
 @pytest.mark.parametrize("content", [b'{"Potato": "cr\xffature"}', b'{"Potato": '])
-def test_cli_datagen_bad_typemap_exits_3(tmp_path, small_kb, capsys, content):
-    kb_path, typemap_path = tmp_path / "kb.jsonl", tmp_path / "typemap.json"
-    save_kb(small_kb, kb_path)
+def test_cli_datagen_bad_typemap_exits_3(tmp_path, small_kb_aug, capsys, content):
+    kb_path, typemap_path = tmp_path / "augmented.jsonl", tmp_path / "typemap.json"
+    save_augmented(small_kb_aug, kb_path)
     typemap_path.write_bytes(content)
     capsys.readouterr()
     assert main(["datagen", "--kb", str(kb_path), "--typemap", str(typemap_path),
                  "--out", str(tmp_path / "s.jsonl")]) == 3
     assert "typemap" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# KB records that parse but do not fit together.
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("kind", ["kb", "augmented"])
+def test_repeated_doc_id_names_both_lines(tmp_path, small_kb, small_kb_aug, tiny_config, kind):
+    path = tmp_path / "input"
+    _write(kind, path, small_kb, small_kb_aug, tiny_config)
+    lines = path.read_text().splitlines(True)
+    assert json.loads(lines[1])["doc_id"] == "d1"
+    path.write_text(lines[1] + lines[0] + lines[1])
+    with pytest.raises(FormatError, match=r"input:3: .*'d1' is also at .*input:1\)"):
+        READERS[kind](path)
+
+
+@pytest.mark.parametrize("span", [[999], [-1], []], ids=["past_end", "negative", "empty"])
+def test_related_span_outside_body(tmp_path, small_kb_aug, capsys, span):
+    """Such a span would index past the body, from its end, or nothing at
+    all when datagen builds the document's graph; the reader refuses it."""
+    path, typemap = tmp_path / "augmented.jsonl", tmp_path / "typemap.json"
+    save_augmented(small_kb_aug, path)
+    save_typemap({a.raw.title: "creature" for a in small_kb_aug.values()}, typemap)
+    lines = path.read_text().splitlines(True)
+    record = json.loads(lines[0])
+    record["related"][0]["span"] = span
+    path.write_text(json.dumps(record) + "\n" + "".join(lines[1:]))
+    with pytest.raises(FormatError, match=r"augmented.jsonl:1: bad augmented KB record \(span"):
+        load_augmented(path)
+    capsys.readouterr()
+    assert main(["datagen", "--kb", str(path), "--typemap", str(typemap),
+                 "--out", str(tmp_path / "s.jsonl")]) == 3
+    assert "bad augmented KB record (span" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
